@@ -8,8 +8,10 @@
 //! compile-once runner, so a full `repro all` compiles each benchmark
 //! once per configuration instead of once per seed. The
 //! [`repro` binary](../repro/index.html) drives them from the command
-//! line, and the Criterion benches under `benches/` time the underlying
-//! computations.
+//! line. Timing is not this crate's job: the workspace benchmark
+//! (`dqcbench/`, declared in `BENCHMARK.json`) measures the layers
+//! underneath, and checks its outputs against the goldens
+//! [`Artifact`] regenerates.
 //!
 //! # Examples
 //!
@@ -1225,11 +1227,11 @@ pub fn run_backend_matrix(runs: usize, seed: u64) -> Result<(), DqcError> {
 /// six circuits of very different compile cost and remote-gate pressure,
 /// all fitting the paper's 32-data-qubit two-node machine.
 ///
-/// `serve-bench`, the `perf` harness's `serve_throughput` entries, and
-/// the determinism-under-concurrency test all draw requests from this
-/// portfolio, so their numbers describe the same traffic mix. Circuits
-/// come wrapped in [`Arc`](std::sync::Arc): a load generator submits
-/// each one many times without copying it.
+/// The `serve_wire` benchmark's warm traffic, the serving and wire
+/// determinism tests, and the `analyze` target all draw from this
+/// portfolio, so they describe the same traffic mix. Circuits come
+/// wrapped in [`Arc`](std::sync::Arc): a load generator submits each one
+/// many times without copying it.
 pub fn serve_portfolio() -> Vec<(String, std::sync::Arc<Circuit>)> {
     use std::sync::Arc;
     vec![
@@ -1260,9 +1262,9 @@ pub fn serve_portfolio() -> Vec<(String, std::sync::Arc<Circuit>)> {
 /// Builds a deterministic request list over [`serve_portfolio`]:
 /// circuits tiled round-robin, `designs` rotated once per full portfolio
 /// pass, and per-request seeds `base_seed + i` — a pure function of its
-/// arguments, so every harness that needs "N portfolio requests" (the
-/// `serve-bench` load generator, the `perf` serve entries, ad-hoc
-/// experiments) gets the exact same traffic.
+/// arguments, so every caller that needs "N portfolio requests" (the
+/// `analyze` target's portfolio audit, the wire and admission tests)
+/// gets the exact same traffic.
 ///
 /// # Panics
 ///
@@ -1296,14 +1298,14 @@ pub fn portfolio_requests(
 /// runs fusion saves are the runs that actually cost something.
 const SKEW_HOT: usize = 2;
 
-/// Builds the duplicate-heavy request list the fusion benchmark serves:
-/// most requests are the *same* evaluation (the portfolio's QFT-32,
-/// same design, same base seed — the traffic shape of many tenants
-/// asking one popular question), with every `cold_every`-th request a
-/// distinct background evaluation drawn from the rest of the portfolio.
-/// Cross-request replay fusion coalesces the duplicates that land in
-/// one worker batch into a single replay; the unfused server re-runs
-/// every one. Pure function of its arguments, like
+/// Builds the duplicate-heavy request list the fusion determinism test
+/// serves: most requests are the *same* evaluation (the portfolio's
+/// QFT-32, same design, same base seed — the traffic shape of many
+/// tenants asking one popular question), with every `cold_every`-th
+/// request a distinct background evaluation drawn from the rest of the
+/// portfolio. Cross-request replay fusion coalesces the duplicates that
+/// land in one worker batch into a single replay; the unfused server
+/// re-runs every one. Pure function of its arguments, like
 /// [`portfolio_requests`].
 ///
 /// `cold_every = 0` makes every request the hot duplicate.
@@ -1342,178 +1344,6 @@ pub fn skewed_requests(
             }
         })
         .collect()
-}
-
-/// Builds the migrating-hot-spot request list the autoscale benchmark
-/// serves: portfolio circuits tiled round-robin, but with the *traffic*
-/// skewed `skew − 1 : 1` toward `points.0` for the first half of the
-/// list and toward `points.1` for the second — a load step that moves
-/// the pressure from one shard to the other mid-run. A queue-aware
-/// autoscaler follows the hot spot; a static even split leaves workers
-/// idle on the cold shard. Pure function of its arguments.
-///
-/// # Panics
-///
-/// Panics when `skew < 2` (no minority slot to send to the cold shard).
-pub fn migrating_requests(
-    count: usize,
-    runs: usize,
-    base_seed: u64,
-    points: (&str, &str),
-    skew: usize,
-) -> Vec<dqc_serve::EvalRequest> {
-    assert!(skew >= 2, "skew must leave a minority share");
-    let portfolio = serve_portfolio();
-    (0..count)
-        .map(|i| {
-            let first_half = i < count / 2;
-            let minority = (i + 1) % skew == 0;
-            let point = if first_half != minority {
-                points.0
-            } else {
-                points.1
-            };
-            let (label, circuit) = &portfolio[i % portfolio.len()];
-            dqc_serve::EvalRequest::new(
-                label.clone(),
-                std::sync::Arc::clone(circuit),
-                point,
-                Design::AsyncBuf,
-            )
-            .runs(runs)
-            .base_seed(base_seed + i as u64)
-        })
-        .collect()
-}
-
-/// Drives `requests` through `server` as a closed-loop client: up to
-/// `window` requests stay in flight, and a new one is submitted the
-/// moment a response arrives. Returns `(completed, engine_errors)`.
-///
-/// This is the one canonical closed-loop pump — `serve-bench` and the
-/// `perf` harness both measure through it, so their "closed loop" means
-/// the same client behavior. `window` is clamped to at least 1; callers
-/// must keep it at or below the server's queue capacity, otherwise
-/// submission can hit admission control and the error propagates.
-///
-/// # Errors
-///
-/// Propagates the first [`dqc_serve::ServeError`] returned by
-/// [`dqc_serve::Server::submit`].
-pub fn pump_closed_loop(
-    server: &dqc_serve::Server,
-    responses: &std::sync::mpsc::Receiver<dqc_serve::EvalResponse>,
-    requests: impl IntoIterator<Item = dqc_serve::EvalRequest>,
-    window: usize,
-) -> Result<(usize, usize), dqc_serve::ServeError> {
-    let window = window.max(1);
-    let mut pending = requests.into_iter();
-    let mut in_flight = 0usize;
-    let mut completed = 0usize;
-    let mut errors = 0usize;
-    loop {
-        while in_flight < window {
-            let Some(request) = pending.next() else { break };
-            server.submit(request)?;
-            in_flight += 1;
-        }
-        if in_flight == 0 {
-            return Ok((completed, errors));
-        }
-        let response = responses.recv().expect("server streams responses");
-        errors += usize::from(response.outcome.is_err());
-        completed += 1;
-        in_flight -= 1;
-    }
-}
-
-/// Drives `requests` through a `dqc-served` daemon as a closed-loop
-/// **wire** client: the same client model as [`pump_closed_loop`], but
-/// every request travels the full TCP frame protocol through a
-/// [`ServedClient`](dqc_served::ServedClient). Returns
-/// `(completed, rejected, errors)` — `rejected` counts typed
-/// backpressure refusals (`overloaded` / `quota_exceeded`), `errors`
-/// everything else that came back as a per-request error.
-///
-/// With `as_qasm` the circuits are serialized to OpenQASM 2.0 text and
-/// re-parsed by the daemon (the QASM front door); otherwise they travel
-/// as structured JSON. Either way the daemon sees fingerprint-identical
-/// circuits, so cache behavior matches the in-process pump.
-///
-/// `serve-bench --wire` and the CI `served-smoke` job both measure
-/// through this loop, mirroring how [`pump_closed_loop`] anchors the
-/// in-process numbers.
-///
-/// # Errors
-///
-/// Propagates the first transport-level
-/// [`dqc_served::ClientError`]; per-request refusals are counted, not
-/// errors.
-pub fn pump_closed_loop_wire(
-    client: &mut dqc_served::ServedClient,
-    requests: impl IntoIterator<Item = dqc_serve::EvalRequest>,
-    window: usize,
-    as_qasm: bool,
-) -> Result<(usize, usize, usize), dqc_served::ClientError> {
-    let window = window.max(1);
-    let mut pending = requests.into_iter().map(|request| {
-        let submission = if as_qasm {
-            dqc_served::Submission::qasm(
-                request.circuit_label.clone(),
-                dqc_circuit::to_qasm(&request.circuit),
-                request.point.clone(),
-                request.design,
-            )
-        } else {
-            dqc_served::Submission::from_request(&request)
-        };
-        submission.runs(request.runs).base_seed(request.base_seed)
-    });
-    let mut in_flight = 0usize;
-    let mut completed = 0usize;
-    let mut rejected = 0usize;
-    let mut errors = 0usize;
-    loop {
-        while in_flight < window {
-            let Some(submission) = pending.next() else {
-                break;
-            };
-            client.submit(&submission)?;
-            in_flight += 1;
-        }
-        if in_flight == 0 {
-            return Ok((completed, rejected, errors));
-        }
-        let reply = client.recv_reply()?;
-        in_flight -= 1;
-        match reply.outcome {
-            Ok(_) => completed += 1,
-            Err(e) if e.is_backpressure() => rejected += 1,
-            Err(_) => errors += 1,
-        }
-    }
-}
-
-/// Serves `requests` sequentially with one **fresh compilation per
-/// request** — the no-cache, single-worker reference both `serve-bench`
-/// and the `perf` harness compare the serving layer against. Keeping the
-/// loop here (next to [`pump_closed_loop`]) guarantees the two harnesses'
-/// speedup metrics are measured against the same baseline behavior.
-///
-/// # Errors
-///
-/// Propagates the first [`DqcError`] from compilation or execution.
-pub fn run_sequential_baseline(
-    requests: &[dqc_serve::EvalRequest],
-    config: &SystemConfig,
-) -> Result<(), DqcError> {
-    for request in requests {
-        let compiled = dqc_core::CompiledCircuit::compile(&request.circuit, config)?;
-        for i in 0..request.runs {
-            compiled.run(request.design, request.base_seed.wrapping_add(i as u64))?;
-        }
-    }
-    Ok(())
 }
 
 // ------------------------------------------------------- Static analysis
@@ -1696,15 +1526,6 @@ mod tests {
         for pair in cold.windows(2) {
             assert_ne!(pair[0].base_seed, pair[1].base_seed);
         }
-    }
-
-    #[test]
-    fn migrating_requests_flip_the_majority_point_at_half() {
-        let requests = migrating_requests(32, 1, 7, ("east", "west"), 4);
-        let east_first = requests[..16].iter().filter(|r| r.point == "east").count();
-        let east_second = requests[16..].iter().filter(|r| r.point == "east").count();
-        assert_eq!(east_first, 12, "first half skews 3:1 toward east");
-        assert_eq!(east_second, 4, "second half skews 3:1 toward west");
     }
 
     #[test]

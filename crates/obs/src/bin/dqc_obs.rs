@@ -4,12 +4,12 @@
 //! dqc-obs report CAPTURE.json [--top N] [--min-spans N]
 //! ```
 //!
-//! `report` parses a capture produced by `repro --profile` /
-//! `serve-bench --profile` (or scraped from a live daemon's `trace`
+//! `report` parses a capture produced by `repro --profile` or
+//! `dqcbench --trace 1` (or scraped from a live daemon's `trace`
 //! frame), prints every trace's span tree and the top-N table, and
 //! exits non-zero when the capture fails to parse or holds fewer than
-//! `--min-spans` spans — which is exactly the gate CI's `obs-smoke` job
-//! runs.
+//! `--min-spans` spans — which is exactly the gate CI's `bench-smoke`
+//! job runs on every capture it records.
 
 use dqc_obs::Capture;
 use dqc_types::Json;

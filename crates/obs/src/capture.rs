@@ -15,7 +15,7 @@ pub const CAPTURE_SCHEMA_VERSION: i64 = 1;
 /// One complete profiling capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Capture {
-    /// What produced the capture (e.g. `serve-bench`, `repro`).
+    /// What produced the capture (e.g. `dqcbench`, `repro`).
     pub producer: String,
     /// Which clock timestamped it (`monotonic` or `tick`).
     pub clock: String,

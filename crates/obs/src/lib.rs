@@ -19,9 +19,9 @@
 //!   is a [`MetricsSnapshot`].
 //! * **Profiling** — a [`RingRecorder`] buffers records in memory; a
 //!   [`Capture`] serializes spans + events + metrics as one
-//!   schema-versioned JSON artifact (`repro --profile`, `serve-bench
-//!   --profile`), and the `dqc-obs report` binary renders any capture's
-//!   span tree and top-k table.
+//!   schema-versioned JSON artifact (`repro --profile`, the
+//!   benchmark's `dqcbench --trace 1` run), and the `dqc-obs report`
+//!   binary renders any capture's span tree and top-k table.
 //!
 //! Timestamps come from a [`Clock`] installed alongside the recorder —
 //! never from ambient wall-clock reads. Production uses

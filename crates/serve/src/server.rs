@@ -175,10 +175,9 @@ impl ServeBuilder {
     /// order (duplicates included — they are rejected at
     /// [`spawn`](ServeBuilder::spawn)).
     ///
-    /// Front ends that wrap one builder to spawn *matching* servers —
-    /// the `dqc-served` daemon reusing a shard registration for its
-    /// welcome frame, `serve-bench` printing what a wire run will serve
-    /// — read the labels here instead of re-tracking them.
+    /// Front ends that wrap one builder — the `dqc-served` daemon
+    /// reusing a shard registration for its welcome frame — read the
+    /// labels here instead of re-tracking them.
     pub fn point_labels(&self) -> impl Iterator<Item = &str> {
         self.points.iter().map(|(label, _)| label.as_str())
     }
@@ -218,8 +217,7 @@ impl ServeBuilder {
     }
 
     /// Sets each shard's warm-compilation cache capacity (entries). `0`
-    /// disables caching — every request recompiles (the baseline the
-    /// serve benchmark compares against).
+    /// disables caching — every request recompiles.
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = capacity;
@@ -956,6 +954,78 @@ fn resolve_compiled(
                 }
                 Err(e) => Err(ServeError::Engine(e)),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dqc_core::Design;
+
+    /// Fusion saves replays, counted exactly: `JOBS` identical requests
+    /// queued before the worker starts leave in one `pop_batch_as`, fuse
+    /// into one group, and replay each of their `RUNS` seeds once — yet
+    /// every requester still gets the reports direct evaluation gives.
+    #[test]
+    fn one_batch_of_identical_jobs_replays_each_seed_once() {
+        const JOBS: usize = 5;
+        const RUNS: usize = 3;
+        let system = SystemConfig::paper_two_node_32();
+        let circuit = Arc::new(dqc_workloads::qft(16));
+        let request = EvalRequest::new("QFT-16", Arc::clone(&circuit), "paper", Design::AdaptBuf)
+            .runs(RUNS)
+            .base_seed(11);
+
+        let queue = Arc::new(BoundedQueue::new(JOBS));
+        for id in 0..JOBS as u64 {
+            let job = Job {
+                id: RequestId(id),
+                request: request.clone(),
+                submitted_at: Instant::now(),
+                submitted_us: None,
+            };
+            assert!(queue.try_push(job).is_ok(), "queue holds every job");
+        }
+        // Closed and full: the worker drains it in one batch, then exits
+        // on this thread.
+        queue.close();
+        let registry = Registry::new();
+        let bounds_us = ServeConfig::default().metrics.bucket_bounds_us();
+        let counters = Arc::new(ShardCounters::register(&registry, "paper", &bounds_us));
+        let (results, responses) = channel();
+        worker_loop(WorkerContext {
+            queue,
+            counters: Arc::clone(&counters),
+            cache: Arc::new(Mutex::new(CompileCache::new(1))),
+            config: Arc::new(system.clone()),
+            point: "paper".to_string(),
+            results,
+            latency: Arc::new(LatencyWindow::new(JOBS)),
+            batch_max: JOBS,
+            fusion: true,
+            index: 0,
+        });
+
+        assert_eq!(counters.dispatches.get(), 1, "one pop took the batch");
+        assert_eq!(counters.fused_requests.get(), JOBS as u64);
+        assert_eq!(
+            counters.fused_replays_saved.get(),
+            ((JOBS - 1) * RUNS) as u64,
+            "only the first job replays its seeds"
+        );
+        let direct = Experiment::new(&circuit, &system)
+            .unwrap()
+            .design(Design::AdaptBuf)
+            .runs(RUNS)
+            .base_seed(11)
+            .reports()
+            .unwrap();
+        let served: Vec<EvalResponse> = responses.iter().collect();
+        assert_eq!(served.len(), JOBS);
+        for response in served {
+            let output = response.outcome.expect("fused job succeeds");
+            assert_eq!(output.reports, direct, "request {:?}", response.id);
         }
     }
 }

@@ -264,7 +264,7 @@ impl ShardSnapshot {
 /// per-shard queue/cache state, latency quantiles, and throughput.
 ///
 /// Snapshots serialize through the workspace's JSON layer, so the
-/// serve-bench artifact and any external scraper read the same schema.
+/// daemon's `stats` frame and any external scraper read the same schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStats {
     /// Requests accepted across all shards.

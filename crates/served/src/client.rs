@@ -3,8 +3,8 @@
 //! [`ServedClient`] is deliberately minimal: it speaks exactly the wire
 //! vocabulary in [`protocol`](crate::protocol), pipelines submissions
 //! (send many, then collect), and surfaces every refusal as the typed
-//! [`WireError`] the daemon sent. The serve benchmark's wire mode and
-//! the CI smoke test both drive their closed loops through this type.
+//! [`WireError`] the daemon sent. The `serve_wire` benchmark and the
+//! daemon tests drive their traffic through this type.
 //!
 //! Replies arrive in *completion* order, not submission order; correlate
 //! them by the tag [`submit`](ServedClient::submit) returned.

@@ -23,7 +23,7 @@
 //!   thread, response router, reader/writer pair per connection, orderly
 //!   [`shutdown`](Served::shutdown).
 //! * **Client** ([`client`]) — [`ServedClient`], the blocking client the
-//!   serve benchmark's wire mode and the CI smoke test drive.
+//!   `serve_wire` benchmark and the daemon tests drive.
 //!
 //! Determinism survives the wire: a request's outcome depends only on
 //! the request (circuit, point, design, runs, base seed), so replies are

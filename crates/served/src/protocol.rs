@@ -469,8 +469,8 @@ impl Submission {
     }
 
     /// Lifts an in-process [`EvalRequest`] onto the wire (structured
-    /// form, sharing the circuit `Arc`). This is what lets `serve-bench`
-    /// drive the identical request stream through both paths.
+    /// form, sharing the circuit `Arc`). This is what lets one request
+    /// list drive both the in-process server and the daemon.
     pub fn from_request(request: &EvalRequest) -> Self {
         Self {
             label: request.circuit_label.clone(),

@@ -14,7 +14,7 @@
 //!
 //! Everything here also works from outside the process: launch
 //! `cargo run --release --bin dqc-served` and point any frame-speaking
-//! client (or `serve-bench --wire --connect ADDR`) at it.
+//! client (such as [`dqc::ServedClient`]) at it.
 
 use dqc::circuit::to_qasm;
 use dqc::served::{QuotaScope, Submission, WireError};

@@ -11,7 +11,7 @@ use dqc::{Design, EvalRequest, Experiment, ServedClient, SystemConfig};
 use std::collections::HashMap;
 
 /// The shared request list: every portfolio circuit, alternating
-/// designs, distinct seeds — identical to what the bench harness ships.
+/// designs, distinct seeds.
 fn wire_requests() -> Vec<EvalRequest> {
     dqc_bench::portfolio_requests(
         dqc_bench::serve_portfolio().len(),

@@ -2,8 +2,9 @@
 # Determinism source lint: the simulation engine must stay bit-for-bit
 # reproducible, so wall-clock reads (`Instant::now`, `SystemTime::now`)
 # and iteration-order-unstable `HashMap`s are denied everywhere except an
-# explicit allowlist of timing harnesses and serving-layer bookkeeping
-# whose iteration order is proven not to reach any result.
+# explicit allowlist of sites whose clock reads and iteration order are
+# proven not to reach any result. The benchmark under dqcbench/ reads
+# the clock on purpose and is not scanned.
 #
 # Run from the repository root:  sh tools/determinism_lint.sh
 # Exits non-zero, listing every offending file, when a denied pattern
@@ -13,19 +14,16 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Wall-clock reads: perf harnesses (they measure wall time on purpose)
-# and the two serving layers (queue timing, autoscale ticks, quota
-# buckets — all kept off the evaluation path). The observability layer
-# confines its clock to crates/obs/src/wall.rs: every span timestamp
-# flows through the dqc_obs::Clock trait and that module is the one
-# place the trait meets a real clock, so allowlisting it keeps the
-# rest of the tracing layer lint-clean by construction.
+# Wall-clock reads: the two serving layers (queue timing, autoscale
+# ticks, quota buckets — all kept off the evaluation path). The
+# observability layer confines its clock to crates/obs/src/wall.rs:
+# every span timestamp flows through the dqc_obs::Clock trait and that
+# module is the one place the trait meets a real clock, so allowlisting
+# it keeps the rest of the tracing layer lint-clean by construction.
 CLOCK_ALLOW="
 crates/serve/src/server.rs
 crates/served/src/daemon.rs
 crates/obs/src/wall.rs
-crates/bench/src/bin/perf.rs
-crates/bench/src/bin/serve_bench.rs
 "
 
 # HashMap: serving/daemon bookkeeping keyed for lookup only, the
