@@ -2,37 +2,39 @@
 //!
 //! Every other layer of this workspace discovers misconfiguration
 //! *dynamically*: a non-Clifford circuit forced onto the stabilizer
-//! backend fails inside `CompiledCircuit::compile`, an unservable EPR
-//! demand stalls a live engine run, a degenerate `ServeConfig` surprises
-//! a running daemon. This crate proves those properties **before any
-//! simulation budget is spent**, by walking circuits, schedules,
-//! [`dqc_core::DesignSpace`] points,
-//! [`dqc_entanglement::NetworkTopology`] graphs, and
-//! [`ServeConfig`]s without executing anything, and reporting findings as
-//! the coded, JSON-round-tripping [`Diagnostic`] taxonomy from
-//! `dqc_types::diag`.
+//! backend fails inside `CompiledCircuit::compile`, an entanglement-starved
+//! hardware point stretches a live engine run, a degenerate `ServeConfig`
+//! surprises a running daemon. This crate reports those properties
+//! **before any simulation budget is spent**, over circuits,
+//! [`SystemConfig`] hardware points, [`DesignSpace`] points, portfolios
+//! and [`ServeConfig`]s, as the coded, JSON-round-tripping [`Diagnostic`]
+//! taxonomy from `dqc_types::diag`.
+//!
+//! The analyzer writes no refusal rule of its own. What the engine
+//! refuses, it asks the engine: [`CompiledCircuit::refusals`] for the
+//! static checks, [`CompiledCircuit::supports`] for the
+//! communication-qubit rule, and [`DqcError::diagnostic`] to turn a
+//! refusal into a finding — so a refused compile and an analyzer error
+//! always carry the same code and text.
 //!
 //! The passes:
 //!
 //! * **Circuit lints** — unused qubits (`DQC-W001`), gates applied after
 //!   a qubit's measurement (`DQC-W002`), fully serialized multi-qubit
 //!   circuits with zero schedule slack (`DQC-W004`).
-//! * **Backend-compatibility proofs** — the exact rules
-//!   `CompiledCircuit::compile` enforces, decided at analysis time:
-//!   width vs. data capacity (`DQC-E001`), stabilizer × non-Clifford
-//!   (`DQC-E002`), density × width (`DQC-E003`).
-//! * **Topology checks** — node-count mismatch (`DQC-E004`) and
-//!   disconnected multi-node graphs (`DQC-E005`).
-//! * **Link feasibility** — the partition map and routing table the
-//!   compiler would build give per-link EPR demand; comparing it against
-//!   comm-qubit counts and generation rates yields `DQC-E006`/`DQC-E007`
-//!   (a remote gate can *never* be served) and `DQC-W003` (demand so far
-//!   beyond link capacity that entanglement dominates the schedule).
+//! * **Admission** — the compiler's static refusals, O(ops): width vs.
+//!   data capacity (`DQC-E001`), stabilizer × non-Clifford (`DQC-E002`),
+//!   density × width (`DQC-E003`), topology node-count mismatch
+//!   (`DQC-E004`), disconnected multi-node topology (`DQC-E005`).
+//! * **Link feasibility** — on the compilation the engine itself builds:
+//!   remote gates with no communication qubits (`DQC-E006`), and per-link
+//!   EPR demand so far beyond generation capacity that entanglement
+//!   dominates the schedule (`DQC-W003`).
 //! * **Portfolio hints** — fusable duplicate submissions while replay
 //!   fusion is disabled (`DQC-W005`).
 //! * **Serve-config validation** — re-exported from
 //!   [`ServeConfig::validate`]: budget/floor/rate/burst invariants
-//!   (`DQC-E008`…`DQC-E012`, `DQC-W006`, `DQC-W007`).
+//!   (`DQC-E008`…`DQC-E012`, `DQC-W006`…`DQC-W008`).
 //!
 //! # Examples
 //!
@@ -50,9 +52,7 @@
 //! ```
 
 use dqc_circuit::{Circuit, Gate};
-use dqc_core::{Backend, Design, DesignSpace, SystemConfig, DENSITY_MAX_QUBITS};
-use dqc_entanglement::{NetworkTopology, RoutingTable};
-use dqc_partition::{partition_circuit, partition_circuit_weighted, QubitMap};
+use dqc_core::{CompiledCircuit, Design, DesignSpace, DqcError, SystemConfig};
 use dqc_serve::ServeConfig;
 use dqc_types::json::{Json, JsonError};
 use dqc_types::{Diagnostic, Site};
@@ -63,8 +63,8 @@ mod report;
 pub use report::AnalysisReport;
 
 /// The static analyzer: a bundle of pure passes over circuits, system
-/// configurations, topologies, design spaces, portfolios, and serve
-/// configs. Stateless apart from its thresholds; cheap to construct.
+/// configurations, design spaces, portfolios, and serve configs.
+/// Stateless apart from its thresholds; cheap to construct.
 ///
 /// Every `analyze_*` method returns an [`AnalysisReport`]; reports
 /// merge, so a front end can fold many subjects into one document.
@@ -96,9 +96,8 @@ impl Analyzer {
         Self::default()
     }
 
-    /// Runs every circuit-level pass: lints, backend proofs, topology
-    /// checks, and (when the circuit fits a multi-node system) the
-    /// link-feasibility bounds.
+    /// Runs every circuit-level pass: lints, admission, and (when the
+    /// circuit can compile on a multi-node system) link feasibility.
     pub fn analyze_circuit(
         &self,
         label: &str,
@@ -107,44 +106,26 @@ impl Analyzer {
     ) -> AnalysisReport {
         let mut report = self.lint_circuit(label, circuit);
         report.merge(self.analyze_admission(label, circuit, config));
-        // The link-feasibility bounds need the partition map; skip them
-        // when an error above already proves compilation impossible.
+        // The link pass compiles; skip it when admission already proves
+        // the compile would be refused.
         if !report.has_errors() && config.num_nodes > 1 {
             report.merge(self.check_links(label, circuit, config));
         }
         report
     }
 
-    /// The cheap O(ops) admission subset: width (`DQC-E001`), backend
-    /// compatibility (`DQC-E002`/`DQC-E003`), and topology sanity
-    /// (`DQC-E004`/`DQC-E005`) — every check that proves a compile
-    /// *must* fail, without partitioning or scheduling anything. This is
-    /// what the `dqc-served` daemon runs on its wire path before
-    /// spending queue space on a submission.
+    /// The cheap O(ops) admission subset: every static refusal of
+    /// [`CompiledCircuit::refusals`] (`DQC-E001`…`DQC-E005`), without
+    /// partitioning or scheduling anything. This is what the
+    /// `dqc-served` daemon runs on its wire path before spending queue
+    /// space on a submission.
     pub fn analyze_admission(
         &self,
         label: &str,
         circuit: &Circuit,
         config: &SystemConfig,
     ) -> AnalysisReport {
-        let mut report = self.analyze_system(config);
-        let capacity = config.total_data_qubits();
-        if circuit.num_qubits() as usize > capacity {
-            report.push(Diagnostic::new(
-                "DQC-E001",
-                Site::Circuit(label.to_string()),
-                format!(
-                    "circuit uses {} qubits but the system holds {capacity} data qubits \
-                     ({} nodes x {})",
-                    circuit.num_qubits(),
-                    config.num_nodes,
-                    config.data_qubits_per_node
-                ),
-                "shrink the circuit or add nodes/data qubits",
-            ));
-        }
-        report.merge(self.check_backend(label, circuit, config));
-        report
+        findings(label, CompiledCircuit::refusals(circuit, config))
     }
 
     /// The execution-free circuit lints: `DQC-W001` (unused qubit),
@@ -214,141 +195,28 @@ impl Analyzer {
         report
     }
 
-    /// The static backend-compatibility proofs, mirroring the rules
-    /// `CompiledCircuit::compile` enforces dynamically.
-    fn check_backend(
-        &self,
-        label: &str,
-        circuit: &Circuit,
-        config: &SystemConfig,
-    ) -> AnalysisReport {
-        let mut report = AnalysisReport::default();
-        if config.backend == Backend::Stabilizer {
-            if let Some((index, op)) = circuit
-                .operations()
-                .iter()
-                .enumerate()
-                .find(|(_, op)| !op.gate().is_clifford())
-            {
-                report.push(Diagnostic::new(
-                    "DQC-E002",
-                    Site::Gate {
-                        circuit: label.to_string(),
-                        index,
-                    },
-                    format!(
-                        "backend `stabilizer` cannot execute non-Clifford gate {}",
-                        op.gate()
-                    ),
-                    "select the `auto`, `analytic`, or `density` backend, \
-                     or Cliffordize the circuit",
-                ));
-            }
-        }
-        if config.backend == Backend::Density && circuit.num_qubits() > DENSITY_MAX_QUBITS {
-            report.push(Diagnostic::new(
-                "DQC-E003",
-                Site::Circuit(label.to_string()),
-                format!(
-                    "backend `density` is limited to {DENSITY_MAX_QUBITS} qubits but the \
-                     circuit has {}",
-                    circuit.num_qubits()
-                ),
-                "select the `auto` or `analytic` backend for wide circuits",
-            ));
-        }
-        report
-    }
-
-    /// Topology checks of a system configuration: `DQC-E004` node-count
-    /// mismatch, `DQC-E005` disconnected multi-node graph.
-    pub fn analyze_system(&self, config: &SystemConfig) -> AnalysisReport {
-        let mut report = AnalysisReport::default();
-        if let Some(topology) = &config.topology {
-            report.merge(self.analyze_topology(topology, config.num_nodes));
-        }
-        report
-    }
-
-    /// Checks a topology graph against the node count a configuration
-    /// declares.
-    pub fn analyze_topology(
-        &self,
-        topology: &NetworkTopology,
-        expected_nodes: usize,
-    ) -> AnalysisReport {
-        let mut report = AnalysisReport::default();
-        if topology.num_nodes() != expected_nodes {
-            report.push(Diagnostic::new(
-                "DQC-E004",
-                Site::Field("topology".to_string()),
-                format!(
-                    "topology spans {} nodes but the configuration declares {expected_nodes}",
-                    topology.num_nodes()
-                ),
-                "make the topology and `num_nodes` agree",
-            ));
-        } else if expected_nodes > 1 && !topology.is_connected() {
-            report.push(Diagnostic::new(
-                "DQC-E005",
-                Site::Field("topology".to_string()),
-                "the topology is disconnected: some node pairs have no entanglement route"
-                    .to_string(),
-                "add links until every node is reachable",
-            ));
-        }
-        report
-    }
-
-    /// The per-link EPR-demand feasibility bounds. Mirrors the compiler's
-    /// partitioning (same strategy, seed, and hop weights) to place
-    /// qubits, routes every remote gate over the configured topology, and
-    /// compares demand against what the comm qubits can generate.
+    /// The link-feasibility pass, on the engine's own compilation:
+    /// `DQC-E006` when a design is unsupported (remote gates but no
+    /// communication qubits), else `DQC-W003` when the busiest link's
+    /// EPR demand far outruns its generation.
     fn check_links(&self, label: &str, circuit: &Circuit, config: &SystemConfig) -> AnalysisReport {
-        let mut report = AnalysisReport::default();
-        let Some(map) = mirror_partition(circuit, config) else {
-            return report; // partitioner failure surfaces at compile time
+        let Ok(compiled) = CompiledCircuit::compile(circuit, config) else {
+            return AnalysisReport::default(); // a partitioner failure proves nothing
         };
-        let remote_gates = map.count_remote(circuit);
-        if remote_gates == 0 {
-            return report;
+        if Design::ALL
+            .into_iter()
+            .any(|design| !compiled.supports(design))
+        {
+            return findings(label, [DqcError::NoEntanglementPossible]);
         }
-        let site = Site::Circuit(label.to_string());
-        if config.comm_qubits_per_node == 0 {
-            report.push(Diagnostic::new(
-                "DQC-E006",
-                site,
-                format!(
-                    "{remote_gates} remote gates need entanglement but \
-                     `comm_qubits_per_node` is 0"
-                ),
-                "provision communication qubits or repartition onto one node",
-            ));
-            return report;
-        }
+        let mut report = AnalysisReport::default();
+        let map = compiled.qubit_map();
         let links_per_gate = config.remote_protocol.links_per_gate();
-        let holdable = config.comm_qubits_per_node + config.buffer_qubits_per_node;
-        if links_per_gate > holdable {
-            report.push(Diagnostic::new(
-                "DQC-E007",
-                site,
-                format!(
-                    "protocol `{}` holds {links_per_gate} EPR pairs per remote gate but a \
-                     node stores at most {holdable} (comm {} + buffer {})",
-                    config.remote_protocol,
-                    config.comm_qubits_per_node,
-                    config.buffer_qubits_per_node
-                ),
-                "add comm/buffer qubits or switch to gate teleportation",
-            ));
-            return report;
-        }
         // Demand per physical link: every remote gate consumes
         // `links_per_gate` end-to-end pairs; over a sparse topology each
         // pair is built by swap chains that occupy every edge of the
         // route. A link generates at most one attempt per comm qubit per
         // EPR cycle, each succeeding with `success_probability`.
-        let routing = config.topology.as_ref().map(RoutingTable::new);
         let mut demand: BTreeMap<(usize, usize), usize> = BTreeMap::new();
         for op in circuit.operations() {
             if !map.is_remote(op) {
@@ -356,7 +224,7 @@ impl Analyzer {
             }
             let a = map.node_of(op.qubits()[0]);
             let b = map.node_of(op.qubits()[1]);
-            match &routing {
+            match compiled.routing() {
                 Some(table) => {
                     if let Some(route) = table.route(a, b) {
                         for (x, y) in route.edges() {
@@ -411,25 +279,12 @@ impl Analyzer {
             let Ok(point) = space.point(index) else {
                 continue; // out-of-range indices fail in the sweep itself
             };
-            let scenario = space.realize(&point);
-            let mut report = AnalysisReport::default();
-            let capacity = scenario.config.total_data_qubits();
-            if circuit.num_qubits() as usize > capacity {
-                report.push(Diagnostic::new(
-                    "DQC-E001",
-                    Site::Point(format!("{circuit_label}@{index}")),
-                    format!(
-                        "circuit uses {} qubits but point {index} holds {capacity}",
-                        circuit.num_qubits()
-                    ),
-                    "drop the point from the space or widen its hardware",
+            let refusals = CompiledCircuit::refusals(circuit, &space.realize(&point).config);
+            if !refusals.is_empty() {
+                pruned.push((
+                    index,
+                    findings(&format!("{circuit_label}@{index}"), refusals),
                 ));
-            }
-            report.merge(self.check_backend(circuit_label, circuit, &scenario.config));
-            report.merge(self.analyze_system(&scenario.config));
-            report.retain_errors();
-            if report.has_errors() {
-                pruned.push((index, report));
             }
         }
         pruned
@@ -494,24 +349,14 @@ pub struct PortfolioItem<'a> {
     pub design: Design,
 }
 
-/// Reproduces the compiler's qubit placement: same strategy selection,
-/// same seed, same hop weights — so the analyzer reasons about the
-/// partition the engine would actually use.
-fn mirror_partition(circuit: &Circuit, config: &SystemConfig) -> Option<QubitMap> {
-    use dqc_core::PartitionStrategy::{Auto, HopWeighted, Unweighted};
-    let routing = config.topology.as_ref().map(RoutingTable::new);
-    let weighted = |matrix: Vec<Vec<u64>>| {
-        partition_circuit_weighted(circuit, config.num_nodes, config.partition_seed, &matrix).ok()
-    };
-    match (config.partitioner, &routing) {
-        (Auto | HopWeighted, Some(table)) => weighted(table.hop_distance_matrix()),
-        (Auto | Unweighted, None) | (Unweighted, Some(_)) => {
-            partition_circuit(circuit, config.num_nodes, config.partition_seed).ok()
-        }
-        (HopWeighted, None) => {
-            weighted(NetworkTopology::all_to_all(config.num_nodes).hop_distance_matrix())
-        }
-    }
+/// Turns engine refusals into findings about the circuit `label`.
+fn findings(label: &str, refusals: impl IntoIterator<Item = DqcError>) -> AnalysisReport {
+    AnalysisReport::from(
+        refusals
+            .into_iter()
+            .filter_map(|refusal| refusal.diagnostic(label))
+            .collect::<Vec<_>>(),
+    )
 }
 
 /// Orders a node pair so links hash consistently regardless of gate

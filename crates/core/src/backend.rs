@@ -28,7 +28,7 @@
 //! falls back to the analytic engine otherwise.
 
 use crate::{Design, DqcError, ExecutionReport};
-use dqc_circuit::{Circuit, Gate};
+use dqc_circuit::Circuit;
 use dqc_partition::QubitMap;
 use dqc_sim::Tableau;
 use dqc_types::{Fidelity, NodeId, Tick, UnknownName};
@@ -303,19 +303,7 @@ impl SchedulePlan {
                 }
                 makespan.merge(&end);
             } else {
-                // Mirrors the analytic tracker's duration/fidelity table
-                // exactly (`Tracker::issue_local`).
-                let (duration, fidelity) = match op.gate() {
-                    Gate::Measure => (config.latencies.measurement, config.fidelities.measurement),
-                    Gate::Swap => (
-                        config.latencies.two_qubit * 3,
-                        config.fidelities.two_qubit.powi(3),
-                    ),
-                    g if g.arity() == 2 => {
-                        (config.latencies.two_qubit, config.fidelities.two_qubit)
-                    }
-                    _ => (config.latencies.one_qubit, config.fidelities.one_qubit),
-                };
+                let (duration, fidelity) = crate::executor::local_gate_cost(op.gate(), config);
                 let mut end = match qs {
                     [a] => ready[a.as_usize()].clone(),
                     [a, b] => {
@@ -353,13 +341,13 @@ impl SchedulePlan {
     }
 }
 
-/// Whether every operation of `circuit` is a Clifford gate — the
-/// stabilizer engine's eligibility rule.
-pub(crate) fn clifford_only(circuit: &Circuit) -> bool {
+/// The index of the first non-Clifford operation of `circuit`, if any —
+/// the stabilizer engine's eligibility rule.
+pub(crate) fn first_non_clifford(circuit: &Circuit) -> Option<usize> {
     circuit
         .operations()
         .iter()
-        .all(|op| op.gate().is_clifford())
+        .position(|op| !op.gate().is_clifford())
 }
 
 #[cfg(test)]

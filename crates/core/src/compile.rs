@@ -9,7 +9,7 @@
 //! ideal-device schedule, and the remote-gate fidelity table are computed
 //! once and shared immutably across every design and every seed.
 
-use crate::backend::{clifford_only, SchedulePlan};
+use crate::backend::{first_non_clifford, SchedulePlan};
 use crate::{
     segment_sequence, Backend, Design, DqcError, ExecutionReport, PartitionStrategy,
     RemoteFidelityTable, SegmentVariants, SystemConfig, DENSITY_MAX_QUBITS,
@@ -85,14 +85,9 @@ impl CompiledCircuit {
     ///
     /// # Errors
     ///
-    /// Returns [`DqcError::CircuitTooWide`] when the circuit does not fit
-    /// the system's data qubits, [`DqcError::Partition`] when the
-    /// multilevel partitioner fails, [`DqcError::TopologyMismatch`] /
-    /// [`DqcError::DisconnectedTopology`] when the configured network
-    /// cannot serve the system, and [`DqcError::BackendUnsupported`] when
-    /// an explicitly selected backend cannot execute the circuit (a
-    /// non-Clifford gate under `stabilizer`; more than
-    /// [`DENSITY_MAX_QUBITS`] qubits under `density`).
+    /// Returns the first of [`CompiledCircuit::refusals`] when the pair
+    /// can never compile, and [`DqcError::Partition`] when the multilevel
+    /// partitioner fails.
     pub fn compile(circuit: &Circuit, config: &SystemConfig) -> Result<Self, DqcError> {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         let mut compile_span = dqc_obs::span("compile");
@@ -101,44 +96,10 @@ impl CompiledCircuit {
             compile_span.attr("cache_key", Self::cache_key(circuit, config));
             compile_span.attr("backend", config.backend.name());
         }
-        let capacity = config.total_data_qubits();
-        if circuit.num_qubits() as usize > capacity {
-            return Err(DqcError::CircuitTooWide {
-                qubits: circuit.num_qubits(),
-                capacity,
-            });
+        if let Some(refusal) = Self::refusals(circuit, config).into_iter().next() {
+            return Err(refusal);
         }
-        if let Some(topology) = &config.topology {
-            if topology.num_nodes() != config.num_nodes {
-                return Err(DqcError::TopologyMismatch {
-                    topology_nodes: topology.num_nodes(),
-                    config_nodes: config.num_nodes,
-                });
-            }
-            if config.num_nodes > 1 && !topology.is_connected() {
-                return Err(DqcError::DisconnectedTopology);
-            }
-        }
-        let clifford = clifford_only(circuit);
-        match config.backend {
-            Backend::Stabilizer if !clifford => {
-                return Err(DqcError::BackendUnsupported {
-                    backend: Backend::Stabilizer.name(),
-                    reason: "circuit contains a non-Clifford gate".to_string(),
-                });
-            }
-            Backend::Density if circuit.num_qubits() > DENSITY_MAX_QUBITS => {
-                return Err(DqcError::BackendUnsupported {
-                    backend: Backend::Density.name(),
-                    reason: format!(
-                        "circuit has {} qubits but the density-matrix engine is \
-                         limited to {DENSITY_MAX_QUBITS}",
-                        circuit.num_qubits()
-                    ),
-                });
-            }
-            _ => {}
-        }
+        let clifford = first_non_clifford(circuit).is_none();
         let ideal_report = crate::executor::ideal_report(circuit, config);
         let routing = {
             let _route_span = dqc_obs::span("compile.route");
@@ -204,6 +165,58 @@ impl CompiledCircuit {
             routing,
             plan,
         })
+    }
+
+    /// Every static refusal of the pair, in the order
+    /// [`CompiledCircuit::compile`] checks them (it returns the first):
+    ///
+    /// 1. [`DqcError::CircuitTooWide`] — more qubits than data capacity;
+    /// 2. [`DqcError::TopologyMismatch`] — the network spans a different
+    ///    node count — or else [`DqcError::DisconnectedTopology`];
+    /// 3. [`DqcError::BackendUnsupported`] — a non-Clifford gate under
+    ///    `stabilizer` (the text names the first one and its op index),
+    ///    or more than [`DENSITY_MAX_QUBITS`] qubits under `density`.
+    ///
+    /// O(ops): nothing is partitioned, routed or scheduled, so admission
+    /// paths can ask per request.
+    pub fn refusals(circuit: &Circuit, config: &SystemConfig) -> Vec<DqcError> {
+        let mut refusals = Vec::new();
+        let capacity = config.total_data_qubits();
+        if circuit.num_qubits() as usize > capacity {
+            refusals.push(DqcError::CircuitTooWide {
+                qubits: circuit.num_qubits(),
+                capacity,
+            });
+        }
+        if let Some(topology) = &config.topology {
+            if topology.num_nodes() != config.num_nodes {
+                refusals.push(DqcError::TopologyMismatch {
+                    topology_nodes: topology.num_nodes(),
+                    config_nodes: config.num_nodes,
+                });
+            } else if config.num_nodes > 1 && !topology.is_connected() {
+                refusals.push(DqcError::DisconnectedTopology);
+            }
+        }
+        let reason = match config.backend {
+            Backend::Stabilizer => first_non_clifford(circuit).map(|index| {
+                let gate = circuit.operations()[index].gate();
+                format!("op #{index} is the non-Clifford gate {gate}")
+            }),
+            Backend::Density if circuit.num_qubits() > DENSITY_MAX_QUBITS => Some(format!(
+                "circuit has {} qubits but the density-matrix engine is limited to \
+                 {DENSITY_MAX_QUBITS}",
+                circuit.num_qubits()
+            )),
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            refusals.push(DqcError::BackendUnsupported {
+                backend: config.backend.name(),
+                reason,
+            });
+        }
+        refusals
     }
 
     /// The stable cache key of a (circuit, config) compile pair: the
@@ -272,7 +285,8 @@ impl CompiledCircuit {
 
     /// Whether `design` can execute at all on this compilation — the
     /// distributed designs need communication qubits once any gate
-    /// crosses the cut.
+    /// crosses the cut. Every replay path refuses an unsupported design
+    /// with [`DqcError::NoEntanglementPossible`].
     pub fn supports(&self, design: Design) -> bool {
         design == Design::Ideal || self.remote_gates == 0 || self.config.comm_qubits_per_node > 0
     }
@@ -351,6 +365,23 @@ mod tests {
                 capacity: 32
             }
         ));
+    }
+
+    #[test]
+    fn refusals_list_every_static_refusal_and_compile_returns_the_first() {
+        let mut cfg = config().with_backend(Backend::Stabilizer);
+        cfg.topology = Some(NetworkTopology::chain(3));
+        let circuit = qft(40);
+        let refusals = CompiledCircuit::refusals(&circuit, &cfg);
+        let codes: Vec<_> = refusals.iter().map(|e| e.code()).collect();
+        assert_eq!(
+            codes,
+            [Some("DQC-E001"), Some("DQC-E004"), Some("DQC-E002")],
+            "{refusals:?}"
+        );
+        let err = CompiledCircuit::compile(&circuit, &cfg).unwrap_err();
+        assert_eq!(err, refusals[0]);
+        assert!(CompiledCircuit::refusals(&qft(32), &config()).is_empty());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The workspace-wide evaluation error type.
 
+use crate::Backend;
 use dqc_partition::PartitionError;
+use dqc_types::{Diagnostic, Site};
 use std::error::Error;
 use std::fmt;
 
@@ -145,6 +147,63 @@ impl fmt::Display for DqcError {
     }
 }
 
+impl DqcError {
+    /// The registered diagnostic code (`dqc_types::diag::REGISTRY`) of an
+    /// engine refusal: `DQC-E001`…`DQC-E006`. `None` for failures no
+    /// static analysis can prove (partitioning, sweep declarations).
+    pub fn code(&self) -> Option<&'static str> {
+        self.refusal().map(|(code, _)| code)
+    }
+
+    /// The refusal as a coded finding about the circuit `label`, with
+    /// this error's text as the message — how the static analyzer
+    /// reports what the engine would refuse. `None` where
+    /// [`DqcError::code`] is.
+    pub fn diagnostic(&self, label: &str) -> Option<Diagnostic> {
+        let (code, help) = self.refusal()?;
+        let site = match self {
+            DqcError::TopologyMismatch { .. } | DqcError::DisconnectedTopology => {
+                Site::Field("topology".to_string())
+            }
+            _ => Site::Circuit(label.to_string()),
+        };
+        Some(Diagnostic::new(code, site, self.to_string(), help))
+    }
+
+    /// The (code, help) pair of each refusal variant.
+    fn refusal(&self) -> Option<(&'static str, &'static str)> {
+        Some(match self {
+            DqcError::CircuitTooWide { .. } => {
+                ("DQC-E001", "shrink the circuit or add nodes/data qubits")
+            }
+            DqcError::BackendUnsupported { backend, .. }
+                if *backend == Backend::Stabilizer.name() =>
+            {
+                (
+                    "DQC-E002",
+                    "select the `auto`, `analytic`, or `density` backend, or Cliffordize \
+                     the circuit",
+                )
+            }
+            DqcError::BackendUnsupported { .. } => (
+                "DQC-E003",
+                "select the `auto` or `analytic` backend for wide circuits",
+            ),
+            DqcError::TopologyMismatch { .. } => {
+                ("DQC-E004", "make the topology and `num_nodes` agree")
+            }
+            DqcError::DisconnectedTopology => {
+                ("DQC-E005", "add links until every node is reachable")
+            }
+            DqcError::NoEntanglementPossible => (
+                "DQC-E006",
+                "provision communication qubits or repartition onto one node",
+            ),
+            _ => return None,
+        })
+    }
+}
+
 impl Error for DqcError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
@@ -195,6 +254,46 @@ mod tests {
         };
         assert!(e.to_string().contains("stabilizer"));
         assert!(e.to_string().contains("non-Clifford"));
+    }
+
+    #[test]
+    fn refusals_map_to_registered_codes() {
+        let refusals = [
+            DqcError::CircuitTooWide {
+                qubits: 40,
+                capacity: 32,
+            },
+            DqcError::BackendUnsupported {
+                backend: "stabilizer",
+                reason: "op #1 is the non-Clifford gate t".to_string(),
+            },
+            DqcError::BackendUnsupported {
+                backend: "density",
+                reason: "too wide".to_string(),
+            },
+            DqcError::TopologyMismatch {
+                topology_nodes: 3,
+                config_nodes: 2,
+            },
+            DqcError::DisconnectedTopology,
+            DqcError::NoEntanglementPossible,
+        ];
+        for (n, refusal) in refusals.iter().enumerate() {
+            // `Diagnostic::new` panics on an unregistered code.
+            let diagnostic = refusal.diagnostic("qft-32").unwrap();
+            assert_eq!(diagnostic.code, format!("DQC-E00{}", n + 1));
+            assert_eq!(Some(diagnostic.code), refusal.code());
+            assert_eq!(diagnostic.message, refusal.to_string());
+            assert!(diagnostic.is_error());
+        }
+        assert_eq!(
+            refusals[4].diagnostic("qft-32").unwrap().site,
+            Site::Field("topology".to_string())
+        );
+        assert_eq!(DqcError::ZeroRuns.code(), None);
+        assert!(DqcError::Partition(PartitionError::EmptyGraph)
+            .diagnostic("qft-32")
+            .is_none());
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn run_analytic(
     if design == Design::Ideal {
         return Ok(compiled.ideal_report.clone());
     }
-    if compiled.remote_gates > 0 && compiled.config.comm_qubits_per_node == 0 {
+    if !compiled.supports(design) {
         return Err(DqcError::NoEntanglementPossible);
     }
     let config = &compiled.config;
@@ -201,7 +201,7 @@ fn run_stabilizer(
     design: Design,
     seed: u64,
 ) -> Result<ExecutionReport, DqcError> {
-    if compiled.remote_gates > 0 && compiled.config.comm_qubits_per_node == 0 {
+    if !compiled.supports(design) {
         return Err(DqcError::NoEntanglementPossible);
     }
     let config = &compiled.config;
@@ -802,16 +802,7 @@ impl Tracker {
     }
 
     fn issue_local(&mut self, op: &Operation, config: &SystemConfig) {
-        let gate = op.gate();
-        let (duration, fidelity) = match gate {
-            Gate::Measure => (config.latencies.measurement, config.fidelities.measurement),
-            Gate::Swap => (
-                config.latencies.two_qubit * 3,
-                config.fidelities.two_qubit.powi(3),
-            ),
-            g if g.arity() == 2 => (config.latencies.two_qubit, config.fidelities.two_qubit),
-            _ => (config.latencies.one_qubit, config.fidelities.one_qubit),
-        };
+        let (duration, fidelity) = local_gate_cost(op.gate(), config);
         let start = self.deps_ready(op);
         self.occupy(op, start, duration);
         self.local_fidelity *= Fidelity::new(fidelity);
@@ -880,6 +871,21 @@ impl Tracker {
             mean_link_wait,
             variant_counts,
         }
+    }
+}
+
+/// Duration and fidelity factor of one local operation — the one table
+/// the analytic walk and the stabilizer plan both read, so their
+/// schedules and fidelities agree bit-for-bit.
+pub(crate) fn local_gate_cost(gate: Gate, config: &SystemConfig) -> (Tick, f64) {
+    match gate {
+        Gate::Measure => (config.latencies.measurement, config.fidelities.measurement),
+        Gate::Swap => (
+            config.latencies.two_qubit * 3,
+            config.fidelities.two_qubit.powi(3),
+        ),
+        g if g.arity() == 2 => (config.latencies.two_qubit, config.fidelities.two_qubit),
+        _ => (config.latencies.one_qubit, config.fidelities.one_qubit),
     }
 }
 

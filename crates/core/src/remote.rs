@@ -84,16 +84,42 @@ mod tests {
 
     #[test]
     fn affine_law_matches_direct_evaluation() {
-        // The linearity argument must hold against the density engine at
-        // an interior point.
-        let t = table();
-        let noise = TeleportNoise::table_ii().with_bell_fidelity(0.7);
-        let direct = teleported_cnot_fidelity(&noise).value();
-        let via_table = t.gate_fidelity(0.7).value();
-        assert!(
-            (direct - via_table).abs() < 1e-9,
-            "affine: {via_table}, direct: {direct}"
-        );
+        // The linearity argument must hold against the dense oracle
+        // across the whole Werner range, for both laws, on Table II and
+        // on degraded local operations.
+        let degraded = OperationFidelities {
+            one_qubit: 0.999,
+            two_qubit: 0.98,
+            measurement: 0.97,
+            epr: 0.9,
+        };
+        for fidelities in [OperationFidelities::default(), degraded] {
+            let t = RemoteFidelityTable::new(&fidelities);
+            let noise = TeleportNoise {
+                bell_fidelity: 1.0,
+                local_cnot_fidelity: fidelities.two_qubit,
+                measurement_fidelity: fidelities.measurement,
+                single_qubit_fidelity: fidelities.one_qubit,
+            };
+            for i in 0..=12 {
+                let link = 0.25 + 0.75 * f64::from(i) / 12.0;
+                let noise = noise.with_bell_fidelity(link);
+                let pairs = [
+                    (t.gate_fidelity(link), teleported_cnot_fidelity(&noise)),
+                    (
+                        t.state_teleport_fidelity(link),
+                        state_teleportation_fidelity(&noise),
+                    ),
+                ];
+                for (via_table, direct) in pairs {
+                    let (via_table, direct) = (via_table.value(), direct.value());
+                    assert!(
+                        (direct - via_table).abs() < 1e-12,
+                        "{fidelities:?} at link {link}: affine {via_table}, direct {direct}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! a bug, and a registry code no pass can emit is dead.
 //!
 //! The type lives here, not in `dqc-analyze`, because producers span the
-//! whole stack: `dqc-serve` validates a `ServeConfig` at load, the
-//! `dqc-served` daemon attaches diagnostics to wire refusals, and
-//! `dqc-codesign` reports statically pruned design points — none of
-//! which may depend on the analyzer crate.
+//! whole stack: `dqc-core` maps each compile refusal to its code,
+//! `dqc-serve` validates a `ServeConfig` at load, the `dqc-served`
+//! daemon attaches diagnostics to wire refusals, and `dqc-codesign`
+//! reports statically pruned design points — none of which may depend
+//! on the analyzer crate.
 
 use crate::json::{Json, JsonError};
 use std::fmt;
@@ -290,11 +291,9 @@ pub const REGISTRY: &[CodeInfo] = &[
         severity: Severity::Error,
         summary: "remote gates required but no communication qubits exist",
     },
-    CodeInfo {
-        code: "DQC-E007",
-        severity: Severity::Error,
-        summary: "one remote gate needs more links than a node can hold",
-    },
+    // DQC-E007 ("one remote gate needs more links than a node can hold")
+    // is retired: the engine serves teledata one pair at a time, so no
+    // refusal stood behind it. Never reuse the code.
     CodeInfo {
         code: "DQC-E008",
         severity: Severity::Error,

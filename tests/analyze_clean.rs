@@ -8,14 +8,17 @@
 //! * **No dead codes** — every code in `dqc_types::diag::REGISTRY` has a
 //!   minimal fixture here that triggers exactly it, and a coverage
 //!   assertion fails the suite if a registered code has no fixture.
+//! * **No invented refusals** — on every circuit × hardware subject, the
+//!   analyzer's errors are exactly the codes the engine itself refuses
+//!   with, at compile time or on replay.
 
 use dqc::analyze::{AnalysisReport, Analyzer, PortfolioItem};
 use dqc::circuit::Circuit;
-use dqc::core::RemoteProtocol;
+use dqc::core::{CompiledCircuit, RemoteProtocol};
 use dqc::entanglement::NetworkTopology;
 use dqc::serve::{AutoscalePolicy, MetricsConfig, QuotaConfig, RateLimit};
 use dqc::types::diag::REGISTRY;
-use dqc::workloads::PaperBenchmark;
+use dqc::workloads::{ghz_tree, qft, PaperBenchmark};
 use dqc::{Backend, Design, ServeConfig, SystemConfig};
 use std::collections::BTreeSet;
 
@@ -68,49 +71,59 @@ fn default_serve_config_and_portfolio_analyze_clean() {
 
 // ----------------------------------------------------------- no dead codes
 
+/// The circuit × hardware subject of each code the circuit passes
+/// report, as (label, circuit, config).
+fn circuit_fixture(code: &str) -> Option<(&'static str, Circuit, SystemConfig)> {
+    let paper = SystemConfig::paper_two_node_32;
+    let subject = match code {
+        // 40 data qubits can never fit 2 × 16. (Tree, not chain — a
+        // chain would also trip the serialization lint.)
+        "DQC-E001" => ("ghz-40", ghz_tree(40), paper()),
+        // QFT's controlled-phase rotations are non-Clifford.
+        "DQC-E002" => ("qft-32", qft(32), paper().with_backend(Backend::Stabilizer)),
+        // 16 qubits exceed the density engine's 8-qubit oracle bound.
+        "DQC-E003" => (
+            "ghz-16",
+            ghz_tree(16),
+            paper().with_backend(Backend::Density),
+        ),
+        // A 3-node graph contradicts the declared 2-node system.
+        "DQC-E004" => {
+            let mut config = paper();
+            config.topology = Some(NetworkTopology::chain(3));
+            ("ghz-32", ghz_tree(32), config)
+        }
+        // Node 2 has no route to anyone.
+        "DQC-E005" => {
+            let disconnected = NetworkTopology::from_edges(3, &[(0, 1)]);
+            ("ghz-32", ghz_tree(32), paper().with_topology(disconnected))
+        }
+        // Remote gates with zero communication qubits.
+        "DQC-E006" => {
+            let mut config = paper();
+            config.comm_qubits_per_node = 0;
+            ("ghz-32", ghz_tree(32), config)
+        }
+        // One comm qubit at 40% success against QFT-32's ~256 remote
+        // gates: generation dwarfs the critical path ~100-fold.
+        "DQC-W003" => {
+            let mut config = paper();
+            config.comm_qubits_per_node = 1;
+            ("qft-32", qft(32), config)
+        }
+        _ => return None,
+    };
+    Some(subject)
+}
+
 /// Each fixture returns the report that must contain its code (and may
 /// contain nothing *else* unless noted — asserted per fixture).
 fn fixture(code: &str) -> AnalysisReport {
     let analyzer = Analyzer::new();
-    let paper = SystemConfig::paper_two_node_32;
+    if let Some((label, circuit, config)) = circuit_fixture(code) {
+        return analyzer.analyze_circuit(label, &circuit, &config);
+    }
     match code {
-        "DQC-E001" => {
-            // 40 data qubits can never fit 2 × 16. (Tree, not chain — a
-            // chain would also trip the serialization lint.)
-            analyzer.analyze_circuit("ghz-40", &dqc::workloads::ghz_tree(40), &paper())
-        }
-        "DQC-E002" => {
-            // QFT's controlled-phase rotations are non-Clifford.
-            let config = paper().with_backend(Backend::Stabilizer);
-            analyzer.analyze_admission("qft-32", &dqc::workloads::qft(32), &config)
-        }
-        "DQC-E003" => {
-            // 16 qubits exceed the density engine's 8-qubit oracle bound.
-            let config = paper().with_backend(Backend::Density);
-            analyzer.analyze_admission("ghz-16", &dqc::workloads::ghz_chain(16), &config)
-        }
-        "DQC-E004" => {
-            // A 3-node graph contradicts the declared 2-node system.
-            analyzer.analyze_topology(&NetworkTopology::chain(3), 2)
-        }
-        "DQC-E005" => {
-            // Node 2 has no route to anyone.
-            analyzer.analyze_topology(&NetworkTopology::from_edges(3, &[(0, 1)]), 3)
-        }
-        "DQC-E006" => {
-            // Remote gates with zero communication qubits.
-            let mut config = paper();
-            config.comm_qubits_per_node = 0;
-            analyzer.analyze_circuit("ghz-32", &dqc::workloads::ghz_tree(32), &config)
-        }
-        "DQC-E007" => {
-            // Teledata holds 2 pairs per gate; the node stores only 1.
-            let mut config = paper();
-            config.remote_protocol = RemoteProtocol::StateTeleport;
-            config.comm_qubits_per_node = 1;
-            config.buffer_qubits_per_node = 0;
-            analyzer.analyze_circuit("ghz-32", &dqc::workloads::ghz_tree(32), &config)
-        }
         "DQC-E008" => {
             let config = ServeConfig {
                 worker_budget: Some(2),
@@ -174,13 +187,6 @@ fn fixture(code: &str) -> AnalysisReport {
             let mut circuit = Circuit::new(2);
             circuit.h(0).measure(0).cx(0, 1);
             analyzer.lint_circuit("post-measure", &circuit)
-        }
-        "DQC-W003" => {
-            // One comm qubit at 40% success against QFT-32's ~256 remote
-            // gates: generation dwarfs the critical path ~100-fold.
-            let mut config = paper();
-            config.comm_qubits_per_node = 1;
-            analyzer.analyze_circuit("qft-32", &dqc::workloads::qft(32), &config)
         }
         "DQC-W004" => {
             // A GHZ chain is one serial dependency chain.
@@ -272,4 +278,79 @@ fn every_registered_code_has_a_triggering_fixture() {
         covered.insert(info.code);
     }
     assert_eq!(covered.len(), REGISTRY.len(), "a code ran no fixture");
+}
+
+#[test]
+fn stabilizer_refusal_names_the_first_non_clifford_gate() {
+    // QFT opens with `h q[0]`; op #1 is its first controlled phase.
+    let report = fixture("DQC-E002");
+    let message = &report.diagnostics()[0].message;
+    assert!(
+        message.contains("op #1") && message.contains("cp("),
+        "{message}"
+    );
+}
+
+// ---------------------------------------------------- no invented refusals
+
+/// The codes the engine itself refuses a pair with: the compile refusal,
+/// or else every design's replay refusal.
+fn engine_refusal_codes(circuit: &Circuit, config: &SystemConfig) -> Vec<&'static str> {
+    let refusals = match CompiledCircuit::compile(circuit, config) {
+        Err(refusal) => vec![refusal],
+        Ok(compiled) => Design::ALL
+            .into_iter()
+            .filter_map(|design| compiled.run(design, 7).err())
+            .collect(),
+    };
+    let mut codes: Vec<&'static str> = refusals
+        .iter()
+        .map(|e| e.code().unwrap_or_else(|| panic!("uncoded refusal: {e}")))
+        .collect();
+    codes.sort_unstable();
+    codes.dedup();
+    codes
+}
+
+#[test]
+fn analyzer_errors_are_exactly_the_engine_refusals() {
+    let paper = SystemConfig::paper_two_node_32;
+    // Teledata holds two pairs per remote gate, but a node with one comm
+    // and no buffer qubit still serves it, one pair at a time.
+    let teledata = SystemConfig {
+        remote_protocol: RemoteProtocol::StateTeleport,
+        comm_qubits_per_node: 1,
+        buffer_qubits_per_node: 0,
+        ..paper()
+    };
+    let qaoa = PaperBenchmark::QaoaR8_32.circuit();
+    let mut subjects: Vec<(&str, Circuit, SystemConfig)> = REGISTRY
+        .iter()
+        .filter_map(|info| circuit_fixture(info.code))
+        .collect();
+    subjects.extend([
+        ("ghz-32", ghz_tree(32), teledata.clone()),
+        ("qft-32", qft(32), teledata),
+        ("QAOA-r8-32", qaoa.clone(), paper()),
+        (
+            "QAOA-r8-32",
+            qaoa,
+            paper().with_topology(NetworkTopology::ring(4)),
+        ),
+    ]);
+    for (label, circuit, config) in &subjects {
+        let report = Analyzer::new().analyze_circuit(label, circuit, config);
+        let mut errors: Vec<&str> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.is_error())
+            .map(|d| d.code)
+            .collect();
+        errors.sort_unstable();
+        assert_eq!(
+            errors,
+            engine_refusal_codes(circuit, config),
+            "{label} on {config:?}: {report}"
+        );
+    }
 }

@@ -7,7 +7,7 @@
 //! typed retryable `Overloaded` — all on loopback sockets the tests own.
 
 use dqc::served::{QuotaScope, ServedBuilder, Submission, WireError, WireOutput};
-use dqc::{Design, EvalRequest, Experiment, ServedClient, SystemConfig};
+use dqc::{CompiledCircuit, Design, EvalRequest, Experiment, ServedClient, SystemConfig};
 use std::collections::HashMap;
 
 /// The shared request list: every portfolio circuit, alternating
@@ -383,6 +383,10 @@ fn statically_infeasible_submission_is_rejected_with_diagnostics() {
             assert_eq!(point, "paper");
             assert_eq!(diagnostics.len(), 1);
             assert_eq!(diagnostics[0].code, "DQC-E001");
+            // The daemon refuses with exactly the engine's own refusal.
+            let refusal = CompiledCircuit::compile(&wide, &SystemConfig::paper_two_node_32())
+                .expect_err("the engine refuses the same pair");
+            assert_eq!(Some(diagnostics[0].code), refusal.code());
             assert!(diagnostics[0].is_error());
             // The diagnostics crossed the wire structurally, not as a
             // flattened string: they re-serialize losslessly.
