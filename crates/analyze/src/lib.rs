@@ -6,8 +6,8 @@
 //! hardware point stretches a live engine run, a degenerate `ServeConfig`
 //! surprises a running daemon. This crate reports those properties
 //! **before any simulation budget is spent**, over circuits,
-//! [`SystemConfig`] hardware points, [`DesignSpace`] points, portfolios
-//! and [`ServeConfig`]s, as the coded, JSON-round-tripping [`Diagnostic`]
+//! [`SystemConfig`] hardware points, [`DesignSpace`] points and
+//! [`ServeConfig`]s, as the coded, JSON-round-tripping [`Diagnostic`]
 //! taxonomy from `dqc_types::diag`.
 //!
 //! The analyzer writes no refusal rule of its own. What the engine
@@ -30,11 +30,10 @@
 //!   remote gates with no communication qubits (`DQC-E006`), and per-link
 //!   EPR demand so far beyond generation capacity that entanglement
 //!   dominates the schedule (`DQC-W003`).
-//! * **Portfolio hints** — fusable duplicate submissions while replay
-//!   fusion is disabled (`DQC-W005`).
 //! * **Serve-config validation** — re-exported from
-//!   [`ServeConfig::validate`]: budget/floor/rate/burst invariants
-//!   (`DQC-E008`…`DQC-E012`, `DQC-W006`…`DQC-W008`).
+//!   [`ServeConfig::validate`]: queue, quota and rate invariants
+//!   (`DQC-E009`, `DQC-E010`, `DQC-E012`) and a disabled compile cache
+//!   (`DQC-W006`).
 //!
 //! # Examples
 //!
@@ -63,7 +62,7 @@ mod report;
 pub use report::AnalysisReport;
 
 /// The static analyzer: a bundle of pure passes over circuits, system
-/// configurations, design spaces, portfolios, and serve configs.
+/// configurations, design spaces, and serve configs.
 /// Stateless apart from its thresholds; cheap to construct.
 ///
 /// Every `analyze_*` method returns an [`AnalysisReport`]; reports
@@ -295,58 +294,6 @@ impl Analyzer {
     pub fn analyze_serve_config(&self, config: &ServeConfig) -> AnalysisReport {
         AnalysisReport::from(config.validate())
     }
-
-    /// Fusion-eligibility hints for a batch portfolio: when replay fusion
-    /// is disabled but the portfolio repeats (circuit, point, design)
-    /// combinations, each repeated group is flagged `DQC-W005` — those
-    /// replays would coalesce for free with fusion on.
-    pub fn analyze_portfolio(
-        &self,
-        items: &[PortfolioItem<'_>],
-        config: &ServeConfig,
-    ) -> AnalysisReport {
-        let mut report = AnalysisReport::default();
-        if config.fusion {
-            return report;
-        }
-        let mut groups: BTreeMap<(u64, &str, String), (usize, &str)> = BTreeMap::new();
-        for item in items {
-            let key = (
-                item.circuit.fingerprint(),
-                item.point,
-                item.design.to_string(),
-            );
-            let entry = groups.entry(key).or_insert((0, item.label));
-            entry.0 += 1;
-        }
-        for ((_, point, design), (count, label)) in groups {
-            if count > 1 {
-                report.push(Diagnostic::new(
-                    "DQC-W005",
-                    Site::Point(point.to_string()),
-                    format!(
-                        "`{label}` x {design} is submitted {count} times to `{point}` \
-                         but replay fusion is disabled"
-                    ),
-                    "enable `fusion` so duplicate replays coalesce into one",
-                ));
-            }
-        }
-        report
-    }
-}
-
-/// One portfolio entry for [`Analyzer::analyze_portfolio`].
-#[derive(Debug, Clone, Copy)]
-pub struct PortfolioItem<'a> {
-    /// The submission's circuit label.
-    pub label: &'a str,
-    /// The circuit itself.
-    pub circuit: &'a Circuit,
-    /// The hardware point it targets.
-    pub point: &'a str,
-    /// The design it runs.
-    pub design: Design,
 }
 
 /// Turns engine refusals into findings about the circuit `label`.

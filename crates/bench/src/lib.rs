@@ -1349,9 +1349,9 @@ pub fn skewed_requests(
 // ------------------------------------------------------- Static analysis
 
 /// The corpus the `analyze` repro target audits: every paper benchmark
-/// against its matching hardware point, the default serving
-/// configuration, and a 12-request portfolio audit — everything the
-/// repo ships, proven clean by the static analyzer on every CI run.
+/// against its matching hardware point and the default serving
+/// configuration — everything the repo ships, proven clean by the
+/// static analyzer on every CI run.
 /// Fully deterministic (no simulation happens), so the payload diffs
 /// exactly against its golden file.
 pub fn analyze_data() -> Json {
@@ -1365,26 +1365,10 @@ pub fn analyze_data() -> Json {
         let report = analyzer.analyze_circuit(&bench.to_string(), &bench.circuit(), &config);
         subjects.push(analyze_subject(&bench.to_string(), point, &report));
     }
-    let serve_config = dqc_serve::ServeConfig::default();
     subjects.push(analyze_subject(
         "default ServeConfig",
         "-",
-        &analyzer.analyze_serve_config(&serve_config),
-    ));
-    let requests = portfolio_requests(12, 1, BASE_SEED, "paper", &[Design::AdaptBuf]);
-    let items: Vec<dqc_analyze::PortfolioItem<'_>> = requests
-        .iter()
-        .map(|r| dqc_analyze::PortfolioItem {
-            label: &r.circuit_label,
-            circuit: r.circuit.as_ref(),
-            point: &r.point,
-            design: r.design,
-        })
-        .collect();
-    subjects.push(analyze_subject(
-        "serve portfolio (12 requests)",
-        "paper",
-        &analyzer.analyze_portfolio(&items, &serve_config),
+        &analyzer.analyze_serve_config(&dqc_serve::ServeConfig::default()),
     ));
     Json::Array(subjects)
 }

@@ -2,24 +2,48 @@
 //! rebalancing brain.
 //!
 //! The controller thread in `server.rs` owns the *clock* (it samples
-//! shard queues every [`AutoscalePolicy::tick_ms`]); this module owns
-//! the *decision*. [`Autoscaler::tick`] is a pure function of the
-//! observations fed to it, so the unit tests below drive a synthetic
-//! clock and prove the two invariants the serving layer depends on:
+//! shard queues every [`TICK`]); this module owns the *decision*.
+//! [`Autoscaler::tick`] is a pure function of the observations fed to
+//! it, so the unit tests below drive a synthetic clock and prove the two
+//! invariants the serving layer depends on:
 //!
 //! 1. **Budget conservation** — the sum of per-shard worker targets
 //!    never changes; a rebalance only ever moves one worker from a cold
 //!    shard to a hot one.
-//! 2. **Hysteresis** — a shard must stay hot for
-//!    [`AutoscalePolicy::hysteresis_ticks`] *consecutive* ticks before a
-//!    move fires, and no donor ever drops below
-//!    [`AutoscalePolicy::min_workers`].
+//! 2. **Hysteresis** — a shard must stay hot for [`HYSTERESIS_TICKS`]
+//!    *consecutive* ticks before a move fires, and no donor ever drops
+//!    below [`MIN_WORKERS`].
+//!
+//! The policy is fixed: placement changes only speed, never an answer,
+//! so it is not a user-facing knob. Every tick the controller computes
+//! each shard's *pressure* — queue depth as a fraction of capacity. A
+//! shard at or above [`HOT_FRACTION`] for [`HYSTERESIS_TICKS`] ticks in a
+//! row is hot; the coldest shard at or below [`COLD_FRACTION`] that still
+//! has more than [`MIN_WORKERS`] workers donates one worker to it. One
+//! move per tick, so placement changes slowly and deterministically
+//! relative to the observations.
 //!
 //! Determinism note: the decision depends only on the observation
 //! sequence, with index-order tie breaking — two controllers fed the
 //! same samples make the same moves.
 
-use crate::config::AutoscalePolicy;
+use std::time::Duration;
+
+/// Time between controller samples.
+pub(crate) const TICK: Duration = Duration::from_millis(20);
+
+/// Queue pressure (depth / capacity) at or above which a shard is hot.
+const HOT_FRACTION: f64 = 0.5;
+
+/// Queue pressure at or below which a shard may donate a worker.
+const COLD_FRACTION: f64 = 0.125;
+
+/// Consecutive hot ticks required before a rebalance fires — the
+/// hysteresis that keeps one bursty sample from thrashing placement.
+const HYSTERESIS_TICKS: u32 = 2;
+
+/// Floor on any shard's active workers; donors never drop below it.
+pub(crate) const MIN_WORKERS: usize = 1;
 
 /// One shard's queue state at a controller tick.
 #[derive(Debug, Clone, Copy)]
@@ -53,16 +77,14 @@ pub(crate) struct Rebalance {
 /// behind the hysteresis.
 #[derive(Debug)]
 pub(crate) struct Autoscaler {
-    policy: AutoscalePolicy,
     targets: Vec<usize>,
     hot_streak: Vec<u32>,
 }
 
 impl Autoscaler {
-    pub(crate) fn new(policy: AutoscalePolicy, initial_targets: Vec<usize>) -> Self {
+    pub(crate) fn new(initial_targets: Vec<usize>) -> Self {
         let shards = initial_targets.len();
         Self {
-            policy,
             targets: initial_targets,
             hot_streak: vec![0; shards],
         }
@@ -81,7 +103,7 @@ impl Autoscaler {
         // Update hot streaks first: hysteresis counts *consecutive* hot
         // ticks, so one cool sample resets the shard's streak.
         for (streak, obs) in self.hot_streak.iter_mut().zip(observations) {
-            if obs.pressure() >= self.policy.hot_fraction {
+            if obs.pressure() >= HOT_FRACTION {
                 *streak += 1;
             } else {
                 *streak = 0;
@@ -90,7 +112,7 @@ impl Autoscaler {
         // The hottest shard whose streak has cleared the hysteresis bar;
         // ties break toward the lowest index for determinism.
         let hot = (0..self.targets.len())
-            .filter(|&i| self.hot_streak[i] >= self.policy.hysteresis_ticks)
+            .filter(|&i| self.hot_streak[i] >= HYSTERESIS_TICKS)
             .max_by(|&a, &b| {
                 observations[a]
                     .pressure()
@@ -103,8 +125,8 @@ impl Autoscaler {
         let donor = (0..self.targets.len())
             .filter(|&i| {
                 i != hot
-                    && self.targets[i] > self.policy.min_workers
-                    && observations[i].pressure() <= self.policy.cold_fraction
+                    && self.targets[i] > MIN_WORKERS
+                    && observations[i].pressure() <= COLD_FRACTION
             })
             .min_by(|&a, &b| {
                 observations[a]
@@ -125,48 +147,9 @@ impl Autoscaler {
     }
 }
 
-/// Splits `budget` workers across `shards` shards as evenly as possible
-/// (earlier shards absorb the remainder), respecting `min_workers` when
-/// the budget allows it.
-pub(crate) fn initial_targets(budget: usize, shards: usize, min_workers: usize) -> Vec<usize> {
-    if shards == 0 {
-        return Vec::new();
-    }
-    let base = budget / shards;
-    let remainder = budget % shards;
-    let mut targets: Vec<usize> = (0..shards)
-        .map(|i| base + usize::from(i < remainder))
-        .collect();
-    // Lift floors by draining the richest shards; stop if the budget is
-    // too small to give everyone the floor.
-    loop {
-        let Some(poor) = (0..shards).find(|&i| targets[i] < min_workers) else {
-            return targets;
-        };
-        let Some(rich) = (0..shards)
-            .max_by_key(|&i| targets[i])
-            .filter(|&i| targets[i] > min_workers)
-        else {
-            return targets;
-        };
-        targets[rich] -= 1;
-        targets[poor] += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn policy() -> AutoscalePolicy {
-        AutoscalePolicy {
-            tick_ms: 1,
-            hot_fraction: 0.5,
-            cold_fraction: 0.25,
-            hysteresis_ticks: 2,
-            min_workers: 1,
-        }
-    }
 
     fn obs(depths_over_16: &[usize]) -> Vec<QueueObservation> {
         depths_over_16
@@ -180,7 +163,7 @@ mod tests {
 
     #[test]
     fn rebalance_respects_budget_and_hysteresis() {
-        let mut scaler = Autoscaler::new(policy(), vec![2, 2]);
+        let mut scaler = Autoscaler::new(vec![2, 2]);
         let budget: usize = scaler.targets().iter().sum();
         // Tick 1: shard 0 hot, shard 1 idle — hysteresis (2 ticks) holds.
         assert_eq!(scaler.tick(&obs(&[12, 0])), None);
@@ -205,7 +188,7 @@ mod tests {
 
     #[test]
     fn a_cool_tick_resets_the_hot_streak() {
-        let mut scaler = Autoscaler::new(policy(), vec![2, 2]);
+        let mut scaler = Autoscaler::new(vec![2, 2]);
         assert_eq!(scaler.tick(&obs(&[12, 0])), None);
         // Pressure dips below hot_fraction: streak back to zero…
         assert_eq!(scaler.tick(&obs(&[2, 0])), None);
@@ -219,7 +202,7 @@ mod tests {
 
     #[test]
     fn no_move_without_a_cold_donor() {
-        let mut scaler = Autoscaler::new(policy(), vec![2, 2]);
+        let mut scaler = Autoscaler::new(vec![2, 2]);
         // Both shards hot: nobody donates, placement holds.
         for _ in 0..10 {
             assert_eq!(scaler.tick(&obs(&[12, 12])), None);
@@ -234,7 +217,7 @@ mod tests {
 
     #[test]
     fn hottest_shard_wins_and_ties_break_by_index() {
-        let mut scaler = Autoscaler::new(policy(), vec![2, 2, 2]);
+        let mut scaler = Autoscaler::new(vec![2, 2, 2]);
         // Shards 0 and 1 both hot, 1 hotter; 2 idle → 2 donates to 1.
         scaler.tick(&obs(&[9, 14, 0]));
         assert_eq!(
@@ -242,7 +225,7 @@ mod tests {
             Some(Rebalance { from: 2, to: 1 })
         );
         // Equal pressures: the lower index wins the worker.
-        let mut scaler = Autoscaler::new(policy(), vec![2, 2, 2]);
+        let mut scaler = Autoscaler::new(vec![2, 2, 2]);
         scaler.tick(&obs(&[14, 14, 0]));
         assert_eq!(
             scaler.tick(&obs(&[14, 14, 0])),
@@ -252,7 +235,7 @@ mod tests {
 
     #[test]
     fn moves_can_reverse_when_the_hot_spot_migrates() {
-        let mut scaler = Autoscaler::new(policy(), vec![2, 2]);
+        let mut scaler = Autoscaler::new(vec![2, 2]);
         scaler.tick(&obs(&[12, 0]));
         scaler.tick(&obs(&[12, 0]));
         assert_eq!(scaler.targets(), &[3, 1]);
@@ -263,17 +246,5 @@ mod tests {
             Some(Rebalance { from: 0, to: 1 })
         );
         assert_eq!(scaler.targets(), &[2, 2]);
-    }
-
-    #[test]
-    fn initial_targets_split_the_budget_evenly_with_floors() {
-        assert_eq!(initial_targets(4, 2, 1), vec![2, 2]);
-        assert_eq!(initial_targets(5, 2, 1), vec![3, 2]);
-        assert_eq!(initial_targets(7, 3, 1), vec![3, 2, 2]);
-        // A tight budget still gives every shard its floor when it can…
-        assert_eq!(initial_targets(3, 3, 1), vec![1, 1, 1]);
-        // …and degrades gracefully when it cannot.
-        assert_eq!(initial_targets(2, 3, 1), vec![1, 1, 0]);
-        assert_eq!(initial_targets(0, 2, 1), vec![0, 0]);
     }
 }

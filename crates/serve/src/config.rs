@@ -2,20 +2,44 @@
 //! [`ServeConfig`] consumed by every front end.
 //!
 //! Before this module, the in-process [`ServeBuilder`](crate::ServeBuilder)
-//! and the daemon's `ServedBuilder` each re-declared the same six knobs
-//! as copy-pasted setter pairs, and the quota terms lived in a third
-//! place. [`ServeConfig`] is the single source of truth: builders hold
-//! one, setters are thin shims over its fields, the daemon echoes it in
-//! the `welcome` frame, and `dqc-served --config FILE.json` deserializes
+//! and the daemon's `ServedBuilder` each re-declared the same knobs as
+//! copy-pasted setter pairs, and the quota terms lived in a third place.
+//! [`ServeConfig`] is the single source of truth: builders hold one,
+//! setters are thin shims over its fields, the daemon echoes it in the
+//! `welcome` frame, and `dqc-served --config FILE.json` deserializes
 //! straight into it.
 //!
-//! JSON semantics are deliberately **lenient on absence, strict on
-//! type**: a hand-written config file may name only the knobs it wants
-//! to change (every missing field takes its default), but a field that
-//! is present with the wrong type is a schema error — a typo'd value
-//! never silently becomes a default.
+//! It holds only knobs that change what a server admits or how much
+//! work it keeps warm. Settings that could only change speed, never an
+//! answer, are constants: the batch bound ([`BATCH_MAX`]), the latency
+//! window ([`LATENCY_WINDOW`]), the histogram ladder
+//! ([`BUCKET_BOUNDS_US`]), the autoscaler's policy, and replay fusion,
+//! which is always on.
+//!
+//! JSON semantics are deliberately **lenient on absence, strict on type
+//! and on names**: a hand-written config file may name only the knobs it
+//! wants to change (every missing field takes its default), but a field
+//! that is present with the wrong type, or a member this schema does not
+//! know, is a schema error — a typo'd name or value never silently
+//! becomes a default.
 
+use crate::ServeError;
 use dqc_types::{Diagnostic, Json, JsonError, Site};
+
+/// The largest number of queued requests one worker wake-up drains.
+pub(crate) const BATCH_MAX: usize = 8;
+
+/// How many recent per-request latencies the server retains for the
+/// p50/p99 summary in [`ServeStats`](crate::ServeStats).
+pub(crate) const LATENCY_WINDOW: usize = 8192;
+
+/// Inclusive upper bounds, in whole microseconds, of the queue-wait and
+/// service-time histogram buckets (an overflow bucket is always
+/// appended): 50 µs – 250 ms, covering sub-millisecond replays through
+/// slow cold compiles.
+pub(crate) const BUCKET_BOUNDS_US: [u64; 12] = [
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+];
 
 /// A sustained-rate limit: a token bucket refilled at `per_sec`, capped
 /// at `burst` tokens.
@@ -40,8 +64,9 @@ impl RateLimit {
     ///
     /// # Errors
     ///
-    /// [`JsonError::Schema`] on a missing or mistyped field.
+    /// [`JsonError::Schema`] on a missing, mistyped or unknown field.
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
+        known_members(json, "quota.rate", &["per_sec", "burst"])?;
         Ok(Self {
             per_sec: json.f64_field("per_sec")?,
             burst: json.f64_field("burst")?,
@@ -87,196 +112,16 @@ impl QuotaConfig {
     ///
     /// # Errors
     ///
-    /// [`JsonError::Schema`] on a mistyped field.
+    /// [`JsonError::Schema`] on a mistyped or unknown field.
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let max_in_flight = match json.get("max_in_flight") {
-            None | Some(Json::Null) => None,
-            Some(_) => Some(json.usize_field("max_in_flight")?),
-        };
+        known_members(json, "quota", &["max_in_flight", "rate"])?;
         let rate = match json.get("rate") {
             None | Some(Json::Null) => None,
             Some(value) => Some(RateLimit::from_json(value)?),
         };
         Ok(Self {
-            max_in_flight,
+            max_in_flight: opt_usize(json, "max_in_flight")?,
             rate,
-        })
-    }
-}
-
-/// When and how the autoscaler moves workers between shards.
-///
-/// The controller samples every shard's queue every `tick_ms`
-/// milliseconds and computes each shard's *pressure* — queue depth as a
-/// fraction of queue capacity. A shard whose pressure stays at or above
-/// `hot_fraction` for `hysteresis_ticks` **consecutive** ticks is hot;
-/// the coldest shard at or below `cold_fraction` pressure that still has
-/// more than `min_workers` active workers donates one worker to it. One
-/// move per tick, so placement changes slowly and deterministically
-/// relative to the observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoscalePolicy {
-    /// Milliseconds between controller samples.
-    pub tick_ms: u64,
-    /// Queue-pressure threshold (depth / capacity) above which a shard
-    /// counts as hot.
-    pub hot_fraction: f64,
-    /// Queue-pressure threshold at or below which a shard may donate a
-    /// worker.
-    pub cold_fraction: f64,
-    /// Consecutive hot ticks required before a rebalance fires — the
-    /// hysteresis that keeps one bursty sample from thrashing placement.
-    pub hysteresis_ticks: u32,
-    /// Floor on any shard's active workers; donors never drop below it.
-    pub min_workers: usize,
-}
-
-impl Default for AutoscalePolicy {
-    /// 20 ms ticks, hot at ≥ 50% queue pressure, donate at ≤ 12.5%,
-    /// two consecutive hot ticks to fire, at least one worker per shard.
-    fn default() -> Self {
-        Self {
-            tick_ms: 20,
-            hot_fraction: 0.5,
-            cold_fraction: 0.125,
-            hysteresis_ticks: 2,
-            min_workers: 1,
-        }
-    }
-}
-
-impl AutoscalePolicy {
-    /// Serializes the policy.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("tick_ms", Json::uint(self.tick_ms)),
-            ("hot_fraction", Json::float(self.hot_fraction)),
-            ("cold_fraction", Json::float(self.cold_fraction)),
-            (
-                "hysteresis_ticks",
-                Json::uint(u64::from(self.hysteresis_ticks)),
-            ),
-            ("min_workers", Json::from(self.min_workers)),
-        ])
-    }
-
-    /// Reads a policy back from [`AutoscalePolicy::to_json`] output.
-    /// Missing fields take their defaults.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError::Schema`] on a mistyped field.
-    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let defaults = Self::default();
-        Ok(Self {
-            tick_ms: opt_u64(json, "tick_ms")?.unwrap_or(defaults.tick_ms),
-            hot_fraction: opt_f64(json, "hot_fraction")?.unwrap_or(defaults.hot_fraction),
-            cold_fraction: opt_f64(json, "cold_fraction")?.unwrap_or(defaults.cold_fraction),
-            hysteresis_ticks: opt_u64(json, "hysteresis_ticks")?
-                .map(|t| u32::try_from(t).unwrap_or(u32::MAX))
-                .unwrap_or(defaults.hysteresis_ticks),
-            min_workers: opt_usize(json, "min_workers")?.unwrap_or(defaults.min_workers),
-        })
-    }
-}
-
-/// How the serving layer measures itself: the latency-window length
-/// behind the stats percentiles and the histogram bucket ladder behind
-/// the observability registry.
-///
-/// Both knobs are *telemetry-only*: they never change scheduling,
-/// fusion, or replay results, so two configs differing only here still
-/// produce byte-identical outcomes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsConfig {
-    /// How many recent per-request latencies each shard retains for the
-    /// p50/p99 summary in [`ServeStats`](crate::ServeStats). `0`
-    /// disables the window entirely (percentiles read as zero —
-    /// `DQC-W008`).
-    pub latency_window: usize,
-    /// Inclusive upper bounds, in milliseconds, of the queue-wait and
-    /// service-time histogram buckets (an overflow bucket is always
-    /// appended). Must be positive and strictly increasing; a
-    /// degenerate ladder is `DQC-W008`.
-    pub buckets_ms: Vec<f64>,
-}
-
-impl Default for MetricsConfig {
-    /// An 8192-sample latency window and a 50 µs – 250 ms bucket
-    /// ladder covering sub-millisecond replays through slow cold
-    /// compiles.
-    fn default() -> Self {
-        Self {
-            latency_window: 8192,
-            buckets_ms: vec![
-                0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-            ],
-        }
-    }
-}
-
-impl MetricsConfig {
-    /// The bucket ladder converted to whole microseconds for the
-    /// fixed-bucket histograms (sub-microsecond bounds round up to
-    /// 1 µs so the ladder stays strictly increasing where the input
-    /// was).
-    pub fn bucket_bounds_us(&self) -> Vec<u64> {
-        let mut bounds: Vec<u64> = self
-            .buckets_ms
-            .iter()
-            .filter(|b| b.is_finite() && **b > 0.0)
-            .map(|b| ((b * 1000.0).round() as u64).max(1))
-            .collect();
-        bounds.dedup();
-        bounds
-    }
-
-    /// Whether the bucket ladder is usable: non-empty, every bound
-    /// finite and positive, strictly increasing.
-    pub fn buckets_are_well_formed(&self) -> bool {
-        !self.buckets_ms.is_empty()
-            && self.buckets_ms.iter().all(|b| b.is_finite() && *b > 0.0)
-            && self.buckets_ms.windows(2).all(|w| w[0] < w[1])
-    }
-
-    /// Serializes the metrics knobs.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("latency_window", Json::from(self.latency_window)),
-            (
-                "buckets_ms",
-                Json::Array(self.buckets_ms.iter().map(|b| Json::float(*b)).collect()),
-            ),
-        ])
-    }
-
-    /// Reads metrics knobs back from [`MetricsConfig::to_json`] output.
-    /// Missing fields take their defaults.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError::Schema`] on a mistyped field.
-    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let defaults = Self::default();
-        let buckets_ms = match json.get("buckets_ms") {
-            None | Some(Json::Null) => defaults.buckets_ms,
-            Some(value) => {
-                let items = value
-                    .as_array()
-                    .ok_or_else(|| JsonError::schema("`buckets_ms` must be an array"))?;
-                items
-                    .iter()
-                    .map(|item| {
-                        item.as_f64().ok_or_else(|| {
-                            JsonError::schema("`buckets_ms` entries must be numbers")
-                        })
-                    })
-                    .collect::<Result<Vec<f64>, JsonError>>()?
-            }
-        };
-        Ok(Self {
-            latency_window: opt_usize(json, "latency_window")?.unwrap_or(defaults.latency_window),
-            buckets_ms,
         })
     }
 }
@@ -286,136 +131,97 @@ impl MetricsConfig {
 /// [`ServeBuilder`](crate::ServeBuilder) and the daemon's `ServedBuilder`
 /// both consume a `ServeConfig`; their individual setters are forwarding
 /// shims over these fields. See the module docs at the top of this file
-/// for the JSON leniency contract.
-#[derive(Debug, Clone, PartialEq)]
+/// for the JSON contract.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Worker threads per shard (the *static* count; under autoscaling,
-    /// each shard's initial share of the budget). `0` is an accept-only
-    /// diagnostic mode.
+    /// Worker threads per shard (under autoscaling, each shard's
+    /// starting share of the `shards × workers_per_shard` budget). `0`
+    /// is an accept-only diagnostic mode.
     pub workers_per_shard: usize,
     /// Each shard's bounded queue capacity (admission-control bound).
     pub queue_capacity: usize,
     /// Each shard's warm-compilation cache capacity; `0` disables.
     pub cache_capacity: usize,
-    /// Largest number of queued requests one worker wake-up drains.
-    pub batch_max: usize,
-    /// Whether workers fuse same-fingerprint requests within a dispatch
-    /// into one multi-seed replay (byte-identical by construction).
-    pub fusion: bool,
-    /// Total active workers across all shards under autoscaling.
-    /// `None` means `shards × workers_per_shard`. Ignored without an
-    /// autoscale policy.
-    pub worker_budget: Option<usize>,
-    /// Queue-pressure autoscaling policy; `None` keeps worker placement
-    /// static (exactly `workers_per_shard` per shard, no controller
-    /// thread — the fully deterministic configuration).
-    pub autoscale: Option<AutoscalePolicy>,
+    /// Whether a controller thread moves workers toward queue pressure,
+    /// within a budget of `shards × workers_per_shard`. Off keeps
+    /// placement static (exactly `workers_per_shard` per shard, no
+    /// controller thread — the fully deterministic configuration).
+    pub autoscale: bool,
     /// Per-client admission quotas (enforced by network front ends).
     pub quota: QuotaConfig,
-    /// Telemetry shape: latency window length and histogram buckets.
-    /// Never affects results, only what the server reports about
-    /// itself.
-    pub metrics: MetricsConfig,
 }
 
 impl Default for ServeConfig {
     /// The historical builder defaults: 2 workers per shard, a
-    /// 64-request queue, a 32-compilation cache, batches of up to 8,
-    /// fusion on, no autoscaling, no quotas.
+    /// 64-request queue, a 32-compilation cache, no autoscaling, no
+    /// quotas.
     fn default() -> Self {
         Self {
             workers_per_shard: 2,
             queue_capacity: 64,
             cache_capacity: 32,
-            batch_max: 8,
-            fusion: true,
-            worker_budget: None,
-            autoscale: None,
+            autoscale: false,
             quota: QuotaConfig::default(),
-            metrics: MetricsConfig::default(),
         }
     }
 }
 
 impl ServeConfig {
-    /// Serializes every knob (disabled optionals as `null`).
+    /// Serializes every knob (disabled quotas as `null`).
     pub fn to_json(&self) -> Json {
         Json::object([
             ("workers_per_shard", Json::from(self.workers_per_shard)),
             ("queue_capacity", Json::from(self.queue_capacity)),
             ("cache_capacity", Json::from(self.cache_capacity)),
-            ("batch_max", Json::from(self.batch_max)),
-            ("fusion", Json::from(self.fusion)),
-            (
-                "worker_budget",
-                self.worker_budget.map_or(Json::Null, Json::from),
-            ),
-            (
-                "autoscale",
-                self.autoscale
-                    .as_ref()
-                    .map_or(Json::Null, AutoscalePolicy::to_json),
-            ),
+            ("autoscale", Json::from(self.autoscale)),
             ("quota", self.quota.to_json()),
-            ("metrics", self.metrics.to_json()),
         ])
     }
 
     /// Reads a config back from [`ServeConfig::to_json`] output — or
     /// from a hand-written partial document: missing or `null` members
-    /// take their defaults, mistyped members are schema errors, and a
-    /// document whose *values* violate an invariant
+    /// take their defaults, mistyped or unknown members are schema
+    /// errors, and a document whose *values* violate an invariant
     /// ([`ServeConfig::validate`] at error level — a zero-capacity
-    /// queue, `min_workers` beyond the `worker_budget`, a non-positive
-    /// rate limit) is refused with the offending diagnostic codes
-    /// instead of being silently repaired.
+    /// queue, a zero in-flight quota, a non-positive rate limit) is
+    /// refused with the offending diagnostic codes instead of being
+    /// silently repaired.
     ///
     /// # Errors
     ///
-    /// [`JsonError::Schema`] on a mistyped field or an error-level
-    /// validation finding.
+    /// [`JsonError::Schema`] on a mistyped or unknown field or an
+    /// error-level validation finding.
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
+        known_members(
+            json,
+            "",
+            &[
+                "workers_per_shard",
+                "queue_capacity",
+                "cache_capacity",
+                "autoscale",
+                "quota",
+            ],
+        )?;
         let defaults = Self::default();
-        let autoscale = match json.get("autoscale") {
-            None | Some(Json::Null) => None,
-            Some(value) => Some(AutoscalePolicy::from_json(value)?),
-        };
-        let worker_budget = match json.get("worker_budget") {
-            None | Some(Json::Null) => None,
-            Some(_) => Some(json.usize_field("worker_budget")?),
-        };
         let quota = match json.get("quota") {
             None | Some(Json::Null) => QuotaConfig::default(),
             Some(value) => QuotaConfig::from_json(value)?,
-        };
-        let metrics = match json.get("metrics") {
-            None | Some(Json::Null) => MetricsConfig::default(),
-            Some(value) => MetricsConfig::from_json(value)?,
         };
         let config = Self {
             workers_per_shard: opt_usize(json, "workers_per_shard")?
                 .unwrap_or(defaults.workers_per_shard),
             queue_capacity: opt_usize(json, "queue_capacity")?.unwrap_or(defaults.queue_capacity),
             cache_capacity: opt_usize(json, "cache_capacity")?.unwrap_or(defaults.cache_capacity),
-            batch_max: opt_usize(json, "batch_max")?.unwrap_or(defaults.batch_max),
-            fusion: match json.get("fusion") {
-                None | Some(Json::Null) => defaults.fusion,
-                Some(_) => json.bool_field("fusion")?,
+            autoscale: match json.get("autoscale") {
+                None | Some(Json::Null) => defaults.autoscale,
+                Some(_) => json.bool_field("autoscale")?,
             },
-            worker_budget,
-            autoscale,
             quota,
-            metrics,
         };
-        let findings = config.validate();
-        let mut errors = findings.iter().filter(|d| d.is_error()).peekable();
-        if errors.peek().is_some() {
-            let summary: Vec<String> = errors.map(|d| format!("{d}")).collect();
-            return Err(JsonError::schema(format!(
-                "invalid serving configuration: {}",
-                summary.join("; ")
-            )));
-        }
+        config
+            .check()
+            .map_err(|e| JsonError::schema(e.to_string()))?;
         Ok(config)
     }
 
@@ -423,15 +229,11 @@ impl ServeConfig {
     /// as a coded diagnostic (see `dqc_types::diag::REGISTRY`).
     ///
     /// Errors are invariant violations under which the server cannot do
-    /// useful work — a queue or batch bound of zero (`DQC-E009`), an
-    /// in-flight quota of zero that blocks every submission
-    /// (`DQC-E012`), a non-positive or non-finite rate limit
-    /// (`DQC-E010`), an autoscale worker floor beyond the worker budget
-    /// (`DQC-E008`), or inverted/out-of-range pressure thresholds
-    /// (`DQC-E011`). Warnings flag legal but surprising settings: a
-    /// disabled compile cache (`DQC-W006`), zero autoscale hysteresis
-    /// (`DQC-W007`), and blind telemetry — a disabled latency window
-    /// or degenerate histogram bucket ladder (`DQC-W008`).
+    /// useful work — a queue bound of zero (`DQC-E009`), an in-flight
+    /// quota of zero that blocks every submission (`DQC-E012`), or a
+    /// non-positive or non-finite rate limit (`DQC-E010`). The warning
+    /// flags a legal but surprising setting: a disabled compile cache
+    /// (`DQC-W006`).
     pub fn validate(&self) -> Vec<Diagnostic> {
         let mut findings = Vec::new();
         let field = |path: &str| Site::Field(path.to_string());
@@ -441,14 +243,6 @@ impl ServeConfig {
                 field("queue_capacity"),
                 "a zero-capacity shard queue can never admit a request",
                 "set `queue_capacity` to at least 1",
-            ));
-        }
-        if self.batch_max == 0 {
-            findings.push(Diagnostic::new(
-                "DQC-E009",
-                field("batch_max"),
-                "a zero batch bound means a worker wake-up can never drain work",
-                "set `batch_max` to at least 1",
             ));
         }
         if self.cache_capacity == 0 {
@@ -482,82 +276,54 @@ impl ServeConfig {
                 }
             }
         }
-        if self.metrics.latency_window == 0 {
-            findings.push(Diagnostic::new(
-                "DQC-W008",
-                field("metrics.latency_window"),
-                "a zero-length latency window reports every percentile as 0",
-                "keep at least a few hundred samples of window, or accept blind percentiles",
-            ));
-        }
-        if !self.metrics.buckets_are_well_formed() {
-            findings.push(Diagnostic::new(
-                "DQC-W008",
-                field("metrics.buckets_ms"),
-                "histogram bucket bounds must be positive and strictly increasing; \
-                 every sample would land in the overflow bucket",
-                "list increasing positive millisecond bounds, e.g. [0.1, 1.0, 10.0, 100.0]",
-            ));
-        }
-        if let Some(policy) = &self.autoscale {
-            if let Some(budget) = self.worker_budget {
-                if policy.min_workers > budget {
-                    findings.push(Diagnostic::new(
-                        "DQC-E008",
-                        field("autoscale.min_workers"),
-                        format!(
-                            "per-shard worker floor {} exceeds the total worker budget {budget}",
-                            policy.min_workers
-                        ),
-                        "raise `worker_budget` or lower `autoscale.min_workers`",
-                    ));
-                }
-            }
-            let (hot, cold) = (policy.hot_fraction, policy.cold_fraction);
-            if !(hot.is_finite() && cold.is_finite() && 0.0 <= cold && cold < hot && hot <= 1.0) {
-                findings.push(Diagnostic::new(
-                    "DQC-E011",
-                    field("autoscale.hot_fraction"),
-                    format!(
-                        "pressure thresholds must satisfy 0 <= cold < hot <= 1; got \
-                         cold={cold}, hot={hot}"
-                    ),
-                    "pick fractions of queue capacity with cold strictly below hot",
-                ));
-            }
-            if policy.hysteresis_ticks == 0 {
-                findings.push(Diagnostic::new(
-                    "DQC-W007",
-                    field("autoscale.hysteresis_ticks"),
-                    "zero hysteresis lets a single bursty sample rebalance workers every tick",
-                    "use at least 1 tick of hysteresis to damp thrashing",
-                ));
-            }
-        }
         findings
+    }
+
+    /// Refuses the configuration when [`ServeConfig::validate`] finds an
+    /// error. The one enforcement point: both the JSON loader and
+    /// [`ServeBuilder::spawn`](crate::ServeBuilder::spawn) call it.
+    pub(crate) fn check(&self) -> Result<(), ServeError> {
+        let diagnostics: Vec<Diagnostic> = self
+            .validate()
+            .into_iter()
+            .filter(Diagnostic::is_error)
+            .collect();
+        if diagnostics.is_empty() {
+            Ok(())
+        } else {
+            Err(ServeError::InvalidConfig { diagnostics })
+        }
     }
 }
 
-/// Optional-field readers: absent (or `null`) means "use the default",
+/// Refuses a document that is not an object or that carries a member
+/// outside `known`, naming the member by its dotted path under `path`.
+fn known_members(json: &Json, path: &str, known: &[&str]) -> Result<(), JsonError> {
+    let Json::Object(members) = json else {
+        let what = if path.is_empty() { "config" } else { path };
+        return Err(JsonError::schema(format!(
+            "`{what}`: expected object, got {}",
+            json.type_name()
+        )));
+    };
+    match members
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        None => Ok(()),
+        Some((key, _)) if path.is_empty() => {
+            Err(JsonError::schema(format!("unknown member `{key}`")))
+        }
+        Some((key, _)) => Err(JsonError::schema(format!("unknown member `{path}.{key}`"))),
+    }
+}
+
+/// Optional-field reader: absent (or `null`) means "use the default",
 /// present-but-mistyped is a schema error.
 fn opt_usize(json: &Json, key: &str) -> Result<Option<usize>, JsonError> {
     match json.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(_) => json.usize_field(key).map(Some),
-    }
-}
-
-fn opt_u64(json: &Json, key: &str) -> Result<Option<u64>, JsonError> {
-    match json.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(_) => json.u64_field(key).map(Some),
-    }
-}
-
-fn opt_f64(json: &Json, key: &str) -> Result<Option<f64>, JsonError> {
-    match json.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(_) => json.f64_field(key).map(Some),
     }
 }
 
@@ -570,26 +336,13 @@ mod tests {
             workers_per_shard: 3,
             queue_capacity: 128,
             cache_capacity: 16,
-            batch_max: 4,
-            fusion: false,
-            worker_budget: Some(6),
-            autoscale: Some(AutoscalePolicy {
-                tick_ms: 5,
-                hot_fraction: 0.75,
-                cold_fraction: 0.1,
-                hysteresis_ticks: 3,
-                min_workers: 1,
-            }),
+            autoscale: true,
             quota: QuotaConfig {
                 max_in_flight: Some(8),
                 rate: Some(RateLimit {
                     per_sec: 100.0,
                     burst: 20.0,
                 }),
-            },
-            metrics: MetricsConfig {
-                latency_window: 64,
-                buckets_ms: vec![0.5, 5.0, 50.0],
             },
         }
     }
@@ -614,39 +367,25 @@ mod tests {
 
     #[test]
     fn partial_document_overrides_only_named_knobs() {
-        let parsed = Json::parse(r#"{"workers_per_shard": 7, "fusion": false}"#).unwrap();
+        let parsed = Json::parse(r#"{"workers_per_shard": 7, "autoscale": true}"#).unwrap();
         let config = ServeConfig::from_json(&parsed).unwrap();
         assert_eq!(config.workers_per_shard, 7);
-        assert!(!config.fusion);
+        assert!(config.autoscale);
         let defaults = ServeConfig::default();
         assert_eq!(config.queue_capacity, defaults.queue_capacity);
         assert_eq!(config.cache_capacity, defaults.cache_capacity);
-        assert_eq!(config.batch_max, defaults.batch_max);
-        assert_eq!(config.autoscale, None);
         assert_eq!(config.quota, QuotaConfig::default());
-    }
-
-    #[test]
-    fn partial_autoscale_policy_fills_defaults() {
-        let parsed = Json::parse(r#"{"autoscale": {"tick_ms": 2}}"#).unwrap();
-        let config = ServeConfig::from_json(&parsed).unwrap();
-        let policy = config.autoscale.unwrap();
-        assert_eq!(policy.tick_ms, 2);
-        assert_eq!(
-            policy.hysteresis_ticks,
-            AutoscalePolicy::default().hysteresis_ticks
-        );
-        assert_eq!(policy.min_workers, AutoscalePolicy::default().min_workers);
     }
 
     #[test]
     fn mistyped_fields_are_schema_errors_not_defaults() {
         for doc in [
             r#"{"workers_per_shard": "two"}"#,
-            r#"{"fusion": 1}"#,
-            r#"{"autoscale": {"tick_ms": "fast"}}"#,
+            r#"{"autoscale": 1}"#,
             r#"{"quota": {"max_in_flight": true}}"#,
             r#"{"quota": {"rate": {"per_sec": 5.0}}}"#,
+            r#"{"quota": 4}"#,
+            "[]",
         ] {
             let parsed = Json::parse(doc).unwrap();
             assert!(ServeConfig::from_json(&parsed).is_err(), "{doc}");
@@ -654,24 +393,39 @@ mod tests {
     }
 
     #[test]
+    fn unknown_members_are_refused_by_name() {
+        // Knobs this schema no longer has, and plain typos, at every
+        // nesting level: each fails at load naming the member instead of
+        // silently running on defaults.
+        for (doc, named) in [
+            (r#"{"fusion": false}"#, "`fusion`"),
+            (r#"{"batch_max": 8}"#, "`batch_max`"),
+            (r#"{"worker_budget": 4}"#, "`worker_budget`"),
+            (r#"{"metrics": {"latency_window": 64}}"#, "`metrics`"),
+            (r#"{"autoscale": {"tick_ms": 20}}"#, "`autoscale`"),
+            (r#"{"workers_per_shrd": 4}"#, "`workers_per_shrd`"),
+            (r#"{"quota": {"max_inflight": 4}}"#, "`quota.max_inflight`"),
+            (
+                r#"{"quota": {"rate": {"per_sec": 5.0, "burst": 2.0, "brust": 1.0}}}"#,
+                "`quota.rate.brust`",
+            ),
+        ] {
+            let parsed = Json::parse(doc).unwrap();
+            let error = ServeConfig::from_json(&parsed).unwrap_err().to_string();
+            assert!(error.contains(named), "{doc}: {error}");
+        }
+    }
+
+    #[test]
     fn degenerate_bounds_are_typed_load_errors_not_silent_repairs() {
-        // A hand-written config with a zero queue or batch bound used to
-        // be clamped to 1; it is now refused with the diagnostic codes.
+        // A hand-written config with a zero queue bound used to be
+        // clamped to 1; it is now refused with the diagnostic codes.
         for (doc, code) in [
             (r#"{"queue_capacity": 0}"#, "DQC-E009"),
-            (r#"{"batch_max": 0}"#, "DQC-E009"),
             (r#"{"quota": {"max_in_flight": 0}}"#, "DQC-E012"),
             (
                 r#"{"quota": {"rate": {"per_sec": 0.0, "burst": 4.0}}}"#,
                 "DQC-E010",
-            ),
-            (
-                r#"{"worker_budget": 2, "autoscale": {"min_workers": 3}}"#,
-                "DQC-E008",
-            ),
-            (
-                r#"{"autoscale": {"hot_fraction": 0.1, "cold_fraction": 0.5}}"#,
-                "DQC-E011",
             ),
         ] {
             let parsed = Json::parse(doc).unwrap();
@@ -687,15 +441,12 @@ mod tests {
 
         let warned = ServeConfig {
             cache_capacity: 0,
-            autoscale: Some(AutoscalePolicy {
-                hysteresis_ticks: 0,
-                ..AutoscalePolicy::default()
-            }),
+            autoscale: true,
             ..ServeConfig::default()
         };
         let findings = warned.validate();
         let codes: Vec<&str> = findings.iter().map(|d| d.code).collect();
-        assert_eq!(codes, vec!["DQC-W006", "DQC-W007"]);
+        assert_eq!(codes, vec!["DQC-W006"]);
         assert!(findings.iter().all(|d| !d.is_error()));
         // Warnings do not block loading.
         let text = warned.to_json().to_pretty_string();
@@ -704,60 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn blind_telemetry_warns_but_loads() {
-        for (metrics, why) in [
-            (
-                MetricsConfig {
-                    latency_window: 0,
-                    ..MetricsConfig::default()
-                },
-                "disabled window",
-            ),
-            (
-                MetricsConfig {
-                    buckets_ms: vec![],
-                    ..MetricsConfig::default()
-                },
-                "empty ladder",
-            ),
-            (
-                MetricsConfig {
-                    buckets_ms: vec![5.0, 1.0],
-                    ..MetricsConfig::default()
-                },
-                "non-increasing ladder",
-            ),
-            (
-                MetricsConfig {
-                    buckets_ms: vec![-1.0, 2.0],
-                    ..MetricsConfig::default()
-                },
-                "non-positive bound",
-            ),
-        ] {
-            let config = ServeConfig {
-                metrics,
-                ..ServeConfig::default()
-            };
-            let findings = config.validate();
-            assert_eq!(findings.len(), 1, "{why}");
-            assert_eq!(findings[0].code, "DQC-W008", "{why}");
-            assert!(!findings[0].is_error(), "{why}");
-            // Warnings never block loading.
-            let text = config.to_json().to_pretty_string();
-            let back = ServeConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, config, "{why}");
-        }
-    }
-
-    #[test]
     fn bucket_bounds_convert_to_whole_microseconds() {
-        let metrics = MetricsConfig::default();
-        assert!(metrics.buckets_are_well_formed());
-        let bounds = metrics.bucket_bounds_us();
-        assert_eq!(bounds.first(), Some(&50));
-        assert_eq!(bounds.last(), Some(&250_000));
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+        // The 50 µs – 250 ms ladder, positive and strictly increasing.
+        assert_eq!(BUCKET_BOUNDS_US.first(), Some(&50));
+        assert_eq!(BUCKET_BOUNDS_US.last(), Some(&250_000));
+        assert!(BUCKET_BOUNDS_US.windows(2).all(|w| 0 < w[0] && w[0] < w[1]));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The serving layer's typed error, including the backpressure path.
 
 use dqc_core::DqcError;
+use dqc_types::Diagnostic;
 use std::error::Error;
 use std::fmt;
 
@@ -38,6 +39,14 @@ pub enum ServeError {
         /// The repeated point label.
         point: String,
     },
+    /// The configuration violates an invariant under which the server
+    /// could do no useful work (a zero-capacity queue, a zero in-flight
+    /// quota, a non-positive rate limit), so it was never spawned.
+    InvalidConfig {
+        /// The error-level findings of
+        /// [`ServeConfig::validate`](crate::ServeConfig::validate).
+        diagnostics: Vec<Diagnostic>,
+    },
     /// The server has shut down and no longer accepts requests.
     ShuttingDown,
     /// The evaluation engine rejected or failed the request (compile or
@@ -60,6 +69,16 @@ impl fmt::Display for ServeError {
             }
             ServeError::DuplicatePoint { point } => {
                 write!(f, "hardware point `{point}` is registered twice")
+            }
+            ServeError::InvalidConfig { diagnostics } => {
+                f.write_str("invalid serving configuration: ")?;
+                for (i, diagnostic) in diagnostics.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str("; ")?;
+                    }
+                    write!(f, "{diagnostic}")?;
+                }
+                Ok(())
             }
             ServeError::ShuttingDown => f.write_str("the server is shutting down"),
             ServeError::Engine(e) => write!(f, "evaluation failed: {e}"),

@@ -18,9 +18,10 @@
 //!   circuit × configuration fingerprints, so a circuit seen twice never
 //!   compiles twice (hits are equality-verified, so a fingerprint
 //!   collision degrades to a miss, never to a wrong answer).
-//! * **Batching** — workers drain their shard queue in batches
-//!   ([`ServeBuilder::batch_max`]), coalescing same-shard requests into
-//!   one dispatch.
+//! * **Batching and replay fusion** — workers drain their shard queue in
+//!   batches of up to eight, coalescing same-shard requests into one
+//!   dispatch; batch-mates that share a compilation and design replay
+//!   each distinct seed once.
 //! * **Admission control** — shard queues are bounded
 //!   ([`ServeBuilder::queue_capacity`]); a full queue refuses the
 //!   request with the typed [`ServeError::Overloaded`] backpressure
@@ -37,8 +38,9 @@
 //! Determinism survives concurrency: each request carries its own seed
 //! range and replays through the same [`Experiment`](dqc_core::Experiment)
 //! engine as a direct evaluation, so the response for a given request is
-//! byte-identical no matter the worker count, batch boundaries, or
-//! submission order (`tests/serve_determinism.rs` pins this).
+//! byte-identical no matter the worker count, batch boundaries, fusion
+//! grouping, or submission order (`tests/serve_determinism.rs` pins
+//! this).
 //!
 //! # Examples
 //!
@@ -82,10 +84,12 @@
 //! # }
 //! ```
 //!
-//! Every knob — worker counts, queue/cache/batch sizes, replay fusion,
-//! the autoscale policy, per-client quotas — lives in one typed,
-//! JSON-round-tripping [`ServeConfig`] shared with the network daemon;
-//! the builder setters above are shims over its fields.
+//! Every knob — worker count, queue and cache sizes, autoscaling on or
+//! off, per-client quotas — lives in one typed, JSON-round-tripping
+//! [`ServeConfig`] shared with the network daemon; the builder setters
+//! above are shims over its fields. Settings that could only change
+//! speed, never an answer (the batch bound, the autoscale policy, the
+//! telemetry window), are constants, and fusion is always on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,7 +103,7 @@ mod request;
 mod server;
 mod stats;
 
-pub use config::{AutoscalePolicy, MetricsConfig, QuotaConfig, RateLimit, ServeConfig};
+pub use config::{QuotaConfig, RateLimit, ServeConfig};
 pub use error::ServeError;
 pub use request::{EvalOutput, EvalRequest, EvalResponse, RequestId};
 pub use server::{ServeBuilder, Server};

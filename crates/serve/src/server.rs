@@ -6,41 +6,44 @@
 //! [`SystemConfig`]s) plus one [`ServeConfig`]. Each point gets one
 //! **shard**: a bounded job queue, a worker pool, and a warm
 //! [`CompiledCircuit`] cache. Submitted [`EvalRequest`]s are routed to
-//! their point's shard; workers drain the queue in batches (coalescing
-//! same-shard requests into one dispatch), serve each request
-//! compile-once out of the shard cache, and stream [`EvalResponse`]s
-//! back over the result channel handed out at spawn.
+//! their point's shard; workers drain the queue in batches of up to
+//! [`BATCH_MAX`] (coalescing same-shard requests into one dispatch),
+//! serve each request compile-once out of the shard cache, and stream
+//! [`EvalResponse`]s back over the result channel handed out at spawn.
 //!
 //! Two self-scaling mechanisms ride on the dispatch path:
 //!
-//! * **Replay fusion** ([`ServeConfig::fusion`], on by default): within
-//!   one dispatch, requests sharing a compile fingerprint and design
-//!   coalesce into one multi-seed replay — each distinct seed runs once
-//!   and the per-seed [`ExecutionReport`]s fan back to every requester.
-//!   Byte-identical to unfused execution by construction, because a
-//!   compiled circuit's run is a pure function of `(design, seed)`.
+//! * **Replay fusion** (always on): every dispatch is split into groups
+//!   of requests sharing a compile fingerprint and design, and each
+//!   group is served as one multi-seed replay — each distinct seed runs
+//!   once and the per-seed [`ExecutionReport`]s fan back to every
+//!   requester. A group of one is simply a request served alone, so
+//!   there is one dispatch path. Byte-identical to direct evaluation by
+//!   construction, because a compiled circuit's run is a pure function
+//!   of `(design, seed)`.
 //! * **Autoscaling** ([`ServeConfig::autoscale`], off by default): a
 //!   controller thread samples queue pressure every tick and shifts
-//!   workers toward hot shards within a global budget; workers park and
-//!   unpark on the shard queue's `Condvar` (see `autoscale.rs` for the
-//!   decision rules and `queue.rs` for the parking mechanics).
+//!   workers toward hot shards within a budget of `shards ×
+//!   workers_per_shard`; workers park and unpark on the shard queue's
+//!   `Condvar` (see `autoscale.rs` for the decision rules and `queue.rs`
+//!   for the parking mechanics).
 //!
 //! Determinism: a request's outcome depends only on the request itself
 //! (circuit, point, design, runs, base seed) — never on which worker
 //! served it, how requests interleaved, batch boundaries, fusion
 //! grouping, or worker placement. Workers replay seeds through the same
-//! [`Experiment`] engine the sweep layer uses, so a served request is
-//! byte-identical to a direct in-process evaluation.
+//! [`CompiledCircuit::run`] the [`Experiment`] engine uses, so a served
+//! request is byte-identical to a direct in-process evaluation.
 
-use crate::autoscale::{initial_targets, Autoscaler, QueueObservation};
+use crate::autoscale::{Autoscaler, QueueObservation, MIN_WORKERS, TICK};
 use crate::cache::CompileCache;
-use crate::config::{AutoscalePolicy, QuotaConfig, RateLimit, ServeConfig};
+use crate::config::{ServeConfig, BATCH_MAX, LATENCY_WINDOW};
 use crate::queue::{BoundedQueue, PushRefused};
 use crate::stats::{
     LatencyWindow, ServeStats, ShardCounters, ShardSnapshot, ShutdownReport, WorkerPlacement,
 };
 use crate::{EvalOutput, EvalRequest, EvalResponse, RequestId, ServeError};
-use dqc_core::{CompiledCircuit, DqcError, ExecutionReport, Experiment, SystemConfig};
+use dqc_core::{CompiledCircuit, DqcError, ExecutionReport, SystemConfig};
 use dqc_obs::{Counter, MetricsSnapshot, Registry, TraceId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,8 +72,6 @@ struct WorkerContext {
     point: String,
     results: Sender<EvalResponse>,
     latency: Arc<LatencyWindow>,
-    batch_max: usize,
-    fusion: bool,
     /// This worker's index within the shard — its identity for the
     /// queue's active-limit parking.
     index: usize,
@@ -155,8 +156,8 @@ impl Default for ServeBuilder {
 
 impl ServeBuilder {
     /// Starts a builder with [`ServeConfig::default`]: 2 workers per
-    /// shard, a 64-request queue, a 32-compilation cache, batches of up
-    /// to 8, fusion on, no autoscaling, no quotas.
+    /// shard, a 64-request queue, a 32-compilation cache, no
+    /// autoscaling, no quotas.
     pub fn new() -> Self {
         Self {
             points: Vec::new(),
@@ -186,11 +187,7 @@ impl ServeBuilder {
     /// `--config FILE.json` front ends take.
     #[must_use]
     pub fn config(mut self, config: ServeConfig) -> Self {
-        self.config = ServeConfig {
-            queue_capacity: config.queue_capacity.max(1),
-            batch_max: config.batch_max.max(1),
-            ..config
-        };
+        self.config = config;
         self
     }
 
@@ -209,10 +206,11 @@ impl ServeBuilder {
     }
 
     /// Sets each shard's queue capacity — the admission-control bound
-    /// behind [`ServeError::Overloaded`]. Clamped to at least 1.
+    /// behind [`ServeError::Overloaded`]. `0` is refused at
+    /// [`spawn`](ServeBuilder::spawn) (`DQC-E009`).
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity.max(1);
+        self.config.queue_capacity = capacity;
         self
     }
 
@@ -224,59 +222,13 @@ impl ServeBuilder {
         self
     }
 
-    /// Sets the largest number of queued requests one worker wake-up
-    /// drains. Clamped to at least 1.
+    /// Enables queue-pressure autoscaling: a controller thread moves
+    /// workers toward hot shards within a budget of `shards ×`
+    /// [`workers_per_shard`](ServeBuilder::workers_per_shard). Without
+    /// it, worker placement is static and no controller thread runs.
     #[must_use]
-    pub fn batch_max(mut self, batch_max: usize) -> Self {
-        self.config.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Enables or disables cross-request replay fusion (on by default).
-    #[must_use]
-    pub fn fusion(mut self, fusion: bool) -> Self {
-        self.config.fusion = fusion;
-        self
-    }
-
-    /// Enables queue-pressure autoscaling with the given policy. Without
-    /// one, worker placement is static — exactly
-    /// [`workers_per_shard`](ServeBuilder::workers_per_shard) workers
-    /// per shard and no controller thread.
-    #[must_use]
-    pub fn autoscale(mut self, policy: AutoscalePolicy) -> Self {
-        self.config.autoscale = Some(policy);
-        self
-    }
-
-    /// Caps the total active workers across all shards under
-    /// autoscaling (default: `shards × workers_per_shard`).
-    #[must_use]
-    pub fn worker_budget(mut self, budget: usize) -> Self {
-        self.config.worker_budget = Some(budget);
-        self
-    }
-
-    /// Caps each client's simultaneously in-flight requests (enforced by
-    /// network front ends, carried here so one config names every knob).
-    #[must_use]
-    pub fn max_in_flight(mut self, max: usize) -> Self {
-        self.config.quota.max_in_flight = Some(max);
-        self
-    }
-
-    /// Sets the per-client sustained submission-rate limit (enforced by
-    /// network front ends).
-    #[must_use]
-    pub fn rate_limit(mut self, per_sec: f64, burst: f64) -> Self {
-        self.config.quota.rate = Some(RateLimit { per_sec, burst });
-        self
-    }
-
-    /// Replaces the per-client quota terms wholesale.
-    #[must_use]
-    pub fn quota(mut self, quota: QuotaConfig) -> Self {
-        self.config.quota = quota;
+    pub fn autoscale(mut self) -> Self {
+        self.config.autoscale = true;
         self
     }
 
@@ -286,9 +238,12 @@ impl ServeBuilder {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoHardwarePoints`] when no point was registered, or
-    /// [`ServeError::DuplicatePoint`] when two points share a label.
+    /// [`ServeError::NoHardwarePoints`] when no point was registered,
+    /// [`ServeError::DuplicatePoint`] when two points share a label, or
+    /// [`ServeError::InvalidConfig`] when
+    /// [`ServeConfig::validate`] finds an error.
     pub fn spawn(self) -> Result<(Server, Receiver<EvalResponse>), ServeError> {
+        self.config.check()?;
         if self.points.is_empty() {
             return Err(ServeError::NoHardwarePoints);
         }
@@ -303,47 +258,34 @@ impl ServeBuilder {
 
         let shard_count = self.points.len();
         let config = self.config;
-        // Worker placement: static mode spawns exactly `workers_per_shard`
-        // threads per shard and never parks anyone. Autoscale mode splits
-        // the budget into initial targets, spawns every thread a shard
-        // could ever be granted, and parks the surplus via the queue's
-        // active limit (threads are reused across rebalances, never
-        // spawned mid-flight).
-        let budget = config
-            .worker_budget
-            .unwrap_or(shard_count * config.workers_per_shard);
-        let autoscaling = config.autoscale.is_some() && budget > 0;
-        let targets: Vec<usize> = match config.autoscale {
-            Some(policy) => initial_targets(budget, shard_count, policy.min_workers),
-            None => vec![config.workers_per_shard; shard_count],
-        };
-        let spawn_counts: Vec<usize> = if autoscaling {
-            let min = config.autoscale.expect("checked").min_workers;
-            let reachable = if budget >= shard_count * min {
-                budget - (shard_count - 1) * min
-            } else {
-                0
-            };
-            targets.iter().map(|&t| t.max(reachable)).collect()
+        // Worker placement: every shard starts with `workers_per_shard`
+        // active workers, so the budget is `shards × workers_per_shard`.
+        // Static mode spawns exactly those threads and never parks
+        // anyone. Autoscale mode spawns every thread a shard could ever
+        // be granted — the budget less the floor of every other shard —
+        // and parks the surplus via the queue's active limit (threads
+        // are reused across rebalances, never spawned mid-flight).
+        let target = config.workers_per_shard;
+        let autoscaling = config.autoscale && target > 0;
+        let spawn_count = if autoscaling {
+            shard_count * target - (shard_count - 1) * MIN_WORKERS
         } else {
-            targets.clone()
+            target
         };
 
         let (results, receiver) = channel();
         let registry = Arc::new(Registry::new());
-        let bounds_us = config.metrics.bucket_bounds_us();
-        let latency = Arc::new(LatencyWindow::new(config.metrics.latency_window));
+        let latency = Arc::new(LatencyWindow::new(LATENCY_WINDOW));
         let shards: Vec<Shard> = self
             .points
             .into_iter()
-            .zip(targets.iter().zip(&spawn_counts))
-            .map(|((point, system), (&target, &spawn_count))| {
+            .map(|(point, system)| {
                 let system = Arc::new(system);
                 let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
                 if autoscaling {
                     queue.set_active(target);
                 }
-                let counters = Arc::new(ShardCounters::register(&registry, &point, &bounds_us));
+                let counters = Arc::new(ShardCounters::register(&registry, &point));
                 counters.workers.set(target as u64);
                 let cache = Arc::new(Mutex::new(CompileCache::new(config.cache_capacity)));
                 let workers = (0..spawn_count)
@@ -356,8 +298,6 @@ impl ServeBuilder {
                             point: point.clone(),
                             results: results.clone(),
                             latency: Arc::clone(&latency),
-                            batch_max: config.batch_max,
-                            fusion: config.fusion,
                             index: worker_index,
                         };
                         std::thread::spawn(move || worker_loop(ctx))
@@ -375,21 +315,20 @@ impl ServeBuilder {
             .collect();
 
         let autoscale = if autoscaling {
-            let policy = config.autoscale.expect("checked");
             let shared = Arc::new(AutoscaleShared {
                 stop: Mutex::new(false),
                 wake: Condvar::new(),
                 ticks: registry.counter("serve.autoscale_ticks"),
                 rebalances: registry.counter("serve.rebalances"),
             });
-            let scaler = Autoscaler::new(policy, targets);
+            let scaler = Autoscaler::new(vec![target; shard_count]);
             let watched: Vec<(Arc<BoundedQueue<Job>>, Arc<ShardCounters>)> = shards
                 .iter()
                 .map(|s| (Arc::clone(&s.queue), Arc::clone(&s.counters)))
                 .collect();
             let controller = {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || controller_loop(policy, scaler, watched, shared))
+                std::thread::spawn(move || controller_loop(scaler, watched, shared))
             };
             Some(AutoscaleHandle {
                 shared,
@@ -649,17 +588,15 @@ impl Drop for Server {
 /// most one worker move, and publish the new placement — until the stop
 /// latch is pulled at shutdown.
 fn controller_loop(
-    policy: AutoscalePolicy,
     mut scaler: Autoscaler,
     shards: Vec<(Arc<BoundedQueue<Job>>, Arc<ShardCounters>)>,
     shared: Arc<AutoscaleShared>,
 ) {
-    let tick = Duration::from_millis(policy.tick_ms.max(1));
     let mut stopped = shared.stop.lock().expect("autoscale lock not poisoned");
     while !*stopped {
         let (guard, wait) = shared
             .wake
-            .wait_timeout(stopped, tick)
+            .wait_timeout(stopped, TICK)
             .expect("autoscale lock not poisoned");
         stopped = guard;
         if *stopped || !wait.timed_out() {
@@ -713,34 +650,19 @@ fn placement_string(targets: &[usize]) -> String {
 }
 
 /// One worker's lifetime: drain batches until the queue closes empty,
-/// fusing same-fingerprint requests within each batch when enabled.
+/// serving each batch as its fusion groups.
 fn worker_loop(ctx: WorkerContext) {
-    while let Some(batch) = ctx.queue.pop_batch_as(ctx.index, ctx.batch_max) {
+    while let Some(batch) = ctx.queue.pop_batch_as(ctx.index, BATCH_MAX) {
         ctx.counters.dispatches.bump();
         let mut dispatch = dqc_obs::span("serve.dispatch");
         if dispatch.enabled() {
             dispatch.attr("point", ctx.point.as_str());
             dispatch.attr("batch", batch.len() as u64);
         }
-        if ctx.fusion && batch.len() > 1 {
-            for group in fuse_batch(&ctx, batch) {
-                serve_group(&ctx, group);
-            }
-        } else {
-            for job in batch {
-                serve_job(&ctx, job);
-            }
+        for (key, group) in fuse_batch(&ctx, batch) {
+            serve_group(&ctx, key, group);
         }
     }
-}
-
-/// Serves one unfused job end to end: request span, evaluation, and
-/// completion accounting.
-fn serve_job(ctx: &WorkerContext, job: Job) {
-    let service_started = Instant::now();
-    let _request_span = open_request_span(ctx, &job);
-    let (outcome, cache_hit) = serve_one(ctx, &job.request);
-    finish_job(ctx, job, outcome, cache_hit, service_started);
 }
 
 /// Opens the per-request span while recording: a `serve.request` root
@@ -773,12 +695,12 @@ fn open_request_span(ctx: &WorkerContext, job: &Job) -> dqc_obs::SpanGuard {
     span
 }
 
-/// Splits one dispatch batch into fusion groups: jobs sharing a compile
-/// cache key **and** design **and** structurally equal circuits (the
-/// equality guard demotes a fingerprint collision to separate groups,
-/// never to a shared replay). Jobs stay in submission order within and
-/// across groups, so a group of one is served exactly like today.
-fn fuse_batch(ctx: &WorkerContext, batch: Vec<Job>) -> Vec<Vec<Job>> {
+/// Splits one dispatch batch into fusion groups, each with its compile
+/// cache key: jobs sharing a key **and** design **and** structurally
+/// equal circuits (the equality guard demotes a fingerprint collision to
+/// separate groups, never to a shared replay). Jobs stay in submission
+/// order within and across groups.
+fn fuse_batch(ctx: &WorkerContext, batch: Vec<Job>) -> Vec<(u64, Vec<Job>)> {
     let mut groups: Vec<(u64, Vec<Job>)> = Vec::new();
     for job in batch {
         let key = CompiledCircuit::cache_key(&job.request.circuit, &ctx.config);
@@ -795,77 +717,69 @@ fn fuse_batch(ctx: &WorkerContext, batch: Vec<Job>) -> Vec<Vec<Job>> {
             None => groups.push((key, vec![job])),
         }
     }
-    groups.into_iter().map(|(_, members)| members).collect()
+    groups
 }
 
 /// Serves one fusion group as a single multi-seed replay: every distinct
 /// seed in the group runs once (memoized), and each job assembles its
 /// reports from the memo in its own seed order — byte-identical to
 /// serving each job alone, because a compiled circuit's run is a pure
-/// function of `(design, seed)`. Cache accounting stays per job, exactly
-/// as the unfused path counts it.
-fn serve_group(ctx: &WorkerContext, group: Vec<Job>) {
-    if group.len() == 1 {
-        let job = group.into_iter().next().expect("one job");
-        serve_job(ctx, job);
-        return;
-    }
-    let fused = group.len() as u64;
+/// function of `(design, seed)`. Cache accounting stays per job. A group
+/// of one is a request served alone: it memoizes nothing, counts as
+/// nothing fused and emits no `serve.fusion_group` event.
+fn serve_group(ctx: &WorkerContext, key: u64, group: Vec<Job>) {
+    let members = group.len() as u64;
     let mut saved = 0u64;
     let mut memo: HashMap<u64, Result<ExecutionReport, DqcError>> = HashMap::new();
     let mut shared_compiled: Option<Arc<CompiledCircuit>> = None;
     for job in group {
         let service_started = Instant::now();
         let request_span = open_request_span(ctx, &job);
-        let (outcome, cache_hit) = match resolve_compiled(ctx, &job.request) {
+        let (outcome, cache_hit) = match resolve_compiled(ctx, key, &job.request) {
             Err(e) => (Err(e), false),
             Ok((compiled, cache_hit)) => {
                 // Replay through the group's first compilation; every
                 // member compiles equal (same circuit, same config), so
                 // the choice cannot change any report.
                 let compiled = shared_compiled.get_or_insert(compiled);
-                let mut reports = Vec::with_capacity(job.request.runs);
-                let mut failure = None;
-                for i in 0..job.request.runs {
-                    let seed = job.request.base_seed.wrapping_add(i as u64);
-                    let result = match memo.get(&seed) {
-                        Some(result) => {
+                // The first failing seed aborts the job's replay with that
+                // error — the same contract as `Experiment::reports`. A
+                // group of one has no sibling to share with, so it skips
+                // the memo.
+                let reports: Result<Vec<ExecutionReport>, DqcError> = (0..job.request.runs)
+                    .map(|i| {
+                        let seed = job.request.base_seed.wrapping_add(i as u64);
+                        if let Some(result) = memo.get(&seed) {
                             saved += 1;
-                            result
+                            return result.clone();
                         }
-                        None => {
-                            let result = compiled.run(job.request.design, seed);
-                            memo.entry(seed).or_insert(result)
+                        let result = compiled.run(job.request.design, seed);
+                        if members > 1 {
+                            memo.insert(seed, result.clone());
                         }
-                    };
-                    match result {
-                        Ok(report) => reports.push(report.clone()),
-                        Err(e) => {
-                            failure = Some(e.clone());
-                            break;
-                        }
-                    }
-                }
-                match failure {
-                    // The first failing seed aborts the job's replay with
-                    // that error — the same contract as `Experiment::reports`.
-                    Some(e) => (Err(ServeError::Engine(e)), cache_hit),
-                    None => (Ok(EvalOutput { reports }), cache_hit),
+                        result
+                    })
+                    .collect();
+                match reports {
+                    Ok(reports) => (Ok(EvalOutput { reports }), cache_hit),
+                    Err(e) => (Err(ServeError::Engine(e)), cache_hit),
                 }
             }
         };
         finish_job(ctx, job, outcome, cache_hit, service_started);
         drop(request_span);
     }
-    ctx.counters.fused_requests.add(fused);
-    ctx.counters.fused_replays_saved.add(saved);
-    dqc_obs::event("serve.fusion_group", || {
-        vec![
-            ("point", ctx.point.as_str().into()),
-            ("members", fused.into()),
-            ("replays_saved", saved.into()),
-        ]
-    });
+    if members > 1 {
+        ctx.counters.fused_requests.add(members);
+        ctx.counters.fused_replays_saved.add(saved);
+        dqc_obs::event("serve.fusion_group", || {
+            vec![
+                ("point", ctx.point.as_str().into()),
+                ("members", members.into()),
+                ("replays_saved", saved.into()),
+            ]
+        });
+    }
 }
 
 /// Completes one job: counters, histograms, latency, and the response
@@ -902,31 +816,14 @@ fn finish_job(
     });
 }
 
-/// Serves one request compile-once: warm-cache lookup (equality-verified),
-/// compile-and-fill on miss, then deterministic per-request seed replay.
-fn serve_one(ctx: &WorkerContext, request: &EvalRequest) -> (Result<EvalOutput, ServeError>, bool) {
-    let (compiled, cache_hit) = match resolve_compiled(ctx, request) {
-        Ok(resolved) => resolved,
-        Err(e) => return (Err(e), false),
-    };
-    let reports = Experiment::with_compiled(compiled)
-        .design(request.design)
-        .runs(request.runs)
-        .base_seed(request.base_seed)
-        .reports();
-    match reports {
-        Ok(reports) => (Ok(EvalOutput { reports }), cache_hit),
-        Err(e) => (Err(ServeError::Engine(e)), cache_hit),
-    }
-}
-
-/// The compile-once half of serving: warm-cache lookup, compile-and-fill
-/// on miss, per-request hit/miss accounting.
+/// The compile-once half of serving: warm-cache lookup under the
+/// request's cache `key` (equality-verified), compile-and-fill on miss,
+/// per-request hit/miss accounting.
 fn resolve_compiled(
     ctx: &WorkerContext,
+    key: u64,
     request: &EvalRequest,
 ) -> Result<(Arc<CompiledCircuit>, bool), ServeError> {
-    let key = CompiledCircuit::cache_key(&request.circuit, &ctx.config);
     let cached = ctx
         .cache
         .lock()
@@ -961,71 +858,93 @@ fn resolve_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_core::Design;
+    use dqc_core::{Design, Experiment};
+    use dqc_obs::{AttrValue, RingRecorder, TickClock};
 
     /// Fusion saves replays, counted exactly: `JOBS` identical requests
     /// queued before the worker starts leave in one `pop_batch_as`, fuse
     /// into one group, and replay each of their `RUNS` seeds once — yet
     /// every requester still gets the reports direct evaluation gives.
+    /// A batch of distinct jobs takes the same path as groups of one,
+    /// which count as nothing fused and emit no `serve.fusion_group`.
     #[test]
     fn one_batch_of_identical_jobs_replays_each_seed_once() {
         const JOBS: usize = 5;
         const RUNS: usize = 3;
         let system = SystemConfig::paper_two_node_32();
-        let circuit = Arc::new(dqc_workloads::qft(16));
-        let request = EvalRequest::new("QFT-16", Arc::clone(&circuit), "paper", Design::AdaptBuf)
-            .runs(RUNS)
-            .base_seed(11);
+        let qft16 = Arc::new(dqc_workloads::qft(16));
+        let identical: Vec<_> = (0..JOBS).map(|_| Arc::clone(&qft16)).collect();
+        let distinct: Vec<_> = (0..JOBS as u32)
+            .map(|i| Arc::new(dqc_workloads::qft(8 + 2 * i)))
+            .collect();
+        // Events carry their shard's point, so a label per case keeps
+        // fusion groups from concurrently running tests out of the count.
+        let ring = Arc::new(RingRecorder::new(1 << 16));
+        let _recording = dqc_obs::install(ring.clone(), Arc::new(TickClock::new()));
+        for (point, circuits, fused, saved, groups) in [
+            ("identical", identical, JOBS, (JOBS - 1) * RUNS, 1),
+            ("distinct", distinct, 0, 0, 0),
+        ] {
+            let queue = Arc::new(BoundedQueue::new(JOBS));
+            for (id, circuit) in (0u64..).zip(&circuits) {
+                let job = Job {
+                    id: RequestId(id),
+                    request: EvalRequest::new("QFT", Arc::clone(circuit), point, Design::AdaptBuf)
+                        .runs(RUNS)
+                        .base_seed(11),
+                    submitted_at: Instant::now(),
+                    submitted_us: None,
+                };
+                assert!(queue.try_push(job).is_ok(), "queue holds every job");
+            }
+            // Closed and full: the worker drains it in one batch, then
+            // exits on this thread.
+            queue.close();
+            let registry = Registry::new();
+            let counters = Arc::new(ShardCounters::register(&registry, point));
+            let (results, responses) = channel();
+            worker_loop(WorkerContext {
+                queue,
+                counters: Arc::clone(&counters),
+                cache: Arc::new(Mutex::new(CompileCache::new(JOBS))),
+                config: Arc::new(system.clone()),
+                point: point.to_string(),
+                results,
+                latency: Arc::new(LatencyWindow::new(JOBS)),
+                index: 0,
+            });
 
-        let queue = Arc::new(BoundedQueue::new(JOBS));
-        for id in 0..JOBS as u64 {
-            let job = Job {
-                id: RequestId(id),
-                request: request.clone(),
-                submitted_at: Instant::now(),
-                submitted_us: None,
-            };
-            assert!(queue.try_push(job).is_ok(), "queue holds every job");
-        }
-        // Closed and full: the worker drains it in one batch, then exits
-        // on this thread.
-        queue.close();
-        let registry = Registry::new();
-        let bounds_us = ServeConfig::default().metrics.bucket_bounds_us();
-        let counters = Arc::new(ShardCounters::register(&registry, "paper", &bounds_us));
-        let (results, responses) = channel();
-        worker_loop(WorkerContext {
-            queue,
-            counters: Arc::clone(&counters),
-            cache: Arc::new(Mutex::new(CompileCache::new(1))),
-            config: Arc::new(system.clone()),
-            point: "paper".to_string(),
-            results,
-            latency: Arc::new(LatencyWindow::new(JOBS)),
-            batch_max: JOBS,
-            fusion: true,
-            index: 0,
-        });
-
-        assert_eq!(counters.dispatches.get(), 1, "one pop took the batch");
-        assert_eq!(counters.fused_requests.get(), JOBS as u64);
-        assert_eq!(
-            counters.fused_replays_saved.get(),
-            ((JOBS - 1) * RUNS) as u64,
-            "only the first job replays its seeds"
-        );
-        let direct = Experiment::new(&circuit, &system)
-            .unwrap()
-            .design(Design::AdaptBuf)
-            .runs(RUNS)
-            .base_seed(11)
-            .reports()
-            .unwrap();
-        let served: Vec<EvalResponse> = responses.iter().collect();
-        assert_eq!(served.len(), JOBS);
-        for response in served {
-            let output = response.outcome.expect("fused job succeeds");
-            assert_eq!(output.reports, direct, "request {:?}", response.id);
+            assert_eq!(counters.dispatches.get(), 1, "{point}: one pop");
+            assert_eq!(counters.fused_requests.get(), fused as u64, "{point}");
+            assert_eq!(
+                counters.fused_replays_saved.get(),
+                saved as u64,
+                "{point}: only the first of identical jobs replays its seeds"
+            );
+            let fusion_groups = ring
+                .events()
+                .iter()
+                .filter(|e| {
+                    e.name == "serve.fusion_group"
+                        && e.attrs
+                            .iter()
+                            .any(|(k, v)| k == "point" && *v == AttrValue::from(point))
+                })
+                .count();
+            assert_eq!(fusion_groups, groups, "{point}: fusion_group events");
+            let served: Vec<EvalResponse> = responses.iter().collect();
+            assert_eq!(served.len(), JOBS);
+            for response in served {
+                let direct = Experiment::new(&circuits[response.id.0 as usize], &system)
+                    .unwrap()
+                    .design(Design::AdaptBuf)
+                    .runs(RUNS)
+                    .base_seed(11)
+                    .reports()
+                    .unwrap();
+                let output = response.outcome.expect("job succeeds");
+                assert_eq!(output.reports, direct, "{point}: {:?}", response.id);
+            }
         }
     }
 }

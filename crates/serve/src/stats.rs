@@ -7,6 +7,7 @@
 //! registry backs the daemon's `metrics` wire frame and `--profile`
 //! captures.
 
+use crate::config::BUCKET_BOUNDS_US;
 use dqc_obs::{labeled, Counter, Gauge, Histogram, Registry};
 use dqc_types::{Json, JsonError};
 use std::collections::VecDeque;
@@ -42,8 +43,9 @@ pub(crate) struct ShardCounters {
 
 impl ShardCounters {
     /// Registers (or re-attaches to) one shard's metric family in
-    /// `registry`, labeled by hardware point.
-    pub(crate) fn register(registry: &Registry, point: &str, bounds_us: &[u64]) -> Self {
+    /// `registry`, labeled by hardware point, with histograms over
+    /// [`BUCKET_BOUNDS_US`].
+    pub(crate) fn register(registry: &Registry, point: &str) -> Self {
         let counter = |name| registry.counter(&labeled(name, "point", point));
         Self {
             submitted: counter("serve.submitted"),
@@ -56,18 +58,21 @@ impl ShardCounters {
             fused_requests: counter("serve.fused_requests"),
             fused_replays_saved: counter("serve.fused_replays_saved"),
             workers: registry.gauge(&labeled("serve.workers", "point", point)),
-            queue_wait: registry
-                .histogram(&labeled("serve.queue_wait_us", "point", point), bounds_us),
-            service: registry.histogram(&labeled("serve.service_us", "point", point), bounds_us),
+            queue_wait: registry.histogram(
+                &labeled("serve.queue_wait_us", "point", point),
+                &BUCKET_BOUNDS_US,
+            ),
+            service: registry.histogram(
+                &labeled("serve.service_us", "point", point),
+                &BUCKET_BOUNDS_US,
+            ),
         }
     }
 }
 
-/// A sliding window of recent request latencies (microseconds).
-///
-/// The capacity comes from `ServeConfig::metrics.latency_window`; a
-/// zero window records nothing (every percentile reads 0 — flagged as
-/// `DQC-W008` at config level).
+/// A sliding window of recent request latencies (microseconds). A
+/// server's window holds the last
+/// [`LATENCY_WINDOW`](crate::config::LATENCY_WINDOW) samples.
 #[derive(Debug)]
 pub(crate) struct LatencyWindow {
     window: usize,
@@ -84,9 +89,6 @@ impl LatencyWindow {
 
     /// Records one request's submission-to-completion latency.
     pub(crate) fn record(&self, latency: Duration) {
-        if self.window == 0 {
-            return;
-        }
         let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         let mut samples = self.samples.lock().expect("latency lock not poisoned");
         if samples.len() == self.window {
@@ -134,8 +136,7 @@ impl LatencyWindow {
 /// milliseconds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencySummary {
-    /// The configured window capacity (`samples` saturates here). `0`
-    /// means the window is disabled and every quantile reads zero.
+    /// The window capacity (`samples` saturates here).
     pub window: usize,
     /// Number of samples in the window (saturates at the window size).
     pub samples: usize,
@@ -561,15 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_window_drops_samples_instead_of_growing() {
-        let window = LatencyWindow::new(0);
-        window.record(Duration::from_micros(5_000));
-        let summary = window.summarize();
-        assert_eq!((summary.window, summary.samples), (0, 0));
-        assert_eq!(summary.p99_ms, 0.0);
-    }
-
-    #[test]
     fn empty_window_summarizes_to_zeros() {
         let summary = LatencyWindow::new(16).summarize();
         assert_eq!(summary.samples, 0);
@@ -586,7 +578,7 @@ mod tests {
     #[test]
     fn shard_counters_are_views_over_the_registry() {
         let registry = Registry::new();
-        let counters = ShardCounters::register(&registry, "paper", &[100, 1000]);
+        let counters = ShardCounters::register(&registry, "paper");
         counters.submitted.bump();
         counters.served.add(2);
         counters.workers.set(3);
@@ -596,9 +588,7 @@ mod tests {
         assert_eq!(snapshot.counter("serve.submitted{point=paper}"), Some(1));
         assert_eq!(snapshot.counter("serve.served{point=paper}"), Some(2));
         assert_eq!(
-            ShardCounters::register(&registry, "paper", &[100, 1000])
-                .served
-                .get(),
+            ShardCounters::register(&registry, "paper").served.get(),
             2,
             "re-registration re-attaches to the same handles"
         );

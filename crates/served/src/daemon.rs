@@ -33,7 +33,7 @@ use crate::quota::{AdmissionLedger, QuotaConfig};
 use dqc_core::{Design, SystemConfig};
 use dqc_obs::{Capture, Counter, Registry, RingRecorder, TraceId};
 use dqc_serve::{
-    AutoscalePolicy, EvalResponse, ServeBuilder, ServeConfig, ServeError, ServeStats, Server,
+    EvalResponse, RateLimit, ServeBuilder, ServeConfig, ServeError, ServeStats, Server,
     WorkerPlacement,
 };
 use dqc_types::{Json, JsonError};
@@ -53,7 +53,8 @@ use std::time::Instant;
 pub enum ServedError {
     /// Binding the listener (or cloning a socket) failed.
     Io(io::Error),
-    /// The serving layer refused to spawn (no points, duplicate label).
+    /// The serving layer refused to spawn (no points, duplicate label,
+    /// an invalid configuration).
     Serve(ServeError),
 }
 
@@ -124,7 +125,7 @@ impl ServedBuilder {
     /// Starts a builder with the serving layer's defaults and no quotas.
     /// Every knob — including the daemon-enforced quotas — lives in the
     /// wrapped [`ServeBuilder`]'s [`ServeConfig`]; the setters here are
-    /// forwarding shims.
+    /// shims over it.
     pub fn new() -> Self {
         Self {
             serve: ServeBuilder::new(),
@@ -175,51 +176,30 @@ impl ServedBuilder {
         self
     }
 
-    /// Sets the worker batch size.
-    #[must_use]
-    pub fn batch_max(mut self, batch_max: usize) -> Self {
-        self.serve = self.serve.batch_max(batch_max);
-        self
-    }
-
-    /// Enables or disables cross-request replay fusion (see
-    /// [`ServeBuilder::fusion`]; on by default).
-    #[must_use]
-    pub fn fusion(mut self, fusion: bool) -> Self {
-        self.serve = self.serve.fusion(fusion);
-        self
-    }
-
     /// Enables queue-pressure autoscaling (see [`ServeBuilder::autoscale`]).
     #[must_use]
-    pub fn autoscale(mut self, policy: AutoscalePolicy) -> Self {
-        self.serve = self.serve.autoscale(policy);
-        self
-    }
-
-    /// Caps the total active workers across all shards under autoscaling
-    /// (see [`ServeBuilder::worker_budget`]).
-    #[must_use]
-    pub fn worker_budget(mut self, budget: usize) -> Self {
-        self.serve = self.serve.worker_budget(budget);
+    pub fn autoscale(mut self) -> Self {
+        self.serve = self.serve.autoscale();
         self
     }
 
     /// Caps each client identity at `max` simultaneously in-flight
     /// requests (`quota_exceeded` / `in_flight` beyond it).
     #[must_use]
-    pub fn max_in_flight(mut self, max: usize) -> Self {
-        self.serve = self.serve.max_in_flight(max);
-        self
+    pub fn max_in_flight(self, max: usize) -> Self {
+        let mut config = *self.config_ref();
+        config.quota.max_in_flight = Some(max);
+        self.config(config)
     }
 
     /// Rate-limits each client identity to `per_sec` sustained
     /// submissions per second with an instantaneous burst of `burst`
     /// (`quota_exceeded` / `rate` beyond it).
     #[must_use]
-    pub fn rate_limit(mut self, per_sec: f64, burst: f64) -> Self {
-        self.serve = self.serve.rate_limit(per_sec, burst);
-        self
+    pub fn rate_limit(self, per_sec: f64, burst: f64) -> Self {
+        let mut config = *self.config_ref();
+        config.quota.rate = Some(RateLimit { per_sec, burst });
+        self.config(config)
     }
 
     /// The quota terms configured so far.
@@ -247,7 +227,8 @@ impl ServedBuilder {
     /// # Errors
     ///
     /// [`ServedError::Io`] if the listener cannot bind,
-    /// [`ServedError::Serve`] if the shard registration is invalid.
+    /// [`ServedError::Serve`] if the shard registration or the
+    /// configuration is invalid (see [`ServeBuilder::spawn`]).
     pub fn bind(self, addr: impl ToSocketAddrs) -> Result<Served, ServedError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -691,15 +672,12 @@ fn connection_loop(stream: TcpStream, server: &Arc<Server>, shared: &Arc<Shared>
             return;
         }
     };
-    let quota = shared.ledger.config();
     let welcome = Welcome {
         protocol: PROTOCOL_VERSION,
         server: SERVER_NAME.to_string(),
         points: server.points().map(str::to_string).collect(),
         designs: Design::ALL.iter().map(|d| d.name().to_string()).collect(),
-        max_in_flight: quota.max_in_flight,
-        rate_per_sec: quota.rate.map(|r| r.per_sec),
-        config: server.config().clone(),
+        config: *server.config(),
     };
     if reply_tx.send(welcome.to_json()).is_err() {
         return;

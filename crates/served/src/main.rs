@@ -3,8 +3,7 @@
 //! ```text
 //! dqc-served [--addr HOST:PORT] [--port-file PATH]
 //!            [--config FILE.json]
-//!            [--workers N] [--queue N] [--cache N] [--batch N]
-//!            [--fusion on|off] [--autoscale] [--budget N]
+//!            [--workers N] [--queue N] [--cache N] [--autoscale]
 //!            [--max-in-flight N] [--rate PER_SEC] [--burst N]
 //!            [--backend auto|analytic|stabilizer|density]
 //!            [--point LABEL=paper32|paper64]...
@@ -19,7 +18,10 @@
 //! `--config FILE.json` (a [`ServeConfig`] document — the same shape the
 //! `welcome` frame echoes back), then individual flags. Every flag is
 //! sugar over the same `ServeConfig`, so `--workers 4` and a config file
-//! with `"workers_per_shard": 4` are indistinguishable to the daemon.
+//! with `"workers_per_shard": 4` are indistinguishable to the daemon. A
+//! configuration that could do no useful work (`--queue 0`,
+//! `--max-in-flight 0`, a non-positive `--rate`) is refused at start-up
+//! with its diagnostic codes.
 //!
 //! Without `--point`, two shards are registered: `paper` (the paper's
 //! two-node 32-qubit point) and `paper64` (its 64-qubit sibling).
@@ -28,7 +30,7 @@
 //! launched with different backends never exchange compilations).
 
 use dqc_core::{Backend, SystemConfig};
-use dqc_serve::{AutoscalePolicy, RateLimit, ServeConfig};
+use dqc_serve::{RateLimit, ServeConfig};
 use dqc_served::{Served, ServedBuilder};
 use dqc_types::Json;
 use std::process::ExitCode;
@@ -40,10 +42,7 @@ struct Options {
     workers: Option<usize>,
     queue: Option<usize>,
     cache: Option<usize>,
-    batch: Option<usize>,
-    fusion: Option<bool>,
     autoscale: bool,
-    budget: Option<usize>,
     max_in_flight: Option<usize>,
     rate: Option<f64>,
     burst: Option<f64>,
@@ -60,10 +59,7 @@ impl Options {
             workers: None,
             queue: None,
             cache: None,
-            batch: None,
-            fusion: None,
             autoscale: false,
-            budget: None,
             max_in_flight: None,
             rate: None,
             burst: None,
@@ -86,16 +82,7 @@ impl Options {
                 }
                 "--queue" => options.queue = Some(parse_num(&value("--queue")?, "--queue")?),
                 "--cache" => options.cache = Some(parse_num(&value("--cache")?, "--cache")?),
-                "--batch" => options.batch = Some(parse_num(&value("--batch")?, "--batch")?),
-                "--fusion" => {
-                    options.fusion = Some(match value("--fusion")?.as_str() {
-                        "on" => true,
-                        "off" => false,
-                        other => return Err(format!("--fusion wants on|off, got `{other}`")),
-                    });
-                }
                 "--autoscale" => options.autoscale = true,
-                "--budget" => options.budget = Some(parse_num(&value("--budget")?, "--budget")?),
                 "--max-in-flight" => {
                     options.max_in_flight =
                         Some(parse_num(&value("--max-in-flight")?, "--max-in-flight")?);
@@ -137,23 +124,12 @@ impl Options {
             config.workers_per_shard = workers;
         }
         if let Some(queue) = self.queue {
-            config.queue_capacity = queue.max(1);
+            config.queue_capacity = queue;
         }
         if let Some(cache) = self.cache {
             config.cache_capacity = cache;
         }
-        if let Some(batch) = self.batch {
-            config.batch_max = batch.max(1);
-        }
-        if let Some(fusion) = self.fusion {
-            config.fusion = fusion;
-        }
-        if self.autoscale && config.autoscale.is_none() {
-            config.autoscale = Some(AutoscalePolicy::default());
-        }
-        if let Some(budget) = self.budget {
-            config.worker_budget = Some(budget);
-        }
+        config.autoscale |= self.autoscale;
         if let Some(max) = self.max_in_flight {
             config.quota.max_in_flight = Some(max);
         }
@@ -170,8 +146,7 @@ impl Options {
 
 const USAGE: &str = "usage: dqc-served [--addr HOST:PORT] [--port-file PATH] \
 [--config FILE.json] \
-[--workers N] [--queue N] [--cache N] [--batch N] \
-[--fusion on|off] [--autoscale] [--budget N] \
+[--workers N] [--queue N] [--cache N] [--autoscale] \
 [--max-in-flight N] [--rate PER_SEC] [--burst N] \
 [--backend auto|analytic|stabilizer|density] \
 [--point LABEL=paper32|paper64]...";

@@ -4,7 +4,7 @@
 //!
 //! | client → server | server → client |
 //! |---|---|
-//! | `hello` (identity + protocol) | `welcome` (points, designs, quotas) or fatal `error` |
+//! | `hello` (identity + protocol) | `welcome` (points, designs, config) or fatal `error` |
 //! | `submit` (tagged evaluation) | tagged `result` or tagged `error` |
 //! | `stats` (tagged) | tagged `stats` (serve + daemon snapshots) |
 //! | `bye` | `bye`, then close |
@@ -46,7 +46,12 @@ use std::sync::Arc;
 /// [`MetricsSnapshot`] behind the stats roll-up, histograms included)
 /// and `trace` (the daemon's recent span/event ring as a
 /// [`Capture`]) — expose the live registry and trace buffer.
-pub const PROTOCOL_VERSION: i64 = 3;
+///
+/// v4: the `welcome` config echo lost the knobs that never changed an
+/// answer (`batch_max`, `fusion`, `worker_budget`, `metrics`), and its
+/// `autoscale` is a boolean instead of a policy object; `welcome` no
+/// longer repeats `max_in_flight`/`rate_per_sec` beside `config.quota`.
+pub const PROTOCOL_VERSION: i64 = 4;
 
 /// The server identity string sent in `welcome`.
 pub const SERVER_NAME: &str = concat!("dqc-served/", env!("CARGO_PKG_VERSION"));
@@ -669,8 +674,8 @@ fn protocol_err(e: impl fmt::Display) -> WireError {
 
 // ------------------------------------------------- server-side frames
 
-/// The server's `welcome` reply: what this daemon serves and the quota
-/// terms the client is admitted under.
+/// The server's `welcome` reply: what this daemon serves and the
+/// configuration — quota terms included — the client is admitted under.
 #[derive(Debug, Clone)]
 pub struct Welcome {
     /// Protocol version the server speaks.
@@ -681,13 +686,9 @@ pub struct Welcome {
     pub points: Vec<String>,
     /// Accepted design names ([`Design::ALL`] spellings).
     pub designs: Vec<String>,
-    /// Per-client in-flight cap, if one is configured.
-    pub max_in_flight: Option<usize>,
-    /// Per-client sustained submissions/second, if rate-limited.
-    pub rate_per_sec: Option<f64>,
-    /// The daemon's full serving configuration — queue/cache/batch
-    /// bounds, fusion, autoscale policy, quota terms — so clients can
-    /// introspect the limits they are admitted under.
+    /// The daemon's full serving configuration — worker, queue and cache
+    /// sizes, autoscaling, quota terms — so clients can introspect the
+    /// limits they are admitted under.
     pub config: ServeConfig,
 }
 
@@ -710,14 +711,6 @@ impl Welcome {
                         .map(|d| Json::from(d.as_str()))
                         .collect(),
                 ),
-            ),
-            (
-                "max_in_flight",
-                self.max_in_flight.map_or(Json::Null, Json::from),
-            ),
-            (
-                "rate_per_sec",
-                self.rate_per_sec.map_or(Json::Null, Json::float),
             ),
             ("config", self.config.to_json()),
         ])
@@ -744,23 +737,6 @@ impl Welcome {
             server: json.str_field("server")?.to_string(),
             points: str_list("points")?,
             designs: str_list("designs")?,
-            max_in_flight: match json.field("max_in_flight")? {
-                Json::Null => None,
-                value => Some(
-                    value
-                        .as_u64()
-                        .and_then(|v| usize::try_from(v).ok())
-                        .ok_or_else(|| {
-                            JsonError::schema("field `max_in_flight`: expected a count or null")
-                        })?,
-                ),
-            },
-            rate_per_sec: match json.field("rate_per_sec")? {
-                Json::Null => None,
-                value => Some(value.as_f64().ok_or_else(|| {
-                    JsonError::schema("field `rate_per_sec`: expected a number or null")
-                })?),
-            },
             config: ServeConfig::from_json(json.field("config")?)?,
         })
     }
@@ -1030,6 +1006,7 @@ fn optional_trace_id(json: &Json) -> Result<Option<TraceId>, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dqc_serve::QuotaConfig;
 
     fn sample_circuit() -> Arc<Circuit> {
         let mut c = Circuit::new(3);
@@ -1178,11 +1155,13 @@ mod tests {
             server: SERVER_NAME.to_string(),
             points: vec!["paper".into(), "paper64".into()],
             designs: Design::ALL.iter().map(|d| d.name().to_string()).collect(),
-            max_in_flight: Some(8),
-            rate_per_sec: None,
             config: ServeConfig {
                 workers_per_shard: 3,
-                fusion: false,
+                autoscale: true,
+                quota: QuotaConfig {
+                    max_in_flight: Some(8),
+                    rate: None,
+                },
                 ..ServeConfig::default()
             },
         };
@@ -1192,8 +1171,7 @@ mod tests {
                 assert_eq!(back.protocol, welcome.protocol);
                 assert_eq!(back.points, welcome.points);
                 assert_eq!(back.designs, welcome.designs);
-                assert_eq!(back.max_in_flight, Some(8));
-                assert_eq!(back.rate_per_sec, None);
+                assert_eq!(back.config.quota.max_in_flight, Some(8));
                 assert_eq!(back.config, welcome.config);
             }
             other => panic!("expected Welcome, got {other:?}"),

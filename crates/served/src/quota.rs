@@ -82,10 +82,6 @@ impl AdmissionLedger {
         }
     }
 
-    pub(crate) fn config(&self) -> QuotaConfig {
-        self.config
-    }
-
     /// Admits one submission for `client` at `now_micros`, or returns
     /// the typed refusal. On success the client's in-flight count has
     /// been incremented and one rate token consumed; the caller must

@@ -294,26 +294,22 @@ pub const REGISTRY: &[CodeInfo] = &[
     // DQC-E007 ("one remote gate needs more links than a node can hold")
     // is retired: the engine serves teledata one pair at a time, so no
     // refusal stood behind it. Never reuse the code.
-    CodeInfo {
-        code: "DQC-E008",
-        severity: Severity::Error,
-        summary: "autoscale worker floor exceeds the worker budget",
-    },
+    // DQC-E008 ("autoscale worker floor exceeds the worker budget") is
+    // retired: the floor is a constant and the budget is derived from
+    // the worker count. Never reuse the code.
     CodeInfo {
         code: "DQC-E009",
         severity: Severity::Error,
-        summary: "serving bound is zero (queue or batch can never admit work)",
+        summary: "shard queue capacity is zero (no request can ever be admitted)",
     },
     CodeInfo {
         code: "DQC-E010",
         severity: Severity::Error,
         summary: "rate limit is non-positive or non-finite",
     },
-    CodeInfo {
-        code: "DQC-E011",
-        severity: Severity::Error,
-        summary: "autoscale pressure thresholds are inverted or out of range",
-    },
+    // DQC-E011 ("autoscale pressure thresholds are inverted or out of
+    // range") is retired: the thresholds are constants. Never reuse the
+    // code.
     CodeInfo {
         code: "DQC-E012",
         severity: Severity::Error,
@@ -339,26 +335,18 @@ pub const REGISTRY: &[CodeInfo] = &[
         severity: Severity::Warning,
         summary: "multi-qubit circuit is fully serialized (zero schedule slack)",
     },
-    CodeInfo {
-        code: "DQC-W005",
-        severity: Severity::Warning,
-        summary: "portfolio contains fusable duplicates but replay fusion is disabled",
-    },
+    // DQC-W005 ("portfolio contains fusable duplicates but replay fusion
+    // is disabled") is retired: fusion is always on. Never reuse the
+    // code.
     CodeInfo {
         code: "DQC-W006",
         severity: Severity::Warning,
         summary: "warm compile cache is disabled (every request recompiles)",
     },
-    CodeInfo {
-        code: "DQC-W007",
-        severity: Severity::Warning,
-        summary: "autoscale hysteresis is zero (placement may thrash every tick)",
-    },
-    CodeInfo {
-        code: "DQC-W008",
-        severity: Severity::Warning,
-        summary: "metrics window disabled or histogram buckets degenerate (blind telemetry)",
-    },
+    // DQC-W007 ("autoscale hysteresis is zero") and DQC-W008 ("metrics
+    // window disabled or histogram buckets degenerate") are retired: the
+    // hysteresis, the latency window and the bucket ladder are
+    // constants. Never reuse the codes.
 ];
 
 /// Looks a code up in [`REGISTRY`].

@@ -24,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .workers_per_shard(2)
         .queue_capacity(64)
         .cache_capacity(16)
-        .batch_max(8)
         .spawn()?;
 
     // A mixed request stream: three circuits, both hardware points,

@@ -101,7 +101,7 @@ pub use dqc_core::{
 };
 pub use dqc_entanglement::{LinkParams, NetworkTopology, Route, RoutingTable, TopologyFamily};
 pub use dqc_serve::{
-    AutoscalePolicy, EvalOutput, EvalRequest, EvalResponse, QuotaConfig, RateLimit, RequestId,
-    ServeBuilder, ServeConfig, ServeError, ServeStats, Server, ShutdownReport, WorkerPlacement,
+    EvalOutput, EvalRequest, EvalResponse, QuotaConfig, RateLimit, RequestId, ServeBuilder,
+    ServeConfig, ServeError, ServeStats, Server, ShutdownReport, WorkerPlacement,
 };
 pub use dqc_served::{Served, ServedBuilder, ServedClient, Submission, WireError};

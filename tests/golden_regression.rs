@@ -159,12 +159,15 @@ fn golden_analyze_corpus_is_clean() {
     // The acceptance claim of the analyze target, asserted from the
     // committed golden itself: the static analyzer finds nothing — not
     // even a warning — in anything the repo ships (paper benchmarks on
-    // their matching points, the default serving configuration, the
-    // serving portfolio).
+    // their matching points and the default serving configuration).
     let text = std::fs::read_to_string(golden_dir().join("analyze.json")).unwrap();
     let artifact = Artifact::parse(&text).unwrap();
     let rows = artifact.data.as_array().expect("analyze payload is rows");
-    assert!(rows.len() >= 8, "corpus shrank to {} subjects", rows.len());
+    assert_eq!(
+        rows.len(),
+        dqc::workloads::PaperBenchmark::ALL.len() + 1,
+        "every paper benchmark plus the default ServeConfig"
+    );
     for row in rows {
         let label = row.str_field("label").unwrap();
         let report = dqc::analyze::AnalysisReport::from_json(row.field("report").unwrap()).unwrap();

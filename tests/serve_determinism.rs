@@ -2,20 +2,22 @@
 //! changes results**. The same request produces byte-identical
 //! [`ExecutionReport`]s whether it is evaluated directly in-process or
 //! served by a [`Server`] — at any worker count, under any submission
-//! order, across any batch boundaries. Also pins the collision-freedom
+//! order, across any batch boundaries and fusion groups, and under
+//! autoscaling. Also pins the collision-freedom
 //! of the stable fingerprints the serve cache keys by, over the full
 //! workload suite and a grid of hardware points.
 
 use dqc::workloads::PaperBenchmark;
 use dqc::{
-    AutoscalePolicy, Backend, CompiledCircuit, Design, EvalRequest, ExecutionReport, Experiment,
-    ServeBuilder, SystemConfig, TopologyFamily,
+    Backend, CompiledCircuit, Design, EvalRequest, ExecutionReport, Experiment, ServeBuilder,
+    SystemConfig, TopologyFamily,
 };
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The fixed request set: the serving portfolio × two designs × two seed
 /// bases, two runs each — 24 distinct requests.
@@ -115,11 +117,11 @@ fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
 }
 
 #[test]
-fn replay_fusion_is_byte_identical_to_unfused_serving() {
+fn fused_serving_is_byte_identical_to_direct_evaluation() {
     // Duplicate-heavy traffic — 3 of every 4 requests are the *same*
     // evaluation — is exactly what cross-request replay fusion coalesces.
-    // Fused or not, at any worker count, under shuffled submission, the
-    // bytes must match direct evaluation (and therefore each other).
+    // At any worker count, under shuffled submission, however the
+    // batches happen to group, the bytes must match direct evaluation.
     let requests = dqc_bench::skewed_requests(24, 2, 41, "paper", 4);
     let expected = direct_reports(&requests);
 
@@ -127,37 +129,30 @@ fn replay_fusion_is_byte_identical_to_unfused_serving() {
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
 
-        for fusion in [true, false] {
-            let (server, responses) = ServeBuilder::new()
-                .hardware_point("paper", SystemConfig::paper_two_node_32())
-                .workers_per_shard(workers)
-                .queue_capacity(requests.len())
-                .fusion(fusion)
-                .spawn()
-                .unwrap();
-            let mut by_id = HashMap::new();
-            for &request_idx in &order {
-                let id = server.submit(requests[request_idx].clone()).unwrap();
-                by_id.insert(id, request_idx);
-            }
-            for _ in 0..requests.len() {
-                let response = responses.recv().expect("server streams every response");
-                let request_idx = by_id.remove(&response.id).expect("ids are unique");
-                let output = response.outcome.unwrap_or_else(|e| {
-                    panic!("request {request_idx} failed (fusion={fusion}): {e}")
-                });
-                assert_eq!(
-                    output.reports, expected[request_idx],
-                    "request {request_idx} diverged with {workers} workers, fusion={fusion}"
-                );
-            }
-            let stats = server.shutdown().serve;
-            assert_eq!(stats.served, requests.len() as u64);
-            if !fusion {
-                assert_eq!(stats.fused_requests, 0, "fusion off must never fuse");
-                assert_eq!(stats.fused_replays_saved, 0);
-            }
+        let (server, responses) = ServeBuilder::new()
+            .hardware_point("paper", SystemConfig::paper_two_node_32())
+            .workers_per_shard(workers)
+            .queue_capacity(requests.len())
+            .spawn()
+            .unwrap();
+        let mut by_id = HashMap::new();
+        for &request_idx in &order {
+            let id = server.submit(requests[request_idx].clone()).unwrap();
+            by_id.insert(id, request_idx);
         }
+        for _ in 0..requests.len() {
+            let response = responses.recv().expect("server streams every response");
+            let request_idx = by_id.remove(&response.id).expect("ids are unique");
+            let output = response
+                .outcome
+                .unwrap_or_else(|e| panic!("request {request_idx} failed: {e}"));
+            assert_eq!(
+                output.reports, expected[request_idx],
+                "request {request_idx} diverged with {workers} workers"
+            );
+        }
+        let stats = server.shutdown().serve;
+        assert_eq!(stats.served, requests.len() as u64);
     }
 }
 
@@ -172,11 +167,8 @@ fn autoscaled_serving_is_byte_identical_and_conserves_the_worker_budget() {
     let (server, responses) = ServeBuilder::new()
         .hardware_point("paper", SystemConfig::paper_two_node_32())
         .hardware_point("spare", SystemConfig::paper_two_node_32())
-        .worker_budget(3)
-        .autoscale(AutoscalePolicy {
-            tick_ms: 2,
-            ..AutoscalePolicy::default()
-        })
+        .workers_per_shard(2)
+        .autoscale()
         .queue_capacity(requests.len())
         .spawn()
         .unwrap();
@@ -196,13 +188,21 @@ fn autoscaled_serving_is_byte_identical_and_conserves_the_worker_budget() {
             "request {request_idx} diverged under autoscaling"
         );
     }
+    // The controller samples on its own fixed tick; wait until it has,
+    // so the placement below is the controller's, not just the spawn's.
+    while server.stats().autoscale_ticks == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let report = server.shutdown();
     assert_eq!(report.serve.served, requests.len() as u64);
     assert!(report.serve.autoscale_ticks > 0, "the controller ticked");
     let points: Vec<&str> = report.placement.iter().map(|p| p.point.as_str()).collect();
     assert_eq!(points, ["paper", "spare"], "registration order");
     let total: usize = report.placement.iter().map(|p| p.workers).sum();
-    assert_eq!(total, 3, "rebalancing conserves the worker budget");
+    assert_eq!(
+        total, 4,
+        "rebalancing conserves the budget of shards × workers_per_shard"
+    );
     for placement in &report.placement {
         assert!(placement.workers >= 1, "no shard drops below the floor");
     }

@@ -3,11 +3,14 @@
 //! versus direct in-process evaluation, from concurrent connections, via
 //! both circuit travel formats), per-client quotas throttle a greedy
 //! client without touching a polite one, malformed QASM is refused with
-//! its 1-based source line intact, and a full shard queue surfaces as a
-//! typed retryable `Overloaded` — all on loopback sockets the tests own.
+//! its 1-based source line intact, a full shard queue surfaces as a
+//! typed retryable `Overloaded`, and a configuration that could serve
+//! nobody never binds — all on loopback sockets the tests own.
 
-use dqc::served::{QuotaScope, ServedBuilder, Submission, WireError, WireOutput};
-use dqc::{CompiledCircuit, Design, EvalRequest, Experiment, ServedClient, SystemConfig};
+use dqc::served::{QuotaScope, ServedBuilder, ServedError, Submission, WireError, WireOutput};
+use dqc::{
+    CompiledCircuit, Design, EvalRequest, Experiment, ServeError, ServedClient, SystemConfig,
+};
 use std::collections::HashMap;
 
 /// The shared request list: every portfolio circuit, alternating
@@ -265,7 +268,7 @@ fn greedy_client_is_throttled_while_polite_client_is_admitted() {
     let requests = wire_requests();
 
     let mut greedy = ServedClient::connect(&addr, "greedy").expect("greedy connects");
-    assert_eq!(greedy.welcome().max_in_flight, Some(2));
+    assert_eq!(greedy.welcome().config.quota.max_in_flight, Some(2));
     for request in requests.iter().take(5) {
         greedy
             .submit(&Submission::from_request(request))
@@ -445,4 +448,35 @@ fn full_queue_is_reported_as_overloaded() {
 
     drop(client);
     daemon.shutdown();
+}
+
+/// A builder-made configuration that could serve nobody — a zero queue,
+/// a zero in-flight quota, a zero rate — is refused at bind with the
+/// typed error carrying its diagnostic, exactly as a config file with
+/// the same values is refused at load.
+#[test]
+fn degenerate_builder_configs_are_refused_at_bind() {
+    let builder =
+        || ServedBuilder::new().hardware_point("paper", SystemConfig::paper_two_node_32());
+    for (builder, code) in [
+        (builder().queue_capacity(0), "DQC-E009"),
+        (builder().rate_limit(0.0, 8.0), "DQC-E010"),
+        (builder().max_in_flight(0), "DQC-E012"),
+    ] {
+        let error = match builder.bind("127.0.0.1:0") {
+            Ok(daemon) => {
+                daemon.shutdown();
+                panic!("{code}: the daemon bound anyway");
+            }
+            Err(error) => error,
+        };
+        assert!(error.to_string().contains(code), "{error}");
+        match error {
+            ServedError::Serve(ServeError::InvalidConfig { diagnostics }) => {
+                let codes: Vec<&str> = diagnostics.iter().map(|d| d.code).collect();
+                assert_eq!(codes, [code]);
+            }
+            other => panic!("{code}: expected InvalidConfig, got {other}"),
+        }
+    }
 }
