@@ -10,7 +10,10 @@ use std::fmt::Write as _;
 /// Version stamp of the capture document layout. Bump on any
 /// field-shape change so old captures fail loudly instead of silently
 /// misparsing.
-pub const CAPTURE_SCHEMA_VERSION: i64 = 1;
+///
+/// v2: metrics snapshots carry only counters and histograms; a v1
+/// capture could also hold a `gauge` entry.
+pub const CAPTURE_SCHEMA_VERSION: i64 = 2;
 
 /// One complete profiling capture.
 #[derive(Debug, Clone, PartialEq)]

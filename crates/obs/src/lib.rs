@@ -6,14 +6,14 @@
 //!
 //! * **Tracing** — [`span`] / [`root_span`] open named intervals with
 //!   stable [`TraceId`]/[`SpanId`] identities and thread-local
-//!   parenting; [`event`] records point-in-time facts (autoscaler
-//!   moves, fusion groups). Records flow to a pluggable [`Recorder`].
+//!   parenting; [`event`] records point-in-time facts (fusion groups,
+//!   admission refusals). Records flow to a pluggable [`Recorder`].
 //!   **Nothing is installed by default**: the disabled path is one
 //!   relaxed atomic load, no allocation — instrumented code stays
 //!   byte-identical to uninstrumented code, which the serving layer's
 //!   determinism suite pins.
-//! * **Metrics** — a [`Registry`] of typed [`Counter`]s, [`Gauge`]s,
-//!   and fixed-bucket [`Histogram`]s with zero-alloc increments. The
+//! * **Metrics** — a [`Registry`] of typed [`Counter`]s and
+//!   fixed-bucket [`Histogram`]s with zero-alloc increments. The
 //!   serve layer's per-shard counters are these handles, `ServeStats`
 //!   is a view over a registry, and the daemon's `metrics` wire frame
 //!   is a [`MetricsSnapshot`].
@@ -75,8 +75,8 @@ pub use clock::{Clock, TickClock};
 pub use context::{current, event, record_span, root_span, root_span_at, span, SpanGuard};
 pub use id::{SpanId, TraceId};
 pub use metrics::{
-    labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue,
-    MetricsSnapshot, Registry,
+    labeled, Counter, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsSnapshot,
+    Registry,
 };
 pub use record::{AttrValue, Attrs, EventRecord, SpanRecord};
 pub use recorder::{install, now_micros, recording, Installed, Recorder, RingRecorder};

@@ -1,5 +1,5 @@
-//! The typed metrics registry: counters, gauges, and fixed-bucket
-//! histograms with zero-alloc, lock-free increments.
+//! The typed metrics registry: counters and fixed-bucket histograms
+//! with zero-alloc, lock-free increments.
 //!
 //! Registration (naming a metric) takes a lock once; the returned
 //! handles are plain atomics, cheap enough for serving hot paths — the
@@ -28,23 +28,6 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins instantaneous value (worker counts, queue depths).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -145,7 +128,6 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone)]
 enum Handle {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -153,7 +135,6 @@ impl Handle {
     fn kind(&self) -> &'static str {
         match self {
             Handle::Counter(_) => "counter",
-            Handle::Gauge(_) => "gauge",
             Handle::Histogram(_) => "histogram",
         }
     }
@@ -208,15 +189,6 @@ impl Registry {
         }
     }
 
-    /// Gets or registers the named gauge (same contract as
-    /// [`Registry::counter`]).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        match self.register(name, || Handle::Gauge(Arc::new(Gauge::default()))) {
-            Handle::Gauge(g) => g,
-            other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),
-        }
-    }
-
     /// Gets or registers the named histogram; `bounds_us` applies only
     /// on first registration (same contract as [`Registry::counter`]).
     pub fn histogram(&self, name: &str, bounds_us: &[u64]) -> Arc<Histogram> {
@@ -238,7 +210,6 @@ impl Registry {
                     name: name.clone(),
                     value: match handle {
                         Handle::Counter(c) => MetricValue::Counter(c.get()),
-                        Handle::Gauge(g) => MetricValue::Gauge(g.get()),
                         Handle::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                     },
                 })
@@ -266,8 +237,6 @@ pub struct MetricEntry {
 pub enum MetricValue {
     /// A counter's running total.
     Counter(u64),
-    /// A gauge's instantaneous value.
-    Gauge(u64),
     /// A histogram's full state.
     Histogram(HistogramSnapshot),
 }
@@ -320,11 +289,6 @@ impl MetricsSnapshot {
                         ("kind", Json::Str("counter".to_string())),
                         ("value", Json::uint(*v)),
                     ]),
-                    MetricValue::Gauge(v) => Json::object([
-                        ("name", Json::Str(entry.name.clone())),
-                        ("kind", Json::Str("gauge".to_string())),
-                        ("value", Json::uint(*v)),
-                    ]),
                     MetricValue::Histogram(h) => Json::object([
                         ("name", Json::Str(entry.name.clone())),
                         ("kind", Json::Str("histogram".to_string())),
@@ -360,7 +324,6 @@ impl MetricsSnapshot {
                 let name = entry.str_field("name")?.to_string();
                 let value = match entry.str_field("kind")? {
                     "counter" => MetricValue::Counter(entry.u64_field("value")?),
-                    "gauge" => MetricValue::Gauge(entry.u64_field("value")?),
                     "histogram" => MetricValue::Histogram(HistogramSnapshot {
                         bounds_us: u64_array(entry, "bounds_us")?,
                         buckets: u64_array(entry, "buckets")?,
@@ -401,18 +364,15 @@ mod tests {
         a.bump();
         b.add(4);
         assert_eq!(a.get(), 5, "both handles hit one counter");
-        let g = registry.gauge("y");
-        g.set(9);
-        g.set(2);
-        assert_eq!(registry.gauge("y").get(), 2);
+        assert_eq!(registry.snapshot().counter("x"), Some(5));
     }
 
     #[test]
-    #[should_panic(expected = "not a gauge")]
+    #[should_panic(expected = "not a histogram")]
     fn kind_mismatch_panics() {
         let registry = Registry::new();
         registry.counter("x");
-        registry.gauge("x");
+        registry.histogram("x", &[10]);
     }
 
     #[test]
@@ -438,7 +398,6 @@ mod tests {
         registry
             .counter(&labeled("serve.served", "point", "b"))
             .add(4);
-        registry.gauge("serve.workers{point=a}").set(2);
         registry
             .histogram("serve.wait_us{point=a}", &[50, 500])
             .record(75);

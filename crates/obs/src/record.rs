@@ -165,15 +165,15 @@ impl SpanRecord {
     }
 }
 
-/// One point-in-time event (an autoscaler decision, a fusion group
-/// forming), optionally attached to an enclosing span.
+/// One point-in-time event (a fusion group forming, a request refused
+/// at admission), optionally attached to an enclosing span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// The trace the event belongs to, if it happened inside one.
     pub trace: Option<TraceId>,
     /// The enclosing span, if any.
     pub parent: Option<SpanId>,
-    /// The event's name (e.g. `autoscale.move`, `serve.fusion`).
+    /// The event's name (e.g. `serve.fusion_group`, `serve.rejected`).
     pub name: String,
     /// When it happened, in clock microseconds.
     pub at_us: u64,
@@ -283,9 +283,9 @@ mod tests {
         let event = EventRecord {
             trace: None,
             parent: None,
-            name: "autoscale.move".to_string(),
+            name: "serve.fusion_group".to_string(),
             at_us: 99,
-            attrs: vec![("from".to_string(), AttrValue::Str("a".to_string()))],
+            attrs: vec![("point".to_string(), AttrValue::Str("a".to_string()))],
         };
         assert_eq!(EventRecord::from_json(&event.to_json()).unwrap(), event);
     }

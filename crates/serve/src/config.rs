@@ -13,8 +13,7 @@
 //! work it keeps warm. Settings that could only change speed, never an
 //! answer, are constants: the batch bound ([`BATCH_MAX`]), the latency
 //! window ([`LATENCY_WINDOW`]), the histogram ladder
-//! ([`BUCKET_BOUNDS_US`]), the autoscaler's policy, and replay fusion,
-//! which is always on.
+//! ([`BUCKET_BOUNDS_US`]), and replay fusion, which is always on.
 //!
 //! JSON semantics are deliberately **lenient on absence, strict on type
 //! and on names**: a hand-written config file may name only the knobs it
@@ -134,33 +133,25 @@ impl QuotaConfig {
 /// for the JSON contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Worker threads per shard (under autoscaling, each shard's
-    /// starting share of the `shards × workers_per_shard` budget). `0`
-    /// is an accept-only diagnostic mode.
+    /// Worker threads per shard, each shard running exactly this many.
+    /// `0` is an accept-only diagnostic mode.
     pub workers_per_shard: usize,
     /// Each shard's bounded queue capacity (admission-control bound).
     pub queue_capacity: usize,
     /// Each shard's warm-compilation cache capacity; `0` disables.
     pub cache_capacity: usize,
-    /// Whether a controller thread moves workers toward queue pressure,
-    /// within a budget of `shards × workers_per_shard`. Off keeps
-    /// placement static (exactly `workers_per_shard` per shard, no
-    /// controller thread — the fully deterministic configuration).
-    pub autoscale: bool,
     /// Per-client admission quotas (enforced by network front ends).
     pub quota: QuotaConfig,
 }
 
 impl Default for ServeConfig {
     /// The historical builder defaults: 2 workers per shard, a
-    /// 64-request queue, a 32-compilation cache, no autoscaling, no
-    /// quotas.
+    /// 64-request queue, a 32-compilation cache, no quotas.
     fn default() -> Self {
         Self {
             workers_per_shard: 2,
             queue_capacity: 64,
             cache_capacity: 32,
-            autoscale: false,
             quota: QuotaConfig::default(),
         }
     }
@@ -173,7 +164,6 @@ impl ServeConfig {
             ("workers_per_shard", Json::from(self.workers_per_shard)),
             ("queue_capacity", Json::from(self.queue_capacity)),
             ("cache_capacity", Json::from(self.cache_capacity)),
-            ("autoscale", Json::from(self.autoscale)),
             ("quota", self.quota.to_json()),
         ])
     }
@@ -199,7 +189,6 @@ impl ServeConfig {
                 "workers_per_shard",
                 "queue_capacity",
                 "cache_capacity",
-                "autoscale",
                 "quota",
             ],
         )?;
@@ -213,10 +202,6 @@ impl ServeConfig {
                 .unwrap_or(defaults.workers_per_shard),
             queue_capacity: opt_usize(json, "queue_capacity")?.unwrap_or(defaults.queue_capacity),
             cache_capacity: opt_usize(json, "cache_capacity")?.unwrap_or(defaults.cache_capacity),
-            autoscale: match json.get("autoscale") {
-                None | Some(Json::Null) => defaults.autoscale,
-                Some(_) => json.bool_field("autoscale")?,
-            },
             quota,
         };
         config
@@ -336,7 +321,6 @@ mod tests {
             workers_per_shard: 3,
             queue_capacity: 128,
             cache_capacity: 16,
-            autoscale: true,
             quota: QuotaConfig {
                 max_in_flight: Some(8),
                 rate: Some(RateLimit {
@@ -367,13 +351,12 @@ mod tests {
 
     #[test]
     fn partial_document_overrides_only_named_knobs() {
-        let parsed = Json::parse(r#"{"workers_per_shard": 7, "autoscale": true}"#).unwrap();
+        let parsed = Json::parse(r#"{"workers_per_shard": 7, "cache_capacity": 5}"#).unwrap();
         let config = ServeConfig::from_json(&parsed).unwrap();
         assert_eq!(config.workers_per_shard, 7);
-        assert!(config.autoscale);
+        assert_eq!(config.cache_capacity, 5);
         let defaults = ServeConfig::default();
         assert_eq!(config.queue_capacity, defaults.queue_capacity);
-        assert_eq!(config.cache_capacity, defaults.cache_capacity);
         assert_eq!(config.quota, QuotaConfig::default());
     }
 
@@ -381,7 +364,7 @@ mod tests {
     fn mistyped_fields_are_schema_errors_not_defaults() {
         for doc in [
             r#"{"workers_per_shard": "two"}"#,
-            r#"{"autoscale": 1}"#,
+            r#"{"queue_capacity": 1.5}"#,
             r#"{"quota": {"max_in_flight": true}}"#,
             r#"{"quota": {"rate": {"per_sec": 5.0}}}"#,
             r#"{"quota": 4}"#,
@@ -403,6 +386,7 @@ mod tests {
             (r#"{"worker_budget": 4}"#, "`worker_budget`"),
             (r#"{"metrics": {"latency_window": 64}}"#, "`metrics`"),
             (r#"{"autoscale": {"tick_ms": 20}}"#, "`autoscale`"),
+            (r#"{"autoscale": false}"#, "`autoscale`"),
             (r#"{"workers_per_shrd": 4}"#, "`workers_per_shrd`"),
             (r#"{"quota": {"max_inflight": 4}}"#, "`quota.max_inflight`"),
             (
@@ -441,7 +425,6 @@ mod tests {
 
         let warned = ServeConfig {
             cache_capacity: 0,
-            autoscale: true,
             ..ServeConfig::default()
         };
         let findings = warned.validate();

@@ -9,7 +9,8 @@
 //! is that machine, built from `std` threads and channels only:
 //!
 //! * **[`Server`]** — a long-lived service holding one *shard* per
-//!   registered hardware point ([`SystemConfig`](dqc_core::SystemConfig)).
+//!   registered hardware point ([`SystemConfig`](dqc_core::SystemConfig)),
+//!   each with exactly [`ServeBuilder::workers_per_shard`] worker threads.
 //! * **[`EvalRequest`] / [`EvalResponse`]** — the request stream in, the
 //!   result stream out (an `mpsc` channel; responses arrive in
 //!   completion order, matched by [`RequestId`]).
@@ -76,7 +77,7 @@
 //! }
 //! assert_eq!(ok, 6);
 //!
-//! let stats = server.shutdown().serve;
+//! let stats = server.shutdown();
 //! assert_eq!(stats.served, 6);
 //! assert_eq!(stats.cache_misses, 2, "two distinct circuits");
 //! assert_eq!(stats.cache_hits, 4, "everything else was warm");
@@ -84,17 +85,16 @@
 //! # }
 //! ```
 //!
-//! Every knob — worker count, queue and cache sizes, autoscaling on or
-//! off, per-client quotas — lives in one typed, JSON-round-tripping
-//! [`ServeConfig`] shared with the network daemon; the builder setters
-//! above are shims over its fields. Settings that could only change
-//! speed, never an answer (the batch bound, the autoscale policy, the
-//! telemetry window), are constants, and fusion is always on.
+//! Every knob — worker count, queue and cache sizes, per-client quotas —
+//! lives in one typed, JSON-round-tripping [`ServeConfig`] shared with
+//! the network daemon; the builder setters above are shims over its
+//! fields. Settings that could only change speed, never an answer (the
+//! batch bound, the telemetry window), are constants, and fusion is
+//! always on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod autoscale;
 mod cache;
 mod config;
 mod error;
@@ -107,7 +107,7 @@ pub use config::{QuotaConfig, RateLimit, ServeConfig};
 pub use error::ServeError;
 pub use request::{EvalOutput, EvalRequest, EvalResponse, RequestId};
 pub use server::{ServeBuilder, Server};
-pub use stats::{LatencySummary, ServeStats, ShardSnapshot, ShutdownReport, WorkerPlacement};
+pub use stats::{LatencySummary, ServeStats, ShardSnapshot};
 
 #[cfg(test)]
 mod tests {
@@ -213,7 +213,7 @@ mod tests {
             response.outcome,
             Err(ServeError::Engine(DqcError::CircuitTooWide { .. }))
         ));
-        let stats = server.shutdown().serve;
+        let stats = server.shutdown();
         assert_eq!(stats.errors, 1);
         assert_eq!(stats.served, 1);
     }
@@ -273,7 +273,7 @@ mod tests {
         let mut points: Vec<String> = (0..4).map(|_| rx.recv().unwrap().point).collect();
         points.sort();
         assert_eq!(points, vec!["large", "large", "small", "small"]);
-        let stats = server.shutdown().serve;
+        let stats = server.shutdown();
         // One compilation per shard: the same circuit is a different
         // hardware point (and cache key) on each.
         assert_eq!(stats.cache_misses, 2);
@@ -299,7 +299,7 @@ mod tests {
         for _ in 0..5 {
             rx.recv().unwrap();
         }
-        let stats = server.shutdown().serve;
+        let stats = server.shutdown();
         assert_eq!(stats.submitted, 5);
         assert_eq!(stats.served, 5);
         assert_eq!(stats.rejected, 0);
@@ -329,7 +329,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        let stats = server.shutdown().serve;
+        let stats = server.shutdown();
         assert_eq!(stats.served, 8, "accepted work completes before exit");
         assert_eq!(rx.iter().count(), 8, "…and every response was streamed");
     }

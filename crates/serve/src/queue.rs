@@ -15,13 +15,10 @@
 //! 3. **Graceful close** — after [`BoundedQueue::close`], producers are
 //!    refused but consumers keep draining; `pop_batch` returns `None`
 //!    only once the queue is both closed and empty.
-//! 4. **Worker parking** — each consumer passes its worker index to
-//!    [`BoundedQueue::pop_batch_as`]; indices at or beyond the queue's
-//!    *active limit* ([`BoundedQueue::set_active`]) park on the same
-//!    `Condvar` instead of popping. The autoscaler moves workers between
-//!    shards by adjusting two active limits — no thread is ever spawned
-//!    or killed mid-flight, and a parked worker still exits cleanly on
-//!    close.
+//!
+//! Every waiter on the `Condvar` is a consumer that can take any item,
+//! so a push (or a batch that leaves items behind) wakes exactly one of
+//! them; only [`BoundedQueue::close`] wakes them all.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -38,9 +35,6 @@ pub(crate) enum PushRefused {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Worker indices `< active` may pop; the rest park. Defaults to
-    /// "everyone active"; only the autoscaler ever lowers it.
-    active: usize,
 }
 
 /// A bounded MPMC queue of jobs for one shard.
@@ -57,7 +51,6 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity.min(1024)),
                 closed: false,
-                active: usize::MAX,
             }),
             not_empty: Condvar::new(),
             capacity,
@@ -80,55 +73,31 @@ impl<T> BoundedQueue<T> {
         }
         state.items.push_back(item);
         drop(state);
-        // `notify_all`, not `notify_one`: parked workers share the same
-        // `Condvar`, and waking only one waiter could hand the signal to
-        // a worker that immediately re-parks, stranding the item.
-        self.not_empty.notify_all();
+        self.not_empty.notify_one();
         Ok(())
     }
 
     /// Blocks until at least one item is available, then drains up to
     /// `max` items in FIFO order. Returns `None` once the queue is closed
-    /// *and* empty — the consumer's shutdown signal. Equivalent to
-    /// [`pop_batch_as`](Self::pop_batch_as) for an always-active worker.
-    #[cfg(test)]
+    /// *and* empty — the consumer's shutdown signal.
     pub(crate) fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
-        self.pop_batch_as(0, max)
-    }
-
-    /// [`pop_batch`](Self::pop_batch) for worker `index`: while `index`
-    /// is at or beyond the active limit the worker parks (blocks without
-    /// popping) until [`set_active`](Self::set_active) readmits it or the
-    /// queue closes. Close always wins — a parked worker sees `None` and
-    /// exits even if items remain for its active siblings.
-    pub(crate) fn pop_batch_as(&self, index: usize, max: usize) -> Option<Vec<T>> {
         let max = max.max(1);
         let mut state = self.state.lock().expect("queue lock not poisoned");
         loop {
-            if state.closed && (state.items.is_empty() || index >= state.active) {
-                return None;
-            }
-            if index < state.active && !state.items.is_empty() {
+            if !state.items.is_empty() {
                 let take = state.items.len().min(max);
                 let batch = state.items.drain(..take).collect();
                 // More items may remain for a sibling worker.
                 if !state.items.is_empty() {
-                    self.not_empty.notify_all();
+                    self.not_empty.notify_one();
                 }
                 return Some(batch);
             }
+            if state.closed {
+                return None;
+            }
             state = self.not_empty.wait(state).expect("queue lock not poisoned");
         }
-    }
-
-    /// Sets how many workers (indices `0..active`) may pop. Raising the
-    /// limit unparks workers; lowering it parks them after their current
-    /// batch. Never spawns or kills threads.
-    pub(crate) fn set_active(&self, active: usize) {
-        let mut state = self.state.lock().expect("queue lock not poisoned");
-        state.active = active;
-        drop(state);
-        self.not_empty.notify_all();
     }
 
     /// Current queue depth in items.
@@ -208,38 +177,5 @@ mod tests {
         let mut seen = consumer.join().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn parked_worker_never_pops_and_exits_on_close() {
-        let q = Arc::new(BoundedQueue::new(8));
-        q.set_active(1);
-        // Worker index 1 is beyond the active limit: it must park.
-        let parked = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch_as(1, 4))
-        };
-        q.try_push(10).unwrap();
-        // The active worker (index 0) gets the item even while the
-        // parked one is blocked on the same condvar.
-        assert_eq!(q.pop_batch_as(0, 4), Some(vec![10]));
-        q.close();
-        assert_eq!(parked.join().unwrap(), None, "parked workers exit clean");
-    }
-
-    #[test]
-    fn raising_the_active_limit_unparks_a_worker() {
-        let q = Arc::new(BoundedQueue::new(8));
-        q.set_active(0);
-        q.try_push(7).unwrap();
-        let waiter = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch_as(0, 4))
-        };
-        // The item sits until the worker is readmitted.
-        std::thread::yield_now();
-        assert_eq!(q.depth(), 1);
-        q.set_active(1);
-        assert_eq!(waiter.join().unwrap(), Some(vec![7]));
     }
 }

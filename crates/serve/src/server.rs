@@ -1,54 +1,45 @@
 //! The long-lived evaluation service: per-hardware-point shards, worker
-//! pools, batched dispatch, bounded admission, cross-request replay
-//! fusion, and queue-pressure autoscaling.
+//! pools, batched dispatch, bounded admission, and cross-request replay
+//! fusion.
 //!
 //! A [`Server`] is built from a set of named *hardware points* (full
 //! [`SystemConfig`]s) plus one [`ServeConfig`]. Each point gets one
-//! **shard**: a bounded job queue, a worker pool, and a warm
-//! [`CompiledCircuit`] cache. Submitted [`EvalRequest`]s are routed to
-//! their point's shard; workers drain the queue in batches of up to
-//! [`BATCH_MAX`] (coalescing same-shard requests into one dispatch),
-//! serve each request compile-once out of the shard cache, and stream
-//! [`EvalResponse`]s back over the result channel handed out at spawn.
+//! **shard**: a bounded job queue, exactly
+//! [`workers_per_shard`](ServeConfig::workers_per_shard) worker threads,
+//! and a warm [`CompiledCircuit`] cache. Submitted [`EvalRequest`]s are
+//! routed to their point's shard; workers drain the queue in batches of
+//! up to [`BATCH_MAX`] (coalescing same-shard requests into one
+//! dispatch), serve each request compile-once out of the shard cache,
+//! and stream [`EvalResponse`]s back over the result channel handed out
+//! at spawn.
 //!
-//! Two self-scaling mechanisms ride on the dispatch path:
-//!
-//! * **Replay fusion** (always on): every dispatch is split into groups
-//!   of requests sharing a compile fingerprint and design, and each
-//!   group is served as one multi-seed replay — each distinct seed runs
-//!   once and the per-seed [`ExecutionReport`]s fan back to every
-//!   requester. A group of one is simply a request served alone, so
-//!   there is one dispatch path. Byte-identical to direct evaluation by
-//!   construction, because a compiled circuit's run is a pure function
-//!   of `(design, seed)`.
-//! * **Autoscaling** ([`ServeConfig::autoscale`], off by default): a
-//!   controller thread samples queue pressure every tick and shifts
-//!   workers toward hot shards within a budget of `shards ×
-//!   workers_per_shard`; workers park and unpark on the shard queue's
-//!   `Condvar` (see `autoscale.rs` for the decision rules and `queue.rs`
-//!   for the parking mechanics).
+//! **Replay fusion** (always on) rides on the dispatch path: every
+//! dispatch is split into groups of requests sharing a compile
+//! fingerprint and design, and each group is served as one multi-seed
+//! replay — each distinct seed runs once and the per-seed
+//! [`ExecutionReport`]s fan back to every requester. A group of one is
+//! simply a request served alone, so there is one dispatch path.
+//! Byte-identical to direct evaluation by construction, because a
+//! compiled circuit's run is a pure function of `(design, seed)`.
 //!
 //! Determinism: a request's outcome depends only on the request itself
 //! (circuit, point, design, runs, base seed) — never on which worker
-//! served it, how requests interleaved, batch boundaries, fusion
-//! grouping, or worker placement. Workers replay seeds through the same
+//! served it, how requests interleaved, batch boundaries, or fusion
+//! grouping. Workers replay seeds through the same
 //! [`CompiledCircuit::run`] the [`Experiment`] engine uses, so a served
 //! request is byte-identical to a direct in-process evaluation.
 
-use crate::autoscale::{Autoscaler, QueueObservation, MIN_WORKERS, TICK};
 use crate::cache::CompileCache;
 use crate::config::{ServeConfig, BATCH_MAX, LATENCY_WINDOW};
 use crate::queue::{BoundedQueue, PushRefused};
-use crate::stats::{
-    LatencyWindow, ServeStats, ShardCounters, ShardSnapshot, ShutdownReport, WorkerPlacement,
-};
+use crate::stats::{LatencyWindow, ServeStats, ShardCounters, ShardSnapshot};
 use crate::{EvalOutput, EvalRequest, EvalResponse, RequestId, ServeError};
 use dqc_core::{CompiledCircuit, DqcError, ExecutionReport, SystemConfig};
-use dqc_obs::{Counter, MetricsSnapshot, Registry, TraceId};
+use dqc_obs::{MetricsSnapshot, Registry, TraceId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,9 +63,6 @@ struct WorkerContext {
     point: String,
     results: Sender<EvalResponse>,
     latency: Arc<LatencyWindow>,
-    /// This worker's index within the shard — its identity for the
-    /// queue's active-limit parking.
-    index: usize,
 }
 
 /// One hardware point's slice of the server.
@@ -85,23 +73,6 @@ struct Shard {
     counters: Arc<ShardCounters>,
     cache: Arc<Mutex<CompileCache>>,
     workers: Vec<JoinHandle<()>>,
-}
-
-/// The autoscaler controller's shared state: the stop latch the server
-/// pulls at shutdown, and the counters snapshots read (registered in
-/// the server's metrics registry).
-#[derive(Debug)]
-struct AutoscaleShared {
-    stop: Mutex<bool>,
-    wake: Condvar,
-    ticks: Arc<Counter>,
-    rebalances: Arc<Counter>,
-}
-
-#[derive(Debug)]
-struct AutoscaleHandle {
-    shared: Arc<AutoscaleShared>,
-    controller: Option<JoinHandle<()>>,
 }
 
 /// Configures and spawns a [`Server`]. Every knob lives in the
@@ -135,7 +106,7 @@ struct AutoscaleHandle {
 ///     let response = responses.recv().expect("server streams responses");
 ///     assert_eq!(response.outcome.unwrap().reports.len(), 2);
 /// }
-/// let stats = server.shutdown().serve;
+/// let stats = server.shutdown();
 /// assert_eq!(stats.served, 4);
 /// // With 2 workers, at most the first request per worker misses cold.
 /// assert!(stats.cache_hits >= 2, "the warm cache amortizes compilation");
@@ -156,8 +127,7 @@ impl Default for ServeBuilder {
 
 impl ServeBuilder {
     /// Starts a builder with [`ServeConfig::default`]: 2 workers per
-    /// shard, a 64-request queue, a 32-compilation cache, no
-    /// autoscaling, no quotas.
+    /// shard, a 64-request queue, a 32-compilation cache, no quotas.
     pub fn new() -> Self {
         Self {
             points: Vec::new(),
@@ -222,19 +192,8 @@ impl ServeBuilder {
         self
     }
 
-    /// Enables queue-pressure autoscaling: a controller thread moves
-    /// workers toward hot shards within a budget of `shards ×`
-    /// [`workers_per_shard`](ServeBuilder::workers_per_shard). Without
-    /// it, worker placement is static and no controller thread runs.
-    #[must_use]
-    pub fn autoscale(mut self) -> Self {
-        self.config.autoscale = true;
-        self
-    }
-
-    /// Spawns the shards and their worker pools (and the autoscaler
-    /// controller, when configured), returning the server handle and the
-    /// receiving end of the result channel.
+    /// Spawns the shards and their worker pools, returning the server
+    /// handle and the receiving end of the result channel.
     ///
     /// # Errors
     ///
@@ -256,23 +215,7 @@ impl ServeBuilder {
             }
         }
 
-        let shard_count = self.points.len();
         let config = self.config;
-        // Worker placement: every shard starts with `workers_per_shard`
-        // active workers, so the budget is `shards × workers_per_shard`.
-        // Static mode spawns exactly those threads and never parks
-        // anyone. Autoscale mode spawns every thread a shard could ever
-        // be granted — the budget less the floor of every other shard —
-        // and parks the surplus via the queue's active limit (threads
-        // are reused across rebalances, never spawned mid-flight).
-        let target = config.workers_per_shard;
-        let autoscaling = config.autoscale && target > 0;
-        let spawn_count = if autoscaling {
-            shard_count * target - (shard_count - 1) * MIN_WORKERS
-        } else {
-            target
-        };
-
         let (results, receiver) = channel();
         let registry = Arc::new(Registry::new());
         let latency = Arc::new(LatencyWindow::new(LATENCY_WINDOW));
@@ -282,14 +225,10 @@ impl ServeBuilder {
             .map(|(point, system)| {
                 let system = Arc::new(system);
                 let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-                if autoscaling {
-                    queue.set_active(target);
-                }
                 let counters = Arc::new(ShardCounters::register(&registry, &point));
-                counters.workers.set(target as u64);
                 let cache = Arc::new(Mutex::new(CompileCache::new(config.cache_capacity)));
-                let workers = (0..spawn_count)
-                    .map(|worker_index| {
+                let workers = (0..config.workers_per_shard)
+                    .map(|_| {
                         let ctx = WorkerContext {
                             queue: Arc::clone(&queue),
                             counters: Arc::clone(&counters),
@@ -298,7 +237,6 @@ impl ServeBuilder {
                             point: point.clone(),
                             results: results.clone(),
                             latency: Arc::clone(&latency),
-                            index: worker_index,
                         };
                         std::thread::spawn(move || worker_loop(ctx))
                     })
@@ -314,30 +252,6 @@ impl ServeBuilder {
             })
             .collect();
 
-        let autoscale = if autoscaling {
-            let shared = Arc::new(AutoscaleShared {
-                stop: Mutex::new(false),
-                wake: Condvar::new(),
-                ticks: registry.counter("serve.autoscale_ticks"),
-                rebalances: registry.counter("serve.rebalances"),
-            });
-            let scaler = Autoscaler::new(vec![target; shard_count]);
-            let watched: Vec<(Arc<BoundedQueue<Job>>, Arc<ShardCounters>)> = shards
-                .iter()
-                .map(|s| (Arc::clone(&s.queue), Arc::clone(&s.counters)))
-                .collect();
-            let controller = {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || controller_loop(scaler, watched, shared))
-            };
-            Some(AutoscaleHandle {
-                shared,
-                controller: Some(controller),
-            })
-        } else {
-            None
-        };
-
         // `results` drops here: once every worker exits, the receiver
         // disconnects — the client's end-of-stream signal.
         Ok((
@@ -349,7 +263,6 @@ impl ServeBuilder {
                 started: Instant::now(),
                 latency,
                 registry,
-                autoscale,
             },
             receiver,
         ))
@@ -361,7 +274,7 @@ impl ServeBuilder {
 ///
 /// Dropping the server closes every shard queue, drains the work already
 /// accepted, and joins the workers; [`Server::shutdown`] does the same
-/// but hands back the final [`ShutdownReport`].
+/// but hands back the final [`ServeStats`].
 #[derive(Debug)]
 pub struct Server {
     shards: Vec<Shard>,
@@ -371,7 +284,6 @@ pub struct Server {
     started: Instant,
     latency: Arc<LatencyWindow>,
     registry: Arc<Registry>,
-    autoscale: Option<AutoscaleHandle>,
 }
 
 impl std::fmt::Debug for Shard {
@@ -467,7 +379,7 @@ impl Server {
     }
 
     /// A point-in-time snapshot of counters, queue depths, cache state,
-    /// fusion/autoscale activity, latency quantiles, and throughput.
+    /// fusion activity, latency quantiles, and throughput.
     pub fn stats(&self) -> ServeStats {
         let shards: Vec<ShardSnapshot> = self
             .shards
@@ -486,16 +398,12 @@ impl Server {
                 fused_requests: s.counters.fused_requests.get(),
                 fused_replays_saved: s.counters.fused_replays_saved.get(),
                 cached_circuits: s.cache.lock().expect("cache lock not poisoned").len(),
-                workers: s.counters.workers.get() as usize,
             })
             .collect();
         let total = |f: fn(&ShardSnapshot) -> u64| shards.iter().map(f).sum();
         let served: u64 = total(|s| s.served);
         let elapsed = self.started.elapsed();
         let elapsed_ms = elapsed.as_secs_f64() * 1e3;
-        let (autoscale_ticks, rebalances) = self.autoscale.as_ref().map_or((0, 0), |handle| {
-            (handle.shared.ticks.get(), handle.shared.rebalances.get())
-        });
         ServeStats {
             submitted: total(|s| s.submitted),
             served,
@@ -506,8 +414,6 @@ impl Server {
             dispatches: total(|s| s.dispatches),
             fused_requests: total(|s| s.fused_requests),
             fused_replays_saved: total(|s| s.fused_replays_saved),
-            autoscale_ticks,
-            rebalances,
             elapsed_ms,
             throughput_rps: if elapsed_ms > 0.0 {
                 served as f64 / elapsed.as_secs_f64()
@@ -535,38 +441,15 @@ impl Server {
         Arc::clone(&self.registry)
     }
 
-    /// Gracefully shuts down: stops the autoscaler, closes every queue
-    /// (refusing new submissions), lets the workers drain what was
-    /// already accepted, joins them, and returns the closing
-    /// [`ShutdownReport`] — final stats plus worker placement.
-    pub fn shutdown(mut self) -> ShutdownReport {
+    /// Gracefully shuts down: closes every queue (refusing new
+    /// submissions), lets the workers drain what was already accepted,
+    /// joins them, and returns the final [`ServeStats`].
+    pub fn shutdown(mut self) -> ServeStats {
         self.close_and_join();
-        let serve = self.stats();
-        let placement = serve
-            .shards
-            .iter()
-            .map(|s| WorkerPlacement {
-                point: s.point.clone(),
-                workers: s.workers,
-            })
-            .collect();
-        ShutdownReport { serve, placement }
+        self.stats()
     }
 
     fn close_and_join(&mut self) {
-        // The controller first: a rebalance racing the close could
-        // otherwise re-park a worker that still owes a drain.
-        if let Some(handle) = &mut self.autoscale {
-            *handle
-                .shared
-                .stop
-                .lock()
-                .expect("autoscale lock not poisoned") = true;
-            handle.shared.wake.notify_all();
-            if let Some(controller) = handle.controller.take() {
-                let _ = controller.join();
-            }
-        }
         for shard in &self.shards {
             shard.queue.close();
         }
@@ -584,75 +467,10 @@ impl Drop for Server {
     }
 }
 
-/// The autoscaler controller: sample queue pressure every tick, apply at
-/// most one worker move, and publish the new placement — until the stop
-/// latch is pulled at shutdown.
-fn controller_loop(
-    mut scaler: Autoscaler,
-    shards: Vec<(Arc<BoundedQueue<Job>>, Arc<ShardCounters>)>,
-    shared: Arc<AutoscaleShared>,
-) {
-    let mut stopped = shared.stop.lock().expect("autoscale lock not poisoned");
-    while !*stopped {
-        let (guard, wait) = shared
-            .wake
-            .wait_timeout(stopped, TICK)
-            .expect("autoscale lock not poisoned");
-        stopped = guard;
-        if *stopped || !wait.timed_out() {
-            continue;
-        }
-        shared.ticks.bump();
-        let observations: Vec<QueueObservation> = shards
-            .iter()
-            .map(|(queue, _)| QueueObservation {
-                depth: queue.depth(),
-                capacity: queue.capacity(),
-            })
-            .collect();
-        if let Some(mv) = scaler.tick(&observations) {
-            shared.rebalances.bump();
-            let targets = scaler.targets();
-            dqc_obs::event("serve.autoscale_move", || {
-                // Reconstruct the pre-move placement: the donor had one
-                // more worker, the winner one fewer.
-                let mut before = targets.to_vec();
-                before[mv.from] += 1;
-                before[mv.to] -= 1;
-                vec![
-                    ("from", (mv.from as u64).into()),
-                    ("to", (mv.to as u64).into()),
-                    ("before", placement_string(&before).into()),
-                    ("after", placement_string(targets).into()),
-                ]
-            });
-            // Publish the donor's shrink before the winner's growth so
-            // the budget is never transiently exceeded.
-            shards[mv.from].0.set_active(targets[mv.from]);
-            shards[mv.to].0.set_active(targets[mv.to]);
-            for ((_, counters), &target) in shards.iter().zip(targets) {
-                counters.workers.set(target as u64);
-            }
-        }
-    }
-}
-
-/// Turns a worker placement into the compact `a,b,c` attr form.
-fn placement_string(targets: &[usize]) -> String {
-    let mut out = String::new();
-    for (i, t) in targets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_string());
-    }
-    out
-}
-
 /// One worker's lifetime: drain batches until the queue closes empty,
 /// serving each batch as its fusion groups.
 fn worker_loop(ctx: WorkerContext) {
-    while let Some(batch) = ctx.queue.pop_batch_as(ctx.index, BATCH_MAX) {
+    while let Some(batch) = ctx.queue.pop_batch(BATCH_MAX) {
         ctx.counters.dispatches.bump();
         let mut dispatch = dqc_obs::span("serve.dispatch");
         if dispatch.enabled() {
@@ -862,7 +680,7 @@ mod tests {
     use dqc_obs::{AttrValue, RingRecorder, TickClock};
 
     /// Fusion saves replays, counted exactly: `JOBS` identical requests
-    /// queued before the worker starts leave in one `pop_batch_as`, fuse
+    /// queued before the worker starts leave in one `pop_batch`, fuse
     /// into one group, and replay each of their `RUNS` seeds once — yet
     /// every requester still gets the reports direct evaluation gives.
     /// A batch of distinct jobs takes the same path as groups of one,
@@ -911,7 +729,6 @@ mod tests {
                 point: point.to_string(),
                 results,
                 latency: Arc::new(LatencyWindow::new(JOBS)),
-                index: 0,
             });
 
             assert_eq!(counters.dispatches.get(), 1, "{point}: one pop");

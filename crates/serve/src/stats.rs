@@ -8,7 +8,7 @@
 //! captures.
 
 use crate::config::BUCKET_BOUNDS_US;
-use dqc_obs::{labeled, Counter, Gauge, Histogram, Registry};
+use dqc_obs::{labeled, Counter, Histogram, Registry};
 use dqc_types::{Json, JsonError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -31,10 +31,6 @@ pub(crate) struct ShardCounters {
     pub(crate) dispatches: Arc<Counter>,
     pub(crate) fused_requests: Arc<Counter>,
     pub(crate) fused_replays_saved: Arc<Counter>,
-    /// Current worker target — written at spawn and by the autoscaler
-    /// controller, read by snapshots. A gauge, not a counter: it moves
-    /// both ways.
-    pub(crate) workers: Arc<Gauge>,
     /// Submission-to-dispatch wait per request, microseconds.
     pub(crate) queue_wait: Arc<Histogram>,
     /// Dispatch-to-completion service time per request, microseconds.
@@ -57,7 +53,6 @@ impl ShardCounters {
             dispatches: counter("serve.dispatches"),
             fused_requests: counter("serve.fused_requests"),
             fused_replays_saved: counter("serve.fused_replays_saved"),
-            workers: registry.gauge(&labeled("serve.workers", "point", point)),
             queue_wait: registry.histogram(
                 &labeled("serve.queue_wait_us", "point", point),
                 &BUCKET_BOUNDS_US,
@@ -210,9 +205,6 @@ pub struct ShardSnapshot {
     pub fused_replays_saved: u64,
     /// Compilations currently warm in the cache.
     pub cached_circuits: usize,
-    /// The shard's current active-worker target (static unless the
-    /// autoscaler is on).
-    pub workers: usize,
 }
 
 impl ShardSnapshot {
@@ -232,7 +224,6 @@ impl ShardSnapshot {
             ("fused_requests", Json::uint(self.fused_requests)),
             ("fused_replays_saved", Json::uint(self.fused_replays_saved)),
             ("cached_circuits", Json::from(self.cached_circuits)),
-            ("workers", Json::from(self.workers)),
         ])
     }
 
@@ -256,7 +247,6 @@ impl ShardSnapshot {
             fused_requests: json.u64_field("fused_requests")?,
             fused_replays_saved: json.u64_field("fused_replays_saved")?,
             cached_circuits: json.usize_field("cached_circuits")?,
-            workers: json.usize_field("workers")?,
         })
     }
 }
@@ -286,10 +276,6 @@ pub struct ServeStats {
     pub fused_requests: u64,
     /// Seed replays skipped by fusion, across all shards.
     pub fused_replays_saved: u64,
-    /// Autoscaler controller samples taken (0 without a policy).
-    pub autoscale_ticks: u64,
-    /// Worker moves the autoscaler applied.
-    pub rebalances: u64,
     /// Wall-clock milliseconds since the server started.
     pub elapsed_ms: f64,
     /// Completed requests per second since the server started.
@@ -313,8 +299,6 @@ impl ServeStats {
             ("dispatches", Json::uint(self.dispatches)),
             ("fused_requests", Json::uint(self.fused_requests)),
             ("fused_replays_saved", Json::uint(self.fused_replays_saved)),
-            ("autoscale_ticks", Json::uint(self.autoscale_ticks)),
-            ("rebalances", Json::uint(self.rebalances)),
             ("elapsed_ms", Json::float(self.elapsed_ms)),
             ("throughput_rps", Json::float(self.throughput_rps)),
             ("latency", self.latency.to_json()),
@@ -341,8 +325,6 @@ impl ServeStats {
             dispatches: json.u64_field("dispatches")?,
             fused_requests: json.u64_field("fused_requests")?,
             fused_replays_saved: json.u64_field("fused_replays_saved")?,
-            autoscale_ticks: json.u64_field("autoscale_ticks")?,
-            rebalances: json.u64_field("rebalances")?,
             elapsed_ms: json.f64_field("elapsed_ms")?,
             throughput_rps: json.f64_field("throughput_rps")?,
             latency: LatencySummary::from_json(json.field("latency")?)?,
@@ -350,83 +332,6 @@ impl ServeStats {
                 .array_field("shards")?
                 .iter()
                 .map(ShardSnapshot::from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
-/// Where the workers ended up: one shard's final active-worker count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPlacement {
-    /// The hardware point the shard serves.
-    pub point: String,
-    /// Active workers at shutdown (the autoscaler's final target, or
-    /// the static `workers_per_shard`).
-    pub workers: usize,
-}
-
-impl WorkerPlacement {
-    /// Serializes the placement.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("point", Json::from(self.point.as_str())),
-            ("workers", Json::from(self.workers)),
-        ])
-    }
-
-    /// Reads a placement back from [`WorkerPlacement::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError::Schema`] on a missing or mistyped field.
-    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            point: json.str_field("point")?.to_string(),
-            workers: json.usize_field("workers")?,
-        })
-    }
-}
-
-/// The one closing snapshot a graceful shutdown hands back: the final
-/// stats plus where the autoscaler left the workers. The daemon wraps
-/// this with its own wire-level counters in `dqc_served::ShutdownReport`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShutdownReport {
-    /// The final serving-stats snapshot, taken after the drain.
-    pub serve: ServeStats,
-    /// Final per-shard worker placement, in declaration order.
-    pub placement: Vec<WorkerPlacement>,
-}
-
-impl ShutdownReport {
-    /// Serializes the report.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("serve", self.serve.to_json()),
-            (
-                "placement",
-                Json::Array(
-                    self.placement
-                        .iter()
-                        .map(WorkerPlacement::to_json)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Reads a report back from [`ShutdownReport::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError::Schema`] on a missing or mistyped field.
-    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            serve: ServeStats::from_json(json.field("serve")?)?,
-            placement: json
-                .array_field("placement")?
-                .iter()
-                .map(WorkerPlacement::from_json)
                 .collect::<Result<_, _>>()?,
         })
     }
@@ -447,8 +352,6 @@ mod tests {
             dispatches: 25,
             fused_requests: 12,
             fused_replays_saved: 30,
-            autoscale_ticks: 40,
-            rebalances: 2,
             elapsed_ms: 1234.5,
             throughput_rps: 78.6,
             latency: LatencySummary {
@@ -473,7 +376,6 @@ mod tests {
                 fused_requests: 12,
                 fused_replays_saved: 30,
                 cached_circuits: 4,
-                workers: 3,
             }],
         }
     }
@@ -493,26 +395,6 @@ mod tests {
             members.retain(|(k, _)| k != "latency");
         }
         assert!(ServeStats::from_json(&doc).is_err());
-    }
-
-    #[test]
-    fn shutdown_report_round_trips_through_json_text() {
-        let report = ShutdownReport {
-            serve: sample_stats(),
-            placement: vec![
-                WorkerPlacement {
-                    point: "paper".to_string(),
-                    workers: 3,
-                },
-                WorkerPlacement {
-                    point: "paper64".to_string(),
-                    workers: 1,
-                },
-            ],
-        };
-        let text = report.to_json().to_pretty_string();
-        let back = ShutdownReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
     }
 
     #[test]
@@ -581,7 +463,6 @@ mod tests {
         let counters = ShardCounters::register(&registry, "paper");
         counters.submitted.bump();
         counters.served.add(2);
-        counters.workers.set(3);
         counters.queue_wait.record(50);
         counters.service.record(5000);
         let snapshot = registry.snapshot();

@@ -34,9 +34,8 @@ use dqc_core::{Design, SystemConfig};
 use dqc_obs::{Capture, Counter, Registry, RingRecorder, TraceId};
 use dqc_serve::{
     EvalResponse, RateLimit, ServeBuilder, ServeConfig, ServeError, ServeStats, Server,
-    WorkerPlacement,
 };
-use dqc_types::{Json, JsonError};
+use dqc_types::Json;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -173,13 +172,6 @@ impl ServedBuilder {
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.serve = self.serve.cache_capacity(capacity);
-        self
-    }
-
-    /// Enables queue-pressure autoscaling (see [`ServeBuilder::autoscale`]).
-    #[must_use]
-    pub fn autoscale(mut self) -> Self {
-        self.serve = self.serve.autoscale();
         self
     }
 
@@ -346,69 +338,27 @@ impl Served {
         self.shared.dispatcher.clear(&self.shared.ledger);
         let server = Arc::try_unwrap(self.server)
             .expect("accept and connection threads released their server handles");
-        let report = server.shutdown();
+        let serve = server.shutdown();
         // Workers are joined now, so the result channel is disconnected
         // and the router falls out of recv().
         if let Some(router) = self.router.take() {
             let _ = router.join();
         }
         ShutdownReport {
-            serve: report.serve,
+            serve,
             daemon: self.shared.counters.snapshot(),
-            placement: report.placement,
         }
     }
 }
 
 /// Everything [`Served::shutdown`] hands back: the serving layer's final
-/// stats, the daemon's own counters, and where the autoscaler left each
-/// shard's workers. The serving layer's in-process analogue is
-/// [`dqc_serve::ShutdownReport`]; this one adds the daemon column.
+/// stats and the daemon's own counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShutdownReport {
     /// Final serving-layer counters.
     pub serve: ServeStats,
     /// Final daemon counters.
     pub daemon: DaemonStats,
-    /// Final worker placement, in shard registration order.
-    pub placement: Vec<WorkerPlacement>,
-}
-
-impl ShutdownReport {
-    /// Serializes the report.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("serve", self.serve.to_json()),
-            ("daemon", self.daemon.to_json()),
-            (
-                "placement",
-                Json::Array(
-                    self.placement
-                        .iter()
-                        .map(WorkerPlacement::to_json)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserializes a report produced by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError`] on any missing or mistyped field.
-    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let placement = json
-            .array_field("placement")?
-            .iter()
-            .map(WorkerPlacement::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            serve: ServeStats::from_json(json.field("serve")?)?,
-            daemon: DaemonStats::from_json(json.field("daemon")?)?,
-            placement,
-        })
-    }
 }
 
 /// State shared by the accept, router, and reader threads (the writer

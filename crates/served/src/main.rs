@@ -3,7 +3,7 @@
 //! ```text
 //! dqc-served [--addr HOST:PORT] [--port-file PATH]
 //!            [--config FILE.json]
-//!            [--workers N] [--queue N] [--cache N] [--autoscale]
+//!            [--workers N] [--queue N] [--cache N]
 //!            [--max-in-flight N] [--rate PER_SEC] [--burst N]
 //!            [--backend auto|analytic|stabilizer|density]
 //!            [--point LABEL=paper32|paper64]...
@@ -42,7 +42,6 @@ struct Options {
     workers: Option<usize>,
     queue: Option<usize>,
     cache: Option<usize>,
-    autoscale: bool,
     max_in_flight: Option<usize>,
     rate: Option<f64>,
     burst: Option<f64>,
@@ -59,7 +58,6 @@ impl Options {
             workers: None,
             queue: None,
             cache: None,
-            autoscale: false,
             max_in_flight: None,
             rate: None,
             burst: None,
@@ -82,7 +80,6 @@ impl Options {
                 }
                 "--queue" => options.queue = Some(parse_num(&value("--queue")?, "--queue")?),
                 "--cache" => options.cache = Some(parse_num(&value("--cache")?, "--cache")?),
-                "--autoscale" => options.autoscale = true,
                 "--max-in-flight" => {
                     options.max_in_flight =
                         Some(parse_num(&value("--max-in-flight")?, "--max-in-flight")?);
@@ -129,7 +126,6 @@ impl Options {
         if let Some(cache) = self.cache {
             config.cache_capacity = cache;
         }
-        config.autoscale |= self.autoscale;
         if let Some(max) = self.max_in_flight {
             config.quota.max_in_flight = Some(max);
         }
@@ -146,7 +142,7 @@ impl Options {
 
 const USAGE: &str = "usage: dqc-served [--addr HOST:PORT] [--port-file PATH] \
 [--config FILE.json] \
-[--workers N] [--queue N] [--cache N] [--autoscale] \
+[--workers N] [--queue N] [--cache N] \
 [--max-in-flight N] [--rate PER_SEC] [--burst N] \
 [--backend auto|analytic|stabilizer|density] \
 [--point LABEL=paper32|paper64]...";

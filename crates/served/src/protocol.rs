@@ -51,7 +51,11 @@ use std::sync::Arc;
 /// answer (`batch_max`, `fusion`, `worker_budget`, `metrics`), and its
 /// `autoscale` is a boolean instead of a policy object; `welcome` no
 /// longer repeats `max_in_flight`/`rate_per_sec` beside `config.quota`.
-pub const PROTOCOL_VERSION: i64 = 4;
+///
+/// v5: the autoscaler is gone. The `welcome` config echo lost
+/// `autoscale`; the `stats` reply's serve snapshot lost
+/// `autoscale_ticks`, `rebalances` and each shard's `workers`.
+pub const PROTOCOL_VERSION: i64 = 5;
 
 /// The server identity string sent in `welcome`.
 pub const SERVER_NAME: &str = concat!("dqc-served/", env!("CARGO_PKG_VERSION"));
@@ -687,8 +691,8 @@ pub struct Welcome {
     /// Accepted design names ([`Design::ALL`] spellings).
     pub designs: Vec<String>,
     /// The daemon's full serving configuration — worker, queue and cache
-    /// sizes, autoscaling, quota terms — so clients can introspect the
-    /// limits they are admitted under.
+    /// sizes, quota terms — so clients can introspect the limits they
+    /// are admitted under.
     pub config: ServeConfig,
 }
 
@@ -1157,7 +1161,6 @@ mod tests {
             designs: Design::ALL.iter().map(|d| d.name().to_string()).collect(),
             config: ServeConfig {
                 workers_per_shard: 3,
-                autoscale: true,
                 quota: QuotaConfig {
                     max_in_flight: Some(8),
                     rate: None,
@@ -1215,7 +1218,6 @@ mod tests {
     fn metrics_reply_round_trips_the_snapshot() {
         let registry = dqc_obs::Registry::new();
         registry.counter("served.connections_accepted").add(3);
-        registry.gauge("serve.workers{point=paper}").set(2);
         registry
             .histogram("serve.service_us{point=paper}", &[100, 1000])
             .record(250);

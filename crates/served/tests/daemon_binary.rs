@@ -2,7 +2,8 @@
 //! `--port-file`, `--config`, process start-up, and the readiness line,
 //! then real traffic over TCP. The other wire tests bind the daemon
 //! in-process; this one runs the executable a deployment runs, once
-//! configured by flags and once by the shipped `configs/served.json`.
+//! configured by flags and once by the shipped `configs/served.json`,
+//! and checks that a removed flag stops it at start-up.
 
 use dqc_core::{Design, ExecutionReport, Experiment, SystemConfig};
 use dqc_serve::ServeConfig;
@@ -11,6 +12,7 @@ use dqc_types::Json;
 use dqc_workloads::{ghz_chain, ghz_tree, qft};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 
@@ -139,4 +141,22 @@ fn daemon_binary_serves_json_and_qasm_identically_to_direct_evaluation() {
         assert_eq!(wire.protocol_errors, 0);
         client.bye().expect("clean goodbye");
     }
+}
+
+#[test]
+fn removed_autoscale_flag_is_refused_at_start_up() {
+    // The flag's knob is gone; an old launch script naming it must fail
+    // loudly instead of starting a daemon that ignores it. The address
+    // is already taken, so a binary that still accepted the flag would
+    // exit on a bind error rather than serve until the test is killed.
+    let taken = TcpListener::bind("127.0.0.1:0").expect("a free loopback port");
+    let addr = taken.local_addr().expect("bound address").to_string();
+    let output = Command::new(env!("CARGO_BIN_EXE_dqc-served"))
+        .args(["--addr", &addr, "--autoscale"])
+        .output()
+        .expect("dqc-served runs");
+    assert!(!output.status.success(), "{:?}", output.status);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag `--autoscale`"), "{stderr}");
+    assert!(output.stdout.is_empty(), "no readiness line: {output:?}");
 }

@@ -331,21 +331,6 @@ impl Json {
         })
     }
 
-    /// Required boolean member.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError::Schema`] when missing or not a boolean.
-    pub fn bool_field(&self, key: &str) -> Result<bool, JsonError> {
-        let v = self.field(key)?;
-        v.as_bool().ok_or_else(|| {
-            JsonError::schema(format!(
-                "field `{key}`: expected boolean, got {}",
-                v.type_name()
-            ))
-        })
-    }
-
     /// Required array member.
     ///
     /// # Errors

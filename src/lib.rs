@@ -30,7 +30,7 @@
 //! network-topology types ([`NetworkTopology`], [`TopologyFamily`],
 //! [`RoutingTable`], [`LinkParams`]), and the serving layer
 //! ([`Server`], [`ServeBuilder`], [`ServeConfig`], [`EvalRequest`],
-//! [`ServeStats`], [`ShutdownReport`], plus the network daemon's
+//! [`ServeStats`], plus the network daemon's
 //! [`Served`], [`ServedClient`], [`Submission`], and the static
 //! analyzer's [`Analyzer`] and [`AnalysisReport`]) are additionally
 //! re-exported at the crate root.
@@ -102,6 +102,6 @@ pub use dqc_core::{
 pub use dqc_entanglement::{LinkParams, NetworkTopology, Route, RoutingTable, TopologyFamily};
 pub use dqc_serve::{
     EvalOutput, EvalRequest, EvalResponse, QuotaConfig, RateLimit, RequestId, ServeBuilder,
-    ServeConfig, ServeError, ServeStats, Server, ShutdownReport, WorkerPlacement,
+    ServeConfig, ServeError, ServeStats, Server,
 };
 pub use dqc_served::{Served, ServedBuilder, ServedClient, Submission, WireError};

@@ -2,10 +2,10 @@
 //! changes results**. The same request produces byte-identical
 //! [`ExecutionReport`]s whether it is evaluated directly in-process or
 //! served by a [`Server`] — at any worker count, under any submission
-//! order, across any batch boundaries and fusion groups, and under
-//! autoscaling. Also pins the collision-freedom
-//! of the stable fingerprints the serve cache keys by, over the full
-//! workload suite and a grid of hardware points.
+//! order, across any batch boundaries and fusion groups, and beside an
+//! idle second shard. Also pins the collision-freedom of the stable
+//! fingerprints the serve cache keys by, over the full workload suite
+//! and a grid of hardware points.
 
 use dqc::workloads::PaperBenchmark;
 use dqc::{
@@ -17,7 +17,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The fixed request set: the serving portfolio × two designs × two seed
 /// bases, two runs each — 24 distinct requests.
@@ -75,8 +74,12 @@ fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
 
+        // A second, idle shard on the same hardware: its workers share
+        // the result channel and the registry, and must neither serve
+        // nor perturb anything.
         let (server, responses) = ServeBuilder::new()
             .hardware_point("paper", SystemConfig::paper_two_node_32())
+            .hardware_point("spare", SystemConfig::paper_two_node_32())
             .workers_per_shard(workers)
             .queue_capacity(requests.len())
             .spawn()
@@ -98,9 +101,12 @@ fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
                 requests[request_idx].circuit_label
             );
         }
-        let stats = server.shutdown().serve;
+        let stats = server.shutdown();
         assert_eq!(stats.served, requests.len() as u64);
         assert_eq!(stats.rejected, 0);
+        let points: Vec<&str> = stats.shards.iter().map(|s| s.point.as_str()).collect();
+        assert_eq!(points, ["paper", "spare"], "registration order");
+        assert_eq!(stats.shards[1].served, 0, "the spare shard stays idle");
         assert_eq!(stats.cache_hits + stats.cache_misses, requests.len() as u64);
         // Each of the 6 distinct circuits must miss cold at least once;
         // concurrent workers may race a few extra misses, never fewer.
@@ -151,60 +157,8 @@ fn fused_serving_is_byte_identical_to_direct_evaluation() {
                 "request {request_idx} diverged with {workers} workers"
             );
         }
-        let stats = server.shutdown().serve;
+        let stats = server.shutdown();
         assert_eq!(stats.served, requests.len() as u64);
-    }
-}
-
-#[test]
-fn autoscaled_serving_is_byte_identical_and_conserves_the_worker_budget() {
-    // Two identical hardware points, all traffic on one of them: the
-    // autoscaler may shuffle the worker budget toward the hot shard at
-    // any moment mid-run, and the bytes must not care.
-    let requests = request_set();
-    let expected = direct_reports(&requests);
-
-    let (server, responses) = ServeBuilder::new()
-        .hardware_point("paper", SystemConfig::paper_two_node_32())
-        .hardware_point("spare", SystemConfig::paper_two_node_32())
-        .workers_per_shard(2)
-        .autoscale()
-        .queue_capacity(requests.len())
-        .spawn()
-        .unwrap();
-    let mut by_id = HashMap::new();
-    for (request_idx, request) in requests.iter().enumerate() {
-        let id = server.submit(request.clone()).unwrap();
-        by_id.insert(id, request_idx);
-    }
-    for _ in 0..requests.len() {
-        let response = responses.recv().expect("server streams every response");
-        let request_idx = by_id.remove(&response.id).expect("ids are unique");
-        let output = response
-            .outcome
-            .unwrap_or_else(|e| panic!("request {request_idx} failed under autoscaling: {e}"));
-        assert_eq!(
-            output.reports, expected[request_idx],
-            "request {request_idx} diverged under autoscaling"
-        );
-    }
-    // The controller samples on its own fixed tick; wait until it has,
-    // so the placement below is the controller's, not just the spawn's.
-    while server.stats().autoscale_ticks == 0 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let report = server.shutdown();
-    assert_eq!(report.serve.served, requests.len() as u64);
-    assert!(report.serve.autoscale_ticks > 0, "the controller ticked");
-    let points: Vec<&str> = report.placement.iter().map(|p| p.point.as_str()).collect();
-    assert_eq!(points, ["paper", "spare"], "registration order");
-    let total: usize = report.placement.iter().map(|p| p.workers).sum();
-    assert_eq!(
-        total, 4,
-        "rebalancing conserves the budget of shards × workers_per_shard"
-    );
-    for placement in &report.placement {
-        assert!(placement.workers >= 1, "no shard drops below the floor");
     }
 }
 
@@ -435,7 +389,7 @@ fn backends_never_share_a_cache_entry() {
         assert_eq!(analytic, &reports[&("stabilizer", base_seed)]);
         assert_eq!(analytic, &reports[&("auto", base_seed)]);
     }
-    let stats = server.shutdown().serve;
+    let stats = server.shutdown();
     assert_eq!(stats.served, 6);
     assert_eq!(
         stats.cache_misses, 3,

@@ -4,14 +4,23 @@
 //! both circuit travel formats), per-client quotas throttle a greedy
 //! client without touching a polite one, malformed QASM is refused with
 //! its 1-based source line intact, a full shard queue surfaces as a
-//! typed retryable `Overloaded`, and a configuration that could serve
-//! nobody never binds — all on loopback sockets the tests own.
+//! typed retryable `Overloaded`, a client speaking another protocol
+//! version is turned away at the handshake, and a configuration that
+//! could serve nobody never binds — all on loopback sockets the tests
+//! own.
 
-use dqc::served::{QuotaScope, ServedBuilder, ServedError, Submission, WireError, WireOutput};
+use dqc::served::protocol::{parse_server_frame, ServerFrame};
+use dqc::served::{
+    read_frame, write_frame, FrameError, QuotaScope, ServedBuilder, ServedError, Submission,
+    WireError, WireOutput, PROTOCOL_VERSION,
+};
+use dqc::types::Json;
 use dqc::{
     CompiledCircuit, Design, EvalRequest, Experiment, ServeError, ServedClient, SystemConfig,
 };
 use std::collections::HashMap;
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// The shared request list: every portfolio circuit, alternating
 /// designs, distinct seeds.
@@ -172,13 +181,6 @@ fn metrics_frames_are_monotone_and_match_shutdown_totals() {
             "`{name}` missing from the metrics frame"
         );
     }
-    assert!(
-        matches!(
-            first.get("serve.workers{point=paper}"),
-            Some(MetricValue::Gauge(_))
-        ),
-        "worker gauge missing"
-    );
     for name in [
         "serve.queue_wait_us{point=paper}",
         "serve.service_us{point=paper}",
@@ -448,6 +450,47 @@ fn full_queue_is_reported_as_overloaded() {
 
     drop(client);
     daemon.shutdown();
+}
+
+/// The handshake's version gate, driven by a raw socket: a `hello` for
+/// protocol v4 gets one fatal, untagged `protocol` error naming both
+/// versions, then end-of-stream, and counts as one protocol error.
+#[test]
+fn hello_for_an_older_protocol_is_refused_then_closed() {
+    assert_eq!(PROTOCOL_VERSION, 5);
+    let daemon = ServedBuilder::new()
+        .hardware_point("paper", SystemConfig::paper_two_node_32())
+        .workers_per_shard(1)
+        .bind("127.0.0.1:0")
+        .expect("daemon binds");
+    let mut stream = TcpStream::connect(daemon.local_addr()).expect("connects");
+    // A refusal that never arrives fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let hello = Json::parse(r#"{"type":"hello","protocol":4,"client":"v4-client"}"#).unwrap();
+    write_frame(&mut stream, &hello).expect("hello is sent");
+
+    let frame = read_frame(&mut stream).expect("the refusal arrives");
+    match parse_server_frame(&frame).expect("a well-formed server frame") {
+        ServerFrame::Error {
+            tag: None,
+            error: WireError::Protocol { message },
+            ..
+        } => {
+            assert!(message.contains("client speaks 4"), "{message}");
+            assert!(message.contains("server speaks 5"), "{message}");
+        }
+        other => panic!("expected an untagged protocol error, got {other:?}"),
+    }
+    match read_frame(&mut stream) {
+        Err(FrameError::Closed) => {}
+        other => panic!("expected end-of-stream after the refusal, got {other:?}"),
+    }
+
+    let wire = daemon.shutdown().daemon;
+    assert_eq!(wire.protocol_errors, 1);
+    assert_eq!(wire.connections_accepted, 1);
 }
 
 /// A builder-made configuration that could serve nobody — a zero queue,

@@ -14,8 +14,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Wall-clock reads: the two serving layers (queue timing, autoscale
-# ticks, quota buckets — all kept off the evaluation path). The
+# Wall-clock reads: the two serving layers (queue timing and quota
+# buckets, both kept off the evaluation path). The
 # observability layer confines its clock to crates/obs/src/wall.rs:
 # every span timestamp flows through the dqc_obs::Clock trait and that
 # module is the one place the trait meets a real clock, so allowlisting
