@@ -24,8 +24,8 @@
 //!   circuits with zero schedule slack (`DQC-W004`).
 //! * **Admission** — the compiler's static refusals, O(ops): width vs.
 //!   data capacity (`DQC-E001`), stabilizer × non-Clifford (`DQC-E002`),
-//!   density × width (`DQC-E003`), topology node-count mismatch
-//!   (`DQC-E004`), disconnected multi-node topology (`DQC-E005`).
+//!   topology node-count mismatch (`DQC-E004`), disconnected multi-node
+//!   topology (`DQC-E005`).
 //! * **Link feasibility** — on the compilation the engine itself builds:
 //!   remote gates with no communication qubits (`DQC-E006`), and per-link
 //!   EPR demand so far beyond generation capacity that entanglement

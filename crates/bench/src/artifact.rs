@@ -37,7 +37,6 @@ const TARGET_NAMES: &[&str] = &[
     "ablate-segment",
     "ablate-protocol",
     "ablate-purification",
-    "backend-matrix",
     "analyze",
 ];
 
@@ -176,7 +175,6 @@ pub fn target_data(target: &str, runs: usize, seed: u64) -> Result<Json, DqcErro
         "ablate-segment" => crate::segment_ablation_sweep(runs, seed)?.to_json(),
         "ablate-protocol" => crate::protocol_ablation_sweep(runs, seed)?.to_json(),
         "ablate-purification" => crate::purification_ablation_sweep(runs, seed)?.to_json(),
-        "backend-matrix" => crate::backend_matrix_sweep(runs, seed)?.to_json(),
         "analyze" => crate::analyze_data(),
         other => panic!("unknown artifact target `{other}`"),
     })

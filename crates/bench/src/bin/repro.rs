@@ -4,23 +4,21 @@
 //!
 //! ```text
 //! repro [TARGET...] [--runs N] [--seed S] [--format table|json] [--out DIR]
-//!       [--backend auto|analytic|stabilizer|density] [--profile DIR]
+//!       [--profile DIR]
 //! repro diff <a.json> <b.json> [--tol EPS]
 //!
 //! TARGET: table1 | table2 | fig3 | fig5 | fig6 | fig56 | fig7 | fig8
 //!       | topology-sweep | codesign
 //!       | ablate-cutoff | ablate-psucc | ablate-segment
 //!       | ablate-protocol | ablate-purification
-//!       | backend-matrix | analyze
+//!       | analyze
 //!       | ablations (all five) | all
 //!
 //! `fig56` prints Figures 5 and 6 from one shared sweep; `all` uses it
-//! in place of running `fig5` and `fig6` separately. `--backend` selects
-//! the simulation engine every target runs on (default `analytic`, the
-//! bit-for-bit reference; `auto` upgrades Clifford-only circuits to the
-//! stabilizer fast path); `backend-matrix` sweeps all engines explicitly
-//! and ignores the flag; `analyze` runs the static analyzer over the
-//! shipped corpus without executing anything.
+//! in place of running `fig5` and `fig6` separately. `analyze` runs the
+//! static analyzer over the shipped corpus without executing anything.
+//! Every target runs on the default (`analytic`) simulation engine; the
+//! engine never changes a number, so there is no flag to pick one.
 //! ```
 //!
 //! Without arguments it runs everything with the paper's 50-run averages
@@ -54,7 +52,7 @@ const TARGETS: &[(&str, Runner)] = &[
         Ok(())
     }),
     ("table2", |_, _| {
-        dqc_bench::print_table2(&dqc_bench::paper_config_32());
+        dqc_bench::print_table2(&dqc_core::SystemConfig::paper_two_node_32());
         Ok(())
     }),
     ("fig3", |_, seed| {
@@ -73,7 +71,6 @@ const TARGETS: &[(&str, Runner)] = &[
     ("ablate-segment", dqc_bench::run_segment_ablation),
     ("ablate-protocol", dqc_bench::run_protocol_ablation),
     ("ablate-purification", dqc_bench::run_purification_ablation),
-    ("backend-matrix", dqc_bench::run_backend_matrix),
     ("analyze", dqc_bench::run_analyze),
 ];
 
@@ -148,11 +145,6 @@ fn main() -> ExitCode {
             "--out" => match iter.next() {
                 Some(dir) => out_dir = Some(PathBuf::from(dir)),
                 None => return usage("--out needs a directory"),
-            },
-            "--backend" => match iter.next().map(|v| v.parse()) {
-                Some(Ok(backend)) => dqc_bench::set_backend(backend),
-                Some(Err(e)) => return usage(&format!("--backend: {e}")),
-                None => return usage("--backend needs an engine name"),
             },
             "--profile" => match iter.next() {
                 Some(dir) => profile_dir = Some(PathBuf::from(dir)),
@@ -345,13 +337,12 @@ fn usage(message: &str) -> ExitCode {
     }
     eprintln!(
         "usage: repro [TARGET...] [--runs N] [--seed S] [--format table|json] [--out DIR]\n\
-         \x20             [--backend auto|analytic|stabilizer|density] [--profile DIR]\n\
+         \x20             [--profile DIR]\n\
          \x20      repro diff <a.json> <b.json> [--tol EPS]\n\
          targets: table1 table2 fig3 fig5 fig6 fig56 fig7 fig8\n\
          \x20        topology-sweep codesign\n\
          \x20        ablate-cutoff ablate-psucc ablate-segment\n\
-         \x20        ablate-protocol ablate-purification\n\
-         \x20        backend-matrix analyze\n\
+         \x20        ablate-protocol ablate-purification analyze\n\
          \x20        ablations (all five ablations) | all (everything)"
     );
     if message.is_empty() {

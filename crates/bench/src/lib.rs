@@ -25,9 +25,7 @@
 #![warn(missing_docs)]
 
 use dqc_circuit::Circuit;
-use dqc_core::{
-    AveragedReport, Backend, Design, DqcError, Experiment, Sweep, SweepResult, SystemConfig,
-};
+use dqc_core::{AveragedReport, Design, DqcError, Experiment, Sweep, SweepResult, SystemConfig};
 use dqc_entanglement::{EntanglementService, GenerationPattern, NetworkTopology};
 use dqc_partition::partition_circuit;
 use dqc_types::{Json, JsonError, Tick};
@@ -43,45 +41,6 @@ pub const PAPER_RUNS: usize = 50;
 /// Base seed for all reproduction sweeps (any value reproduces the same
 /// output; this one is fixed so EXPERIMENTS.md numbers are stable).
 pub const BASE_SEED: u64 = 2025;
-
-// ------------------------------------------------------ Backend override
-
-/// Process-wide backend override, as an index into [`Backend::ALL`];
-/// `usize::MAX` means "no override" (the engine default, `analytic`).
-static BACKEND_OVERRIDE: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(usize::MAX);
-
-/// Selects the simulation backend every reproduction target runs on
-/// (`repro --backend`'s hook). The default, [`Backend::Analytic`], is
-/// bit-for-bit the pre-backend engine, so goldens are unaffected unless
-/// a caller opts in. Targets that sweep backends explicitly (the
-/// backend matrix) ignore the override.
-pub fn set_backend(backend: Backend) {
-    let index = Backend::ALL
-        .iter()
-        .position(|b| *b == backend)
-        .expect("Backend::ALL lists every backend");
-    BACKEND_OVERRIDE.store(index, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The backend selected by [`set_backend`], or the engine default.
-pub fn backend_override() -> Backend {
-    match BACKEND_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        usize::MAX => Backend::default(),
-        index => Backend::ALL[index],
-    }
-}
-
-/// The paper's two-node 32-qubit point with the process-wide backend
-/// override applied — the base configuration of every 32-qubit target.
-pub fn paper_config_32() -> SystemConfig {
-    SystemConfig::paper_two_node_32().with_backend(backend_override())
-}
-
-/// The 64-qubit sibling of [`paper_config_32`].
-pub fn paper_config_64() -> SystemConfig {
-    SystemConfig::paper_two_node_64().with_backend(backend_override())
-}
 
 // ---------------------------------------------------------------- Table I
 
@@ -511,7 +470,7 @@ fn relative_to_ideal(reports: &[AveragedReport], r: &AveragedReport) -> f64 {
 pub fn fig56_sweep(runs: usize, seed: u64) -> Result<SweepResult, DqcError> {
     Sweep::new()
         .benchmarks(PaperBenchmark::FIG5)
-        .config("paper", paper_config_32())
+        .config("paper", SystemConfig::paper_two_node_32())
         .designs(&Design::ALL)
         .runs(runs)
         .base_seed(seed)
@@ -591,7 +550,7 @@ pub fn fig7_sweep(runs: usize, seed: u64) -> Result<SweepResult, DqcError> {
     for n in FIG7_COMM_COUNTS {
         sweep = sweep.config(
             format!("comm{n}"),
-            paper_config_32().with_comm_and_buffer(n),
+            SystemConfig::paper_two_node_32().with_comm_and_buffer(n),
         );
     }
     sweep.run()
@@ -649,7 +608,7 @@ pub fn run_fig8(runs: usize, seed: u64) -> Result<(), DqcError> {
 pub fn fig8_sweep(runs: usize, seed: u64) -> Result<SweepResult, DqcError> {
     Sweep::new()
         .benchmarks(PaperBenchmark::FIG8)
-        .config("paper64", paper_config_64())
+        .config("paper64", SystemConfig::paper_two_node_64())
         .designs(&Design::ALL)
         .runs(runs)
         .base_seed(seed)
@@ -690,7 +649,7 @@ fn topology_axis(nodes: usize) -> Vec<(&'static str, NetworkTopology)> {
 ///
 /// Propagates [`DqcError`] from the engine.
 pub fn topology_sweep(nodes: usize, runs: usize, seed: u64) -> Result<SweepResult, DqcError> {
-    let mut base = paper_config_32();
+    let mut base = SystemConfig::paper_two_node_32();
     base.data_qubits_per_node = 32 / nodes;
     let mut sweep = Sweep::new()
         .benchmark(PaperBenchmark::QaoaR8_32)
@@ -772,7 +731,7 @@ const CODESIGN_DESIGNS: [Design; 4] = [
 /// comm/buffer provisioning × buildable designs around the paper's
 /// two-node 32-qubit base system.
 pub fn codesign_space() -> dqc_core::DesignSpace {
-    dqc_core::DesignSpace::new(paper_config_32())
+    dqc_core::DesignSpace::new(SystemConfig::paper_two_node_32())
         .epr_fidelities(&CODESIGN_EPR_AXIS)
         .comm_and_buffer(&CODESIGN_COMM_AXIS)
         .designs(&CODESIGN_DESIGNS)
@@ -878,7 +837,7 @@ pub fn cutoff_ablation_sweep(runs: usize, seed: u64) -> Result<SweepResult, DqcE
         .runs(runs)
         .base_seed(seed);
     for t in cutoffs {
-        let mut config = paper_config_32();
+        let mut config = SystemConfig::paper_two_node_32();
         config.cutoff = dqc_entanglement::CutoffPolicy::MaxAge(Tick::new(t));
         sweep = sweep.config(format!("{t}"), config);
     }
@@ -925,7 +884,7 @@ pub fn psucc_ablation_sweep(runs: usize, seed: u64) -> Result<SweepResult, DqcEr
         .runs(runs)
         .base_seed(seed);
     for p in PSUCC_AXIS {
-        let mut config = paper_config_32();
+        let mut config = SystemConfig::paper_two_node_32();
         config.success_probability = p;
         sweep = sweep.config(format!("{p}"), config);
     }
@@ -985,7 +944,7 @@ pub fn protocol_ablation_sweep(runs: usize, seed: u64) -> Result<SweepResult, Dq
         .runs(runs)
         .base_seed(seed);
     for protocol in PROTOCOL_AXIS {
-        let mut config = paper_config_32();
+        let mut config = SystemConfig::paper_two_node_32();
         config.remote_protocol = protocol;
         sweep = sweep.config(format!("{protocol:?}"), config);
     }
@@ -1042,7 +1001,7 @@ pub fn purification_ablation_sweep(runs: usize, seed: u64) -> Result<SweepResult
         .runs(runs)
         .base_seed(seed);
     for purify in [false, true] {
-        let mut config = paper_config_32();
+        let mut config = SystemConfig::paper_two_node_32();
         config.purify_links = purify;
         sweep = sweep.config(format!("{purify}"), config);
     }
@@ -1084,7 +1043,7 @@ const SEGMENT_AXIS: [usize; 5] = [1, 2, 4, 8, 16];
 /// The `(m, comm_qubits, config)` axis behind the segment ablation: comm
 /// qubits are scaled so `m = ceil(comm · psucc)` hits each target size.
 fn segment_axis() -> Vec<(usize, usize, SystemConfig)> {
-    let base = paper_config_32();
+    let base = SystemConfig::paper_two_node_32();
     SEGMENT_AXIS
         .into_iter()
         .map(|m| {
@@ -1130,94 +1089,6 @@ pub fn print_segment_ablation_from(result: &SweepResult, runs: usize) {
             m, comm, r.mean_depth, r.mean_fidelity
         );
     }
-}
-
-// -------------------------------------------------------- Backend matrix
-
-/// The concrete engines compared by the backend matrix (`Auto` is a
-/// selection policy, not a fourth engine, so it is not a column).
-pub const BACKEND_MATRIX_BACKENDS: [Backend; 3] =
-    [Backend::Analytic, Backend::Stabilizer, Backend::Density];
-
-/// The circuits of the backend matrix: three Clifford-only 8-qubit
-/// workloads — narrow enough for the density backend's
-/// [`DENSITY_MAX_QUBITS`](dqc_core::DENSITY_MAX_QUBITS) oracle, Clifford
-/// so the stabilizer fast path is eligible on all of them.
-pub fn backend_matrix_circuits() -> Vec<(String, Circuit)> {
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(BASE_SEED);
-    vec![
-        ("GHZ-chain-8".to_string(), dqc_workloads::ghz_chain(8)),
-        ("GHZ-tree-8".to_string(), dqc_workloads::ghz_tree(8)),
-        (
-            "Clifford-8".to_string(),
-            dqc_workloads::random_clifford(8, 120, 0.0, &mut rng),
-        ),
-    ]
-}
-
-/// The hardware point of the backend matrix: the paper machine scaled to
-/// 4 data qubits per node, so the two-node system carries exactly the 8
-/// data qubits the density backend can represent.
-fn backend_matrix_config() -> SystemConfig {
-    let mut config = SystemConfig::paper_two_node_32();
-    config.data_qubits_per_node = 4;
-    config
-}
-
-/// The sweep grid behind the backend matrix: every matrix circuit on
-/// every concrete engine (config labels are the backend names). The
-/// process-wide backend override is deliberately ignored — the whole
-/// point of the target is to pin all engines against each other.
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn backend_matrix_sweep(runs: usize, seed: u64) -> Result<SweepResult, DqcError> {
-    let mut sweep = Sweep::new()
-        .designs(&[Design::AsyncBuf])
-        .runs(runs)
-        .base_seed(seed);
-    for (label, circuit) in backend_matrix_circuits() {
-        sweep = sweep.circuit(label, circuit);
-    }
-    for backend in BACKEND_MATRIX_BACKENDS {
-        sweep = sweep.config(
-            backend.name(),
-            backend_matrix_config().with_backend(backend),
-        );
-    }
-    sweep.run()
-}
-
-/// Prints the backend matrix from a completed [`backend_matrix_sweep`]
-/// grid.
-pub fn print_backend_matrix_from(result: &SweepResult, runs: usize) {
-    println!("BACKEND MATRIX (async_buf, 8 data qubits, {runs}-run averages)");
-    for (label, _) in backend_matrix_circuits() {
-        for backend in BACKEND_MATRIX_BACKENDS {
-            let r = &result
-                .cell(&label, backend.name(), Design::AsyncBuf)
-                .expect("backend matrix covers every circuit × engine")
-                .report;
-            println!(
-                "  {label:<12} {:<10}: depth {:>6.1}  fidelity {:.4}",
-                backend.name(),
-                r.mean_depth,
-                r.mean_fidelity
-            );
-        }
-    }
-}
-
-/// Runs the three-circuit × three-backend differential matrix.
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_backend_matrix(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_backend_matrix_from(&backend_matrix_sweep(runs, seed)?, runs);
-    Ok(())
 }
 
 // ------------------------------------------------------ Serving portfolio

@@ -56,7 +56,7 @@ pub use pareto::{pareto_frontier, Objectives};
 pub use search::SearchStrategy;
 
 use dqc_circuit::Circuit;
-use dqc_core::{AveragedReport, DesignSpace, DqcError, ScenarioKey};
+use dqc_core::{AveragedReport, CompiledCircuit, DesignSpace, DqcError, ScenarioKey};
 use dqc_types::{Json, JsonError};
 
 /// One evaluated design point: its structured identity, its objective
@@ -288,7 +288,10 @@ impl Codesign {
     ///
     /// Propagates every [`DqcError`] of the underlying
     /// [`dqc_core::SpaceSweep`]: invalid space declarations, empty
-    /// selections, zero runs, and engine failures.
+    /// selections, zero runs, and engine failures. When the static
+    /// prefilter prunes every selected point, returns the first
+    /// [`CompiledCircuit::refusals`] entry of the first pruned point —
+    /// the error compiling that point gives.
     pub fn run(&self) -> Result<CodesignResult, DqcError> {
         self.space.validate()?;
         let mut indices = self.strategy.select(self.space.len());
@@ -302,10 +305,19 @@ impl Codesign {
             &indices,
         );
         let pruned = infeasible.len();
-        if pruned > 0 {
+        if let Some(&(first, _)) = infeasible.first() {
             let dropped: std::collections::BTreeSet<usize> =
                 infeasible.into_iter().map(|(index, _)| index).collect();
             indices.retain(|index| !dropped.contains(index));
+            if indices.is_empty() {
+                let config = self.space.realize(&self.space.point(first)?).config;
+                if let Some(refusal) = CompiledCircuit::refusals(&self.circuit, &config)
+                    .into_iter()
+                    .next()
+                {
+                    return Err(refusal);
+                }
+            }
         }
         let result = self
             .space
@@ -521,73 +533,37 @@ mod tests {
     }
 
     #[test]
-    fn backend_axis_searches_both_engines() {
-        // The simulation backend is a first-class co-design axis. On a
-        // Clifford workload the stabilizer engine replays the analytic
-        // path exactly, so both points carry identical objectives — but
-        // they are distinct hardware configurations (the backend is part
-        // of the compiled fingerprint), hence two compilations.
-        use dqc_core::Backend;
-        use dqc_types::AxisId;
-        let result = Codesign::new(
-            "ghz-chain-32",
-            dqc_workloads::ghz_chain(32),
-            DesignSpace::new(SystemConfig::paper_two_node_32())
-                .backends(&[Backend::Analytic, Backend::Stabilizer])
-                .designs(&[Design::AsyncBuf]),
-        )
-        .runs(2)
-        .run()
-        .unwrap();
-        assert_eq!(result.candidates.len(), 2);
-        assert_eq!(result.compilations, 2);
-        let analytic = &result.candidates[0];
-        let stabilizer = &result.candidates[1];
-        assert_eq!(
-            analytic.key.get(AxisId::Backend),
-            Some(&AxisValue::Backend(Backend::Analytic))
-        );
-        assert_eq!(
-            stabilizer.key.get(AxisId::Backend),
-            Some(&AxisValue::Backend(Backend::Stabilizer))
-        );
-        assert_eq!(analytic.report, stabilizer.report);
-        assert_eq!(analytic.objectives, stabilizer.objectives);
-    }
-
-    #[test]
     fn statically_infeasible_points_are_pruned_before_evaluation() {
-        // QFT-32 is non-Clifford, so the stabilizer point can never
-        // compile (DQC-E002): the prefilter must drop it without touching
-        // the engine, and the surviving point's evaluation must be
-        // exactly what a search without the doomed axis value produces.
-        use dqc_core::Backend;
+        // With 8 data qubits per node, QFT-32 fits four nodes but not
+        // two, so the two-node point can never compile (DQC-E001): the
+        // prefilter must drop it without touching the engine, and the
+        // surviving point's evaluation must be exactly what a search
+        // without the doomed axis value produces.
+        use dqc_entanglement::TopologyFamily;
         use dqc_types::AxisId;
-        let mixed = Codesign::benchmark(
-            PaperBenchmark::Qft32,
-            DesignSpace::new(SystemConfig::paper_two_node_32())
-                .backends(&[Backend::Analytic, Backend::Stabilizer])
-                .designs(&[Design::AsyncBuf]),
-        )
-        .base_seed(11)
-        .run()
-        .unwrap();
+        let mut base = SystemConfig::paper_two_node_32();
+        base.data_qubits_per_node = 8;
+        let search = |families: &[TopologyFamily]| {
+            Codesign::benchmark(
+                PaperBenchmark::Qft32,
+                DesignSpace::new(base.clone())
+                    .topologies(families)
+                    .designs(&[Design::AsyncBuf]),
+            )
+            .base_seed(11)
+            .run()
+            .unwrap()
+        };
+        let four = TopologyFamily::Chain { nodes: 4 };
+        let mixed = search(&[four, TopologyFamily::Chain { nodes: 2 }]);
         assert_eq!(mixed.pruned, 1);
         assert_eq!(mixed.candidates.len(), 1);
         assert_eq!(mixed.compilations, 1);
         assert_eq!(
-            mixed.candidates[0].key.get(AxisId::Backend),
-            Some(&AxisValue::Backend(Backend::Analytic))
+            mixed.candidates[0].key.get(AxisId::Topology),
+            Some(&AxisValue::Topology(four))
         );
-        let clean = Codesign::benchmark(
-            PaperBenchmark::Qft32,
-            DesignSpace::new(SystemConfig::paper_two_node_32())
-                .backends(&[Backend::Analytic])
-                .designs(&[Design::AsyncBuf]),
-        )
-        .base_seed(11)
-        .run()
-        .unwrap();
+        let clean = search(&[four]);
         assert_eq!(clean.pruned, 0);
         assert_eq!(mixed.candidates[0].key, clean.candidates[0].key);
         assert_eq!(mixed.candidates[0].report, clean.candidates[0].report);
@@ -596,6 +572,28 @@ mod tests {
             clean.candidates[0].objectives
         );
         assert_eq!(mixed.frontier, clean.frontier);
+    }
+
+    #[test]
+    fn a_search_that_prunes_every_point_names_the_refusal() {
+        // Every point is too narrow for QFT-64: the search fails with the
+        // error compiling the first point gives, not an empty sweep.
+        let err = Codesign::new(
+            "qft-64",
+            dqc_workloads::qft(64),
+            DesignSpace::new(SystemConfig::paper_two_node_32())
+                .comm_and_buffer(&[5, 10])
+                .designs(&[Design::AsyncBuf]),
+        )
+        .run()
+        .unwrap_err();
+        assert_eq!(
+            err,
+            DqcError::CircuitTooWide {
+                qubits: 64,
+                capacity: 32
+            }
+        );
     }
 
     #[test]

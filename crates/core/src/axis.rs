@@ -9,7 +9,7 @@
 //! axis, replacing the stringly `(circuit, config, design)` triple the
 //! sweep layer used to key results by.
 
-use crate::{Backend, Design, PartitionStrategy, RemoteProtocol};
+use crate::{Design, PartitionStrategy, RemoteProtocol};
 use dqc_entanglement::TopologyFamily;
 use dqc_types::{AxisId, Json, JsonError, Tick};
 use std::fmt;
@@ -51,8 +51,6 @@ pub enum Axis {
     Protocol(Vec<RemoteProtocol>),
     /// Qubit partitioner choice.
     Partitioner(Vec<PartitionStrategy>),
-    /// Executor simulation backend.
-    Backend(Vec<Backend>),
 }
 
 impl Axis {
@@ -69,7 +67,6 @@ impl Axis {
             Axis::Design(_) => AxisId::Design,
             Axis::Protocol(_) => AxisId::Protocol,
             Axis::Partitioner(_) => AxisId::Partitioner,
-            Axis::Backend(_) => AxisId::Backend,
         }
     }
 
@@ -83,7 +80,6 @@ impl Axis {
             Axis::Design(v) => v.len(),
             Axis::Protocol(v) => v.len(),
             Axis::Partitioner(v) => v.len(),
-            Axis::Backend(v) => v.len(),
         }
     }
 
@@ -109,7 +105,6 @@ impl Axis {
             Axis::Design(v) => AxisValue::Design(v[i]),
             Axis::Protocol(v) => AxisValue::Protocol(v[i]),
             Axis::Partitioner(v) => AxisValue::Partitioner(v[i]),
-            Axis::Backend(v) => AxisValue::Backend(v[i]),
         }
     }
 }
@@ -137,8 +132,6 @@ pub enum AxisValue {
     Protocol(RemoteProtocol),
     /// Partitioner choice.
     Partitioner(PartitionStrategy),
-    /// Executor simulation backend.
-    Backend(Backend),
 }
 
 impl AxisValue {
@@ -155,7 +148,6 @@ impl AxisValue {
             AxisValue::Design(_) => AxisId::Design,
             AxisValue::Protocol(_) => AxisId::Protocol,
             AxisValue::Partitioner(_) => AxisId::Partitioner,
-            AxisValue::Backend(_) => AxisId::Backend,
         }
     }
 
@@ -181,7 +173,6 @@ impl AxisValue {
             AxisValue::Design(d) => Json::from(d.name()),
             AxisValue::Protocol(p) => Json::from(p.name()),
             AxisValue::Partitioner(s) => Json::from(s.name()),
-            AxisValue::Backend(b) => Json::from(b.name()),
         };
         Json::object([("axis", self.id().to_json()), ("value", value)])
     }
@@ -236,11 +227,6 @@ impl AxisValue {
                     .parse()
                     .map_err(|e| JsonError::schema(format!("axis `partitioner`: {e}")))?,
             ),
-            AxisId::Backend => AxisValue::Backend(
-                name("a backend name")?
-                    .parse()
-                    .map_err(|e| JsonError::schema(format!("axis `backend`: {e}")))?,
-            ),
         })
     }
 }
@@ -263,7 +249,6 @@ impl fmt::Display for AxisValue {
             AxisValue::Design(d) => f.write_str(d.name()),
             AxisValue::Protocol(p) => f.write_str(p.name()),
             AxisValue::Partitioner(s) => f.write_str(s.name()),
-            AxisValue::Backend(b) => f.write_str(b.name()),
         }
     }
 }
@@ -366,7 +351,6 @@ mod tests {
             AxisValue::Design(Design::AdaptBuf),
             AxisValue::Protocol(RemoteProtocol::StateTeleport),
             AxisValue::Partitioner(PartitionStrategy::HopWeighted),
-            AxisValue::Backend(Backend::Stabilizer),
         ]
     }
 
@@ -429,5 +413,13 @@ mod tests {
         ]);
         let err = AxisValue::from_json(&unknown).unwrap_err();
         assert!(err.to_string().contains("warp_drive"), "{err}");
+        // The simulation engine is not a design-space axis.
+        let removed = Json::object([
+            ("axis", Json::from("backend")),
+            ("value", Json::from("auto")),
+        ]);
+        let err = AxisValue::from_json(&removed).unwrap_err();
+        assert!(matches!(err, JsonError::Schema { .. }), "{err}");
+        assert!(err.to_string().contains("unknown axis `backend`"), "{err}");
     }
 }

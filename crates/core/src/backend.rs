@@ -1,7 +1,7 @@
 //! Executor simulation backends.
 //!
-//! The executor ships three engines behind one [`BackendEngine`] trait,
-//! the way mature simulator stacks ship several simulators side by side:
+//! The executor replays a compiled circuit through one of two engines,
+//! which produce bit-for-bit identical reports:
 //!
 //! * **analytic** — the paper's Werner/affine fidelity path. Walks every
 //!   operation of the circuit per seed. The default, bit-for-bit the
@@ -11,34 +11,22 @@
 //!   tableau, and the entire local schedule is folded into a symbolic
 //!   max-plus [`SchedulePlan`] over the remote-gate completion times. A
 //!   seeded run then replays *only* the remote gates against the
-//!   entanglement service — identical reports to the analytic engine at a
-//!   cost proportional to the number of remote gates instead of the
-//!   number of gates, which makes GHZ-style and error-propagation
-//!   workloads near-free at 100+ qubits.
-//! * **density** — the §IV-C density-matrix teleportation oracle promoted
-//!   from test fixture to a selectable small-system backend: every remote
-//!   gate's fidelity is evaluated directly on the 64×64 density matrix of
-//!   the teleportation gadget instead of through the precomputed affine
-//!   law, cross-validating the frontier ordering at high noise. Limited
-//!   to circuits of at most [`DENSITY_MAX_QUBITS`] qubits.
+//!   entanglement service, at a cost proportional to the number of
+//!   remote gates instead of the number of gates.
 //!
-//! [`Backend`] is the user-facing selector carried by
-//! [`SystemConfig`](crate::SystemConfig); `Backend::Auto` picks the
-//! stabilizer engine whenever the compiled circuit is Clifford-only and
-//! falls back to the analytic engine otherwise.
+//! Both engines take every remote gate's fidelity from the exact affine
+//! law of [`RemoteFidelityTable`](crate::RemoteFidelityTable). The engine
+//! only changes how fast an answer is computed, so it is chosen in code
+//! through [`SystemConfig::backend`](crate::SystemConfig::backend), not by
+//! users; `Backend::Auto` picks the stabilizer engine whenever the
+//! compiled circuit is Clifford-only and falls back to the analytic
+//! engine otherwise.
 
-use crate::{Design, DqcError, ExecutionReport};
 use dqc_circuit::Circuit;
 use dqc_partition::QubitMap;
 use dqc_sim::Tableau;
-use dqc_types::{Fidelity, NodeId, Tick, UnknownName};
+use dqc_types::{Fidelity, NodeId, Tick};
 use std::fmt;
-use std::str::FromStr;
-
-/// Widest circuit the density-matrix backend accepts. The oracle evaluates
-/// a dense 6-qubit teleportation gadget per distinct link fidelity, so it
-/// is meant for small-system cross-validation, not production sweeps.
-pub const DENSITY_MAX_QUBITS: u32 = 8;
 
 /// Which simulation engine executes a compiled circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -52,30 +40,21 @@ pub enum Backend {
     #[default]
     Analytic,
     /// The tableau-certified Clifford fast path. Compilation fails with
-    /// [`DqcError::BackendUnsupported`] when the circuit contains a
-    /// non-Clifford gate.
+    /// [`DqcError::BackendUnsupported`](crate::DqcError::BackendUnsupported)
+    /// when the circuit contains a non-Clifford gate.
     Stabilizer,
-    /// The density-matrix teleportation oracle, for circuits of at most
-    /// [`DENSITY_MAX_QUBITS`] qubits.
-    Density,
 }
 
 impl Backend {
-    /// Every backend, in CLI presentation order.
-    pub const ALL: [Backend; 4] = [
-        Backend::Auto,
-        Backend::Analytic,
-        Backend::Stabilizer,
-        Backend::Density,
-    ];
+    /// Every backend.
+    pub const ALL: [Backend; 3] = [Backend::Auto, Backend::Analytic, Backend::Stabilizer];
 
-    /// The snake_case name used in labels, cache keys, and the CLI.
+    /// The snake_case name used in labels, cache keys, and spans.
     pub const fn name(self) -> &'static str {
         match self {
             Backend::Auto => "auto",
             Backend::Analytic => "analytic",
             Backend::Stabilizer => "stabilizer",
-            Backend::Density => "density",
         }
     }
 }
@@ -85,66 +64,6 @@ impl fmt::Display for Backend {
         f.write_str(self.name())
     }
 }
-
-impl FromStr for Backend {
-    type Err = UnknownName;
-
-    /// Parses the snake_case name ([`Backend::name`] is the exact
-    /// inverse).
-    ///
-    /// ```
-    /// use dqc_core::Backend;
-    ///
-    /// assert_eq!("stabilizer".parse(), Ok(Backend::Stabilizer));
-    /// assert!("abacus".parse::<Backend>().is_err());
-    /// ```
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Backend::ALL
-            .into_iter()
-            .find(|b| b.name() == s)
-            .ok_or_else(|| UnknownName::new("backend", s))
-    }
-}
-
-/// One simulation engine: turns a compiled circuit plus a (design, seed)
-/// pair into an [`ExecutionReport`].
-///
-/// The three implementations ([`AnalyticEngine`], [`StabilizerEngine`],
-/// [`DensityEngine`]) are selected per compiled circuit by
-/// [`CompiledCircuit::run`](crate::CompiledCircuit::run) according to
-/// [`SystemConfig::backend`](crate::SystemConfig::backend); they are
-/// exposed so callers can drive a specific engine directly.
-pub trait BackendEngine {
-    /// The engine's snake_case name (matches [`Backend::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Executes one seeded run of `design` against `compiled`.
-    ///
-    /// # Errors
-    ///
-    /// The same failures as
-    /// [`CompiledCircuit::run`](crate::CompiledCircuit::run) — notably
-    /// [`DqcError::NoEntanglementPossible`] when remote gates exist but no
-    /// communication qubits are configured.
-    fn run(
-        &self,
-        compiled: &crate::CompiledCircuit,
-        design: Design,
-        seed: u64,
-    ) -> Result<ExecutionReport, DqcError>;
-}
-
-/// The analytic Werner/affine engine (see [`Backend::Analytic`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyticEngine;
-
-/// The tableau-certified Clifford fast path (see [`Backend::Stabilizer`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StabilizerEngine;
-
-/// The density-matrix oracle engine (see [`Backend::Density`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DensityEngine;
 
 /// A symbolic time in the max-plus algebra over remote-gate end times:
 /// `value(ends) = max(base, max_j(ends[j] + offset_j))`.
@@ -353,22 +272,6 @@ pub(crate) fn first_non_clifford(circuit: &Circuit) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip_and_default_is_analytic() {
-        for b in Backend::ALL {
-            assert_eq!(b.to_string().parse::<Backend>(), Ok(b));
-        }
-        assert_eq!(Backend::default(), Backend::Analytic);
-        let err = "abacus".parse::<Backend>().unwrap_err();
-        assert_eq!(err.to_string(), "unknown backend `abacus`");
-    }
-
-    #[test]
-    fn names_match_cli_spellings() {
-        let names: Vec<&str> = Backend::ALL.iter().map(|b| b.name()).collect();
-        assert_eq!(names, vec!["auto", "analytic", "stabilizer", "density"]);
-    }
 
     #[test]
     fn max_plus_merge_add_eval() {

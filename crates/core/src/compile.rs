@@ -12,7 +12,7 @@
 use crate::backend::{first_non_clifford, SchedulePlan};
 use crate::{
     segment_sequence, Backend, Design, DqcError, ExecutionReport, PartitionStrategy,
-    RemoteFidelityTable, SegmentVariants, SystemConfig, DENSITY_MAX_QUBITS,
+    RemoteFidelityTable, SegmentVariants, SystemConfig,
 };
 use dqc_circuit::Circuit;
 use dqc_entanglement::{NetworkTopology, RoutingTable};
@@ -174,8 +174,7 @@ impl CompiledCircuit {
     /// 2. [`DqcError::TopologyMismatch`] — the network spans a different
     ///    node count — or else [`DqcError::DisconnectedTopology`];
     /// 3. [`DqcError::BackendUnsupported`] — a non-Clifford gate under
-    ///    `stabilizer` (the text names the first one and its op index),
-    ///    or more than [`DENSITY_MAX_QUBITS`] qubits under `density`.
+    ///    `stabilizer` (the text names the first one and its op index).
     ///
     /// O(ops): nothing is partitioned, routed or scheduled, so admission
     /// paths can ask per request.
@@ -198,23 +197,14 @@ impl CompiledCircuit {
                 refusals.push(DqcError::DisconnectedTopology);
             }
         }
-        let reason = match config.backend {
-            Backend::Stabilizer => first_non_clifford(circuit).map(|index| {
+        if config.backend == Backend::Stabilizer {
+            if let Some(index) = first_non_clifford(circuit) {
                 let gate = circuit.operations()[index].gate();
-                format!("op #{index} is the non-Clifford gate {gate}")
-            }),
-            Backend::Density if circuit.num_qubits() > DENSITY_MAX_QUBITS => Some(format!(
-                "circuit has {} qubits but the density-matrix engine is limited to \
-                 {DENSITY_MAX_QUBITS}",
-                circuit.num_qubits()
-            )),
-            _ => None,
-        };
-        if let Some(reason) = reason {
-            refusals.push(DqcError::BackendUnsupported {
-                backend: config.backend.name(),
-                reason,
-            });
+                refusals.push(DqcError::BackendUnsupported {
+                    backend: config.backend.name(),
+                    reason: format!("op #{index} is the non-Clifford gate {gate}"),
+                });
+            }
         }
         refusals
     }
@@ -313,7 +303,6 @@ impl CompiledCircuit {
         }
         match self.config.backend {
             Backend::Analytic => Backend::Analytic,
-            Backend::Density => Backend::Density,
             Backend::Auto | Backend::Stabilizer => {
                 if self.plan.is_some() && !design.adaptive_scheduling() {
                     Backend::Stabilizer

@@ -610,12 +610,8 @@ mod tests {
         for s in PartitionStrategy::ALL {
             assert_eq!(s.to_string().parse::<PartitionStrategy>(), Ok(s));
         }
-        for b in Backend::ALL {
-            assert_eq!(b.to_string().parse::<Backend>(), Ok(b));
-        }
         assert!("smoke_signals".parse::<RemoteProtocol>().is_err());
         assert!("coin_flip".parse::<PartitionStrategy>().is_err());
-        assert!("abacus".parse::<Backend>().is_err());
         assert_eq!(PartitionStrategy::default(), PartitionStrategy::Auto);
         assert_eq!(Backend::default(), Backend::Analytic);
     }

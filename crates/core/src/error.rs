@@ -1,6 +1,5 @@
 //! The workspace-wide evaluation error type.
 
-use crate::Backend;
 use dqc_partition::PartitionError;
 use dqc_types::{Diagnostic, Site};
 use std::error::Error;
@@ -69,8 +68,7 @@ pub enum DqcError {
     /// pairs could never establish end-to-end entanglement.
     DisconnectedTopology,
     /// The selected simulation backend cannot execute this circuit (a
-    /// non-Clifford gate under the stabilizer engine, or a circuit wider
-    /// than the density-matrix engine's qubit limit).
+    /// non-Clifford gate under the stabilizer engine).
     BackendUnsupported {
         /// Name of the selected backend.
         backend: &'static str,
@@ -149,8 +147,9 @@ impl fmt::Display for DqcError {
 
 impl DqcError {
     /// The registered diagnostic code (`dqc_types::diag::REGISTRY`) of an
-    /// engine refusal: `DQC-E001`…`DQC-E006`. `None` for failures no
-    /// static analysis can prove (partitioning, sweep declarations).
+    /// engine refusal: `DQC-E001`, `DQC-E002` or `DQC-E004`…`DQC-E006`.
+    /// `None` for failures no static analysis can prove (partitioning,
+    /// sweep declarations).
     pub fn code(&self) -> Option<&'static str> {
         self.refusal().map(|(code, _)| code)
     }
@@ -176,18 +175,9 @@ impl DqcError {
             DqcError::CircuitTooWide { .. } => {
                 ("DQC-E001", "shrink the circuit or add nodes/data qubits")
             }
-            DqcError::BackendUnsupported { backend, .. }
-                if *backend == Backend::Stabilizer.name() =>
-            {
-                (
-                    "DQC-E002",
-                    "select the `auto`, `analytic`, or `density` backend, or Cliffordize \
-                     the circuit",
-                )
-            }
             DqcError::BackendUnsupported { .. } => (
-                "DQC-E003",
-                "select the `auto` or `analytic` backend for wide circuits",
+                "DQC-E002",
+                "select the `auto` or `analytic` backend, or Cliffordize the circuit",
             ),
             DqcError::TopologyMismatch { .. } => {
                 ("DQC-E004", "make the topology and `num_nodes` agree")
@@ -267,10 +257,6 @@ mod tests {
                 backend: "stabilizer",
                 reason: "op #1 is the non-Clifford gate t".to_string(),
             },
-            DqcError::BackendUnsupported {
-                backend: "density",
-                reason: "too wide".to_string(),
-            },
             DqcError::TopologyMismatch {
                 topology_nodes: 3,
                 config_nodes: 2,
@@ -278,16 +264,17 @@ mod tests {
             DqcError::DisconnectedTopology,
             DqcError::NoEntanglementPossible,
         ];
-        for (n, refusal) in refusals.iter().enumerate() {
+        let codes = ["DQC-E001", "DQC-E002", "DQC-E004", "DQC-E005", "DQC-E006"];
+        for (refusal, code) in refusals.iter().zip(codes) {
             // `Diagnostic::new` panics on an unregistered code.
             let diagnostic = refusal.diagnostic("qft-32").unwrap();
-            assert_eq!(diagnostic.code, format!("DQC-E00{}", n + 1));
+            assert_eq!(diagnostic.code, code);
             assert_eq!(Some(diagnostic.code), refusal.code());
             assert_eq!(diagnostic.message, refusal.to_string());
             assert!(diagnostic.is_error());
         }
         assert_eq!(
-            refusals[4].diagnostic("qft-32").unwrap().site,
+            refusals[3].diagnostic("qft-32").unwrap().site,
             Site::Field("topology".to_string())
         );
         assert_eq!(DqcError::ZeroRuns.code(), None);

@@ -5,17 +5,13 @@
 //! This module is the *run-many* half of the engine; the *compile-once*
 //! half lives in [`crate::compile`].
 
-use crate::backend::{
-    AnalyticEngine, BackendEngine, DensityEngine, SchedulePlan, StabilizerEngine,
-};
+use crate::backend::SchedulePlan;
 use crate::{
-    Backend, CompiledCircuit, Design, DqcError, ExecutionReport, OperationFidelities,
-    RemoteFidelityTable, VariantKind,
+    Backend, CompiledCircuit, Design, DqcError, ExecutionReport, RemoteFidelityTable, VariantKind,
 };
 use dqc_circuit::{Circuit, Gate, Operation};
 use dqc_entanglement::{swap_chain_fidelity, EntanglementService, RoutingTable};
 use dqc_partition::QubitMap;
-use dqc_sim::TeleportNoise;
 use dqc_types::{Fidelity, NodeId, Tick};
 use std::collections::HashMap;
 
@@ -62,81 +58,23 @@ impl CompiledCircuit {
             replay_span.attr("design", design.to_string());
             replay_span.attr("seed", seed);
         }
-        match backend {
-            Backend::Stabilizer => StabilizerEngine.run(self, design, seed),
-            Backend::Density => DensityEngine.run(self, design, seed),
-            Backend::Analytic | Backend::Auto => AnalyticEngine.run(self, design, seed),
+        // `selected_backend` picks the stabilizer engine only when the
+        // plan exists and the design is neither ideal (no remote gates
+        // to schedule against) nor adaptive (the controller probes live
+        // buffer state); every other case walks the circuit.
+        match (backend, &self.plan) {
+            (Backend::Stabilizer, Some(plan)) => run_stabilizer(self, plan, design, seed),
+            _ => run_analytic(self, design, seed),
         }
     }
 }
 
-impl BackendEngine for AnalyticEngine {
-    fn name(&self) -> &'static str {
-        Backend::Analytic.name()
-    }
-
-    fn run(
-        &self,
-        compiled: &CompiledCircuit,
-        design: Design,
-        seed: u64,
-    ) -> Result<ExecutionReport, DqcError> {
-        run_analytic(compiled, design, seed, RemoteModel::Affine)
-    }
-}
-
-impl BackendEngine for DensityEngine {
-    fn name(&self) -> &'static str {
-        Backend::Density.name()
-    }
-
-    fn run(
-        &self,
-        compiled: &CompiledCircuit,
-        design: Design,
-        seed: u64,
-    ) -> Result<ExecutionReport, DqcError> {
-        run_analytic(
-            compiled,
-            design,
-            seed,
-            RemoteModel::density(&compiled.config.fidelities),
-        )
-    }
-}
-
-impl BackendEngine for StabilizerEngine {
-    fn name(&self) -> &'static str {
-        Backend::Stabilizer.name()
-    }
-
-    fn run(
-        &self,
-        compiled: &CompiledCircuit,
-        design: Design,
-        seed: u64,
-    ) -> Result<ExecutionReport, DqcError> {
-        // The plan cannot replay the ideal design (no remote gates to
-        // schedule against) or the adaptive designs (the controller
-        // probes live buffer state); those cases produce identical
-        // reports through the analytic walk.
-        match &compiled.plan {
-            Some(plan) if design != Design::Ideal && !design.adaptive_scheduling() => {
-                run_stabilizer(compiled, plan, design, seed)
-            }
-            _ => run_analytic(compiled, design, seed, RemoteModel::Affine),
-        }
-    }
-}
-
-/// The shared analytic walk: replays every operation of the circuit,
-/// consulting `model` for remote-gate fidelity factors. With
-/// [`RemoteModel::Affine`] this is bit-for-bit the historical executor.
+/// The analytic walk: replays every operation of the circuit —
+/// bit-for-bit the historical executor.
 fn run_analytic(
     compiled: &CompiledCircuit,
     design: Design,
     seed: u64,
-    mut model: RemoteModel,
 ) -> Result<ExecutionReport, DqcError> {
     if design == Design::Ideal {
         return Ok(compiled.ideal_report.clone());
@@ -162,28 +100,14 @@ fn run_analytic(
                 VariantKind::Alap => counts.2 += 1,
             }
             for op in variants.sequence(kind) {
-                tracker.issue(
-                    op,
-                    &compiled.map,
-                    &mut services,
-                    &compiled.table,
-                    &mut model,
-                    config,
-                )?;
+                tracker.issue(op, &compiled.map, &mut services, &compiled.table, config)?;
             }
         }
         let stats = services.merged_stats();
         Ok(tracker.into_report(design, ideal_makespan, Some(stats), counts, config))
     } else {
         for op in compiled.circuit.operations() {
-            tracker.issue(
-                op,
-                &compiled.map,
-                &mut services,
-                &compiled.table,
-                &mut model,
-                config,
-            )?;
+            tracker.issue(op, &compiled.map, &mut services, &compiled.table, config)?;
         }
         let stats = services.merged_stats();
         Ok(tracker.into_report(design, ideal_makespan, Some(stats), (0, 0, 0), config))
@@ -193,8 +117,8 @@ fn run_analytic(
 /// The stabilizer engine's per-seed replay: only the remote gates touch
 /// the entanglement service; everything local was folded into the
 /// max-plus [`SchedulePlan`] at compile time. Produces bit-for-bit the
-/// same report as [`run_analytic`] with [`RemoteModel::Affine`], at a
-/// cost proportional to the remote-gate count.
+/// same report as [`run_analytic`], at a cost proportional to the
+/// remote-gate count.
 fn run_stabilizer(
     compiled: &CompiledCircuit,
     plan: &SchedulePlan,
@@ -208,7 +132,6 @@ fn run_stabilizer(
     let mut services = ServicePool::new(config, design, seed, compiled.routing.as_ref());
     // The same purification RNG stream the analytic tracker would carry.
     let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed ^ 0x7EAC_4E12);
-    let mut model = RemoteModel::Affine;
     let mut ends: Vec<Tick> = Vec::with_capacity(plan.remote.len());
     let mut busy = plan.local_busy.clone();
     let mut remote_fidelity = Fidelity::PERFECT;
@@ -221,7 +144,6 @@ fn run_stabilizer(
             t_deps,
             config,
             &compiled.table,
-            &mut model,
             &mut rng,
         )?;
         total_link_wait += outcome.link_wait;
@@ -387,70 +309,6 @@ pub(crate) fn node_pair(map: &QubitMap, op: &Operation) -> (NodeId, NodeId) {
     }
 }
 
-/// How a remote gate's fidelity factor is computed from the consumed
-/// link's fidelity: the precomputed affine law (analytic and stabilizer
-/// engines) or the direct density-matrix teleportation oracle (density
-/// engine). Schedules and link consumption are identical either way —
-/// only the fidelity arithmetic differs.
-enum RemoteModel {
-    /// The exact affine Werner law of [`RemoteFidelityTable`].
-    Affine,
-    /// Direct dense evaluation of the teleportation gadget, memoized per
-    /// distinct link fidelity (the bits of the `f64`).
-    Density {
-        noise: TeleportNoise,
-        gate_memo: HashMap<u64, f64>,
-        teleport_memo: HashMap<u64, f64>,
-    },
-}
-
-impl RemoteModel {
-    fn density(fidelities: &OperationFidelities) -> Self {
-        RemoteModel::Density {
-            noise: TeleportNoise {
-                bell_fidelity: 1.0,
-                local_cnot_fidelity: fidelities.two_qubit,
-                measurement_fidelity: fidelities.measurement,
-                single_qubit_fidelity: fidelities.one_qubit,
-            },
-            gate_memo: HashMap::new(),
-            teleport_memo: HashMap::new(),
-        }
-    }
-
-    /// Process fidelity of a telegate remote gate over a link of the
-    /// given fidelity.
-    fn gate_process_fidelity(&mut self, table: &RemoteFidelityTable, link: f64) -> f64 {
-        match self {
-            RemoteModel::Affine => table.gate_fidelity(link).value(),
-            RemoteModel::Density {
-                noise, gate_memo, ..
-            } => *gate_memo.entry(link.to_bits()).or_insert_with(|| {
-                dqc_sim::teleported_cnot_fidelity(&noise.with_bell_fidelity(link.clamp(0.25, 1.0)))
-                    .value()
-            }),
-        }
-    }
-
-    /// Process fidelity of one state-teleportation hop over a link of the
-    /// given fidelity.
-    fn teleport_process_fidelity(&mut self, table: &RemoteFidelityTable, link: f64) -> f64 {
-        match self {
-            RemoteModel::Affine => table.state_teleport_fidelity(link).value(),
-            RemoteModel::Density {
-                noise,
-                teleport_memo,
-                ..
-            } => *teleport_memo.entry(link.to_bits()).or_insert_with(|| {
-                dqc_sim::state_teleportation_fidelity(
-                    &noise.with_bell_fidelity(link.clamp(0.25, 1.0)),
-                )
-                .value()
-            }),
-        }
-    }
-}
-
 /// What serving one remote gate produced: its schedule span, the fidelity
 /// factor it contributes to the remote product, and the time spent
 /// waiting for entanglement beyond the data dependencies.
@@ -471,7 +329,6 @@ fn serve_remote_gate(
     t_deps: Tick,
     config: &SystemConfig,
     table: &RemoteFidelityTable,
-    model: &mut RemoteModel,
     rng: &mut rand_chacha::ChaCha8Rng,
 ) -> Result<RemoteOutcome, DqcError> {
     match config.remote_protocol {
@@ -484,7 +341,7 @@ fn serve_remote_gate(
             // Remote-gate quality: the process fidelity of the
             // teleported CNOT on the decayed link, reported as average
             // gate fidelity (d = 4), the scalar convention of Table II.
-            let process = model.gate_process_fidelity(table, link_fidelity);
+            let process = table.gate_fidelity(link_fidelity).value();
             Ok(RemoteOutcome {
                 start,
                 end: start + config.remote_gate_latency(),
@@ -499,8 +356,8 @@ fn serve_remote_gate(
             let after_gate = start + hop + config.latencies.two_qubit;
             let (back_start, f_link2) = take_routed(services, pair, after_gate)?;
             let end = back_start + hop;
-            let f_out = model.teleport_process_fidelity(table, f_link1);
-            let f_back = model.teleport_process_fidelity(table, f_link2);
+            let f_out = table.state_teleport_fidelity(f_link1).value();
+            let f_back = table.state_teleport_fidelity(f_link2).value();
             let hops = dqc_sim::average_gate_fidelity(f_out, 2)
                 * dqc_sim::average_gate_fidelity(f_back, 2);
             Ok(RemoteOutcome {
@@ -772,11 +629,10 @@ impl Tracker {
         map: &QubitMap,
         services: &mut ServicePool<'_>,
         table: &RemoteFidelityTable,
-        model: &mut RemoteModel,
         config: &SystemConfig,
     ) -> Result<(), DqcError> {
         if map.is_remote(op) {
-            self.issue_remote(op, map, services, table, model, config)
+            self.issue_remote(op, map, services, table, config)
         } else {
             self.issue_local(op, config);
             Ok(())
@@ -814,13 +670,11 @@ impl Tracker {
         map: &QubitMap,
         services: &mut ServicePool<'_>,
         table: &RemoteFidelityTable,
-        model: &mut RemoteModel,
         config: &SystemConfig,
     ) -> Result<(), DqcError> {
         let t_deps = self.deps_ready(op);
         let pair = node_pair(map, op);
-        let outcome =
-            serve_remote_gate(services, pair, t_deps, config, table, model, &mut self.rng)?;
+        let outcome = serve_remote_gate(services, pair, t_deps, config, table, &mut self.rng)?;
         self.total_link_wait += outcome.link_wait;
         self.remote_gates += 1;
         self.occupy(op, outcome.start, outcome.end - outcome.start);
@@ -1404,49 +1258,6 @@ mod tests {
                 assert!(reason.contains("non-Clifford"), "{reason}");
             }
             other => panic!("expected BackendUnsupported, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn density_rejects_wide_circuits() {
-        use crate::{Backend, DENSITY_MAX_QUBITS};
-        let cfg = config().with_backend(Backend::Density);
-        let err = CompiledCircuit::compile(&dqc_workloads::ghz_chain(32), &cfg).unwrap_err();
-        match err {
-            DqcError::BackendUnsupported { backend, reason } => {
-                assert_eq!(backend, "density");
-                assert!(reason.contains(&DENSITY_MAX_QUBITS.to_string()), "{reason}");
-            }
-            other => panic!("expected BackendUnsupported, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn density_agrees_with_analytic_on_small_circuits() {
-        // The analytic affine law *is* the density-matrix teleportation
-        // evaluation (exact in the Werner parameter), so the density
-        // backend re-deriving every factor from the dense gadget must
-        // agree to floating-point noise — and schedules are untouched.
-        use crate::Backend;
-        let mut cfg = config();
-        cfg.data_qubits_per_node = 4;
-        let dens_cfg = cfg.clone().with_backend(Backend::Density);
-        for circuit in [dqc_workloads::qft(8), dqc_workloads::ghz_chain(8)] {
-            for design in [Design::Original, Design::AsyncBuf, Design::AdaptBuf] {
-                for seed in [0u64, 9] {
-                    let a = evaluate(&circuit, &cfg, design, seed).unwrap();
-                    let d = evaluate(&circuit, &dens_cfg, design, seed).unwrap();
-                    assert_eq!(a.makespan, d.makespan, "{design} seed {seed}");
-                    assert_eq!(a.remote_gates, d.remote_gates);
-                    assert_eq!(a.local_fidelity, d.local_fidelity);
-                    assert!(
-                        (a.fidelity.value() - d.fidelity.value()).abs() < 1e-9,
-                        "{design} seed {seed}: analytic {} vs density {}",
-                        a.fidelity.value(),
-                        d.fidelity.value()
-                    );
-                }
-            }
         }
     }
 

@@ -29,12 +29,12 @@
 //!   same engine.
 //! * [`RemoteFidelityTable`] — the §IV-C remote-gate fidelity from the
 //!   density-matrix teleportation evaluation, via the exact affine law.
-//! * [`Backend`] / [`BackendEngine`] — the executor's simulation engines:
-//!   the analytic Werner/affine path (default), a tableau-certified
-//!   Clifford fast path that replays only the remote gates per seed, and
-//!   the density-matrix teleportation oracle as a small-system
-//!   cross-validation backend. `Backend::Auto` upgrades Clifford-only
-//!   circuits to the stabilizer engine automatically.
+//! * [`Backend`] — the executor's two simulation engines, with identical
+//!   reports: the analytic Werner/affine path (default) and a
+//!   tableau-certified Clifford fast path that replays only the remote
+//!   gates per seed. `Backend::Auto` upgrades Clifford-only circuits to
+//!   the stabilizer engine automatically. The engine is chosen in code
+//!   through [`SystemConfig::with_backend`], never by users.
 //! * Network topology — [`SystemConfig::with_topology`] attaches a
 //!   `dqc-entanglement` device graph; remote gates between non-adjacent
 //!   nodes then consume routed multi-hop swap chains, and the partitioner
@@ -101,9 +101,7 @@ mod sweep;
 mod variants;
 
 pub use axis::{Axis, AxisValue, ScenarioKey};
-pub use backend::{
-    AnalyticEngine, Backend, BackendEngine, DensityEngine, StabilizerEngine, DENSITY_MAX_QUBITS,
-};
+pub use backend::Backend;
 pub use compile::{compile_count, CompiledCircuit};
 pub use config::{
     OperationFidelities, OperationLatencies, PartitionStrategy, RemoteProtocol, SystemConfig,

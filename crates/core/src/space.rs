@@ -34,7 +34,7 @@
 
 use crate::grid::GridPlan;
 use crate::{
-    AveragedReport, Axis, AxisValue, Backend, Design, DqcError, PartitionStrategy, RemoteProtocol,
+    AveragedReport, Axis, AxisValue, Design, DqcError, PartitionStrategy, RemoteProtocol,
     ScenarioKey, SystemConfig,
 };
 use dqc_circuit::Circuit;
@@ -158,12 +158,6 @@ impl DesignSpace {
         self.axis(Axis::Partitioner(values.to_vec()))
     }
 
-    /// Adds a simulation-backend axis.
-    #[must_use]
-    pub fn backends(self, values: &[Backend]) -> Self {
-        self.axis(Axis::Backend(values.to_vec()))
-    }
-
     /// Number of points: the product of the axis lengths (1 for an
     /// axis-free space, 0 when any axis is empty).
     pub fn len(&self) -> usize {
@@ -261,7 +255,6 @@ impl DesignSpace {
                 AxisValue::Design(d) => design = d,
                 AxisValue::Protocol(p) => config.remote_protocol = p,
                 AxisValue::Partitioner(s) => config.partitioner = s,
-                AxisValue::Backend(b) => config.backend = b,
             }
         }
         Scenario { config, design }
@@ -585,8 +578,7 @@ mod tests {
             .topologies(&[TopologyFamily::Chain { nodes: 4 }])
             .designs(&[Design::SyncBuf])
             .protocols(&[RemoteProtocol::StateTeleport])
-            .partitioners(&[PartitionStrategy::Unweighted])
-            .backends(&[Backend::Auto]);
+            .partitioners(&[PartitionStrategy::Unweighted]);
         let scenario = space.realize(&space.point(0).unwrap());
         assert_eq!(scenario.config.fidelities.epr, 0.95);
         assert_eq!(scenario.config.kappa_per_tick, 1e-3);
@@ -599,7 +591,6 @@ mod tests {
             RemoteProtocol::StateTeleport
         );
         assert_eq!(scenario.config.partitioner, PartitionStrategy::Unweighted);
-        assert_eq!(scenario.config.backend, Backend::Auto);
         assert_eq!(scenario.design, Design::SyncBuf);
     }
 

@@ -5,7 +5,6 @@
 //!            [--config FILE.json]
 //!            [--workers N] [--queue N] [--cache N]
 //!            [--max-in-flight N] [--rate PER_SEC] [--burst N]
-//!            [--backend auto|analytic|stabilizer|density]
 //!            [--point LABEL=paper32|paper64]...
 //! ```
 //!
@@ -24,12 +23,11 @@
 //! with its diagnostic codes.
 //!
 //! Without `--point`, two shards are registered: `paper` (the paper's
-//! two-node 32-qubit point) and `paper64` (its 64-qubit sibling).
-//! `--backend` selects the simulation engine on every registered point
-//! (the backend is part of each shard's compile-cache key, so daemons
-//! launched with different backends never exchange compilations).
+//! two-node 32-qubit point) and `paper64` (its 64-qubit sibling). Every
+//! point runs on the default (`analytic`) simulation engine: the engine
+//! never changes a reply, so there is no flag to pick one.
 
-use dqc_core::{Backend, SystemConfig};
+use dqc_core::SystemConfig;
 use dqc_serve::{RateLimit, ServeConfig};
 use dqc_served::{Served, ServedBuilder};
 use dqc_types::Json;
@@ -45,7 +43,6 @@ struct Options {
     max_in_flight: Option<usize>,
     rate: Option<f64>,
     burst: Option<f64>,
-    backend: Backend,
     points: Vec<(String, String)>,
 }
 
@@ -61,7 +58,6 @@ impl Options {
             max_in_flight: None,
             rate: None,
             burst: None,
-            backend: Backend::default(),
             points: Vec::new(),
         }
     }
@@ -86,10 +82,6 @@ impl Options {
                 }
                 "--rate" => options.rate = Some(parse_float(&value("--rate")?, "--rate")?),
                 "--burst" => options.burst = Some(parse_float(&value("--burst")?, "--burst")?),
-                "--backend" => {
-                    let spec = value("--backend")?;
-                    options.backend = spec.parse().map_err(|e| format!("--backend: {e}"))?;
-                }
                 "--point" => {
                     let spec = value("--point")?;
                     let (label, config) = spec
@@ -144,7 +136,6 @@ const USAGE: &str = "usage: dqc-served [--addr HOST:PORT] [--port-file PATH] \
 [--config FILE.json] \
 [--workers N] [--queue N] [--cache N] \
 [--max-in-flight N] [--rate PER_SEC] [--burst N] \
-[--backend auto|analytic|stabilizer|density] \
 [--point LABEL=paper32|paper64]...";
 
 fn parse_num(text: &str, flag: &str) -> Result<usize, String> {
@@ -178,8 +169,7 @@ fn run(options: Options) -> Result<Served, String> {
         options.points
     };
     for (label, config) in points {
-        builder =
-            builder.hardware_point(label, point_config(&config)?.with_backend(options.backend));
+        builder = builder.hardware_point(label, point_config(&config)?);
     }
     builder
         .bind(&options.addr)

@@ -145,18 +145,25 @@ fn daemon_binary_serves_json_and_qasm_identically_to_direct_evaluation() {
 
 #[test]
 fn removed_autoscale_flag_is_refused_at_start_up() {
-    // The flag's knob is gone; an old launch script naming it must fail
-    // loudly instead of starting a daemon that ignores it. The address
-    // is already taken, so a binary that still accepted the flag would
-    // exit on a bind error rather than serve until the test is killed.
+    // The flags' knobs are gone (`--backend` with the engine choice);
+    // an old launch script naming one must fail loudly instead of
+    // starting a daemon that ignores it. The address is already taken,
+    // so a binary that still accepted the flag would exit on a bind
+    // error rather than serve until the test is killed.
     let taken = TcpListener::bind("127.0.0.1:0").expect("a free loopback port");
     let addr = taken.local_addr().expect("bound address").to_string();
-    let output = Command::new(env!("CARGO_BIN_EXE_dqc-served"))
-        .args(["--addr", &addr, "--autoscale"])
-        .output()
-        .expect("dqc-served runs");
-    assert!(!output.status.success(), "{:?}", output.status);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown flag `--autoscale`"), "{stderr}");
-    assert!(output.stdout.is_empty(), "no readiness line: {output:?}");
+    for (removed, value) in [("--autoscale", None), ("--backend", Some("auto"))] {
+        let output = Command::new(env!("CARGO_BIN_EXE_dqc-served"))
+            .args(["--addr", &addr, removed])
+            .args(value)
+            .output()
+            .expect("dqc-served runs");
+        assert!(!output.status.success(), "{removed}: {:?}", output.status);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{removed}`")),
+            "{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "no readiness line: {output:?}");
+    }
 }

@@ -48,10 +48,11 @@ impl Error for UnknownName {}
 ///
 /// Hardware axes describe the machine being provisioned; software axes
 /// describe choices the stack makes on a fixed machine. Of the software
-/// axes, only the design is a pure runtime choice: protocol, partitioner,
-/// and backend feed the compiler, so the evaluation engine shares one
+/// axes, only the design is a pure runtime choice: protocol and
+/// partitioner feed the compiler, so the evaluation engine shares one
 /// compilation per circuit × realized configuration, across design-axis
-/// values only.
+/// values only. The simulation engine is no axis: it never changes an
+/// answer, only how fast one is computed.
 ///
 /// # Examples
 ///
@@ -86,13 +87,11 @@ pub enum AxisId {
     Protocol,
     /// Qubit partitioner choice (software).
     Partitioner,
-    /// Executor simulation backend (software).
-    Backend,
 }
 
 impl AxisId {
     /// Every axis, hardware first, in canonical presentation order.
-    pub const ALL: [AxisId; 11] = [
+    pub const ALL: [AxisId; 10] = [
         AxisId::EprFidelity,
         AxisId::Kappa,
         AxisId::EprCycle,
@@ -103,7 +102,6 @@ impl AxisId {
         AxisId::Design,
         AxisId::Protocol,
         AxisId::Partitioner,
-        AxisId::Backend,
     ];
 
     /// The snake_case name used in labels, JSON, and the CLI.
@@ -119,16 +117,15 @@ impl AxisId {
             AxisId::Design => "design",
             AxisId::Protocol => "protocol",
             AxisId::Partitioner => "partitioner",
-            AxisId::Backend => "backend",
         }
     }
 
     /// Whether this axis is a software choice (design, protocol,
-    /// partitioner, backend) rather than a hardware knob.
+    /// partitioner) rather than a hardware knob.
     pub const fn is_software(self) -> bool {
         matches!(
             self,
-            AxisId::Design | AxisId::Protocol | AxisId::Partitioner | AxisId::Backend
+            AxisId::Design | AxisId::Protocol | AxisId::Partitioner
         )
     }
 
@@ -200,12 +197,7 @@ mod tests {
             .collect();
         assert_eq!(
             software,
-            vec![
-                AxisId::Design,
-                AxisId::Protocol,
-                AxisId::Partitioner,
-                AxisId::Backend
-            ]
+            vec![AxisId::Design, AxisId::Protocol, AxisId::Partitioner]
         );
     }
 

@@ -271,11 +271,8 @@ pub const REGISTRY: &[CodeInfo] = &[
         severity: Severity::Error,
         summary: "stabilizer backend selected for a non-Clifford circuit",
     },
-    CodeInfo {
-        code: "DQC-E003",
-        severity: Severity::Error,
-        summary: "density-matrix backend selected beyond its qubit limit",
-    },
+    // DQC-E003 ("density-matrix backend selected beyond its qubit limit")
+    // is retired: the density engine is deleted. Never reuse the code.
     CodeInfo {
         code: "DQC-E004",
         severity: Severity::Error,

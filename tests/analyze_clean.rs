@@ -69,12 +69,6 @@ fn circuit_fixture(code: &str) -> Option<(&'static str, Circuit, SystemConfig)> 
         "DQC-E001" => ("ghz-40", ghz_tree(40), paper()),
         // QFT's controlled-phase rotations are non-Clifford.
         "DQC-E002" => ("qft-32", qft(32), paper().with_backend(Backend::Stabilizer)),
-        // 16 qubits exceed the density engine's 8-qubit oracle bound.
-        "DQC-E003" => (
-            "ghz-16",
-            ghz_tree(16),
-            paper().with_backend(Backend::Density),
-        ),
         // A 3-node graph contradicts the declared 2-node system.
         "DQC-E004" => {
             let mut config = paper();

@@ -1,26 +1,18 @@
 //! Cross-backend differential harness: every compiled circuit must mean
 //! the same thing on every engine that can execute it.
 //!
-//! The backend contract has two tiers, and this suite pins both:
+//! The stabilizer fast path replays the analytic engine's schedule and
+//! RNG streams, so stabilizer-eligible circuits must agree **bit for
+//! bit** with the analytic reference (and `auto` must equal whatever
+//! engine it selects).
 //!
-//! - **exact** — the stabilizer fast path replays the analytic engine's
-//!   schedule and RNG streams, so stabilizer-eligible circuits must agree
-//!   **bit for bit** with the analytic reference (and `auto` must equal
-//!   whatever engine it selects);
-//! - **numeric** — the density backend re-derives every remote-gate
-//!   fidelity factor from the dense teleportation gadget instead of the
-//!   analytic affine law; the law is exact in the Werner parameter, so at
-//!   density-feasible widths (≤ 8 data qubits) the two must agree within
-//!   `1e-9` while timing stays identical.
-//!
-//! The suite replays the full serving portfolio plus a Clifford-only
-//! suite through every eligible backend pair, across shuffled seed orders
-//! and multi-run matrices, and closes with seeded property-style loops
+//! The suite replays the full serving portfolio plus a Clifford suite
+//! through every eligible backend pair, across shuffled seed orders and
+//! multi-run matrices, and closes with seeded property-style loops
 //! pinning the compile-time tableau certification against the dense
-//! oracle.
+//! statevector oracle.
 
 use dqc::circuit::Circuit;
-use dqc::core::DENSITY_MAX_QUBITS;
 use dqc::sim::Statevector;
 use dqc::workloads::{clifford_blocks, ghz_chain, ghz_tree, qft, random_clifford};
 use dqc::{Backend, CompiledCircuit, Design, DqcError, ExecutionReport, SystemConfig};
@@ -28,8 +20,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Tolerance of the numeric (density vs analytic) tier.
-const NUMERIC_TOL: f64 = 1e-9;
+/// Tolerance of the dense-oracle probability checks.
+const ORACLE_TOL: f64 = 1e-9;
 
 /// The designs the matrices replay: the bare baseline, the buffered
 /// event-driven path, and the adaptive path (where the stabilizer engine
@@ -44,57 +36,20 @@ fn is_clifford(circuit: &Circuit) -> bool {
 }
 
 /// Every backend that can legally execute `circuit`: `analytic` and
-/// `auto` always, `stabilizer` for Clifford-only circuits, `density`
-/// within its width budget.
+/// `auto` always, `stabilizer` for Clifford-only circuits.
 fn eligible_backends(circuit: &Circuit) -> Vec<Backend> {
     let mut backends = vec![Backend::Analytic, Backend::Auto];
     if is_clifford(circuit) {
         backends.push(Backend::Stabilizer);
     }
-    if circuit.num_qubits() <= DENSITY_MAX_QUBITS {
-        backends.push(Backend::Density);
-    }
     backends
 }
 
-/// Compares two reports of the same (circuit, design, seed) cell under
-/// the tier the backend pair promises: exact unless density is involved,
-/// in which case timing stays exact and fidelities agree numerically.
-fn assert_pair_agrees(
-    label: &str,
-    design: Design,
-    seed: u64,
-    (ba, a): (Backend, &ExecutionReport),
-    (bb, b): (Backend, &ExecutionReport),
-) {
-    let context = format!("{label} / {design} / seed {seed}: {ba} vs {bb}");
-    if ba == Backend::Density || bb == Backend::Density {
-        assert_eq!(a.makespan, b.makespan, "{context}");
-        assert_eq!(a.remote_gates, b.remote_gates, "{context}");
-        assert_eq!(a.service_stats, b.service_stats, "{context}");
-        assert_eq!(a.mean_link_wait, b.mean_link_wait, "{context}");
-        for (field, x, y) in [
-            ("fidelity", a.fidelity, b.fidelity),
-            ("local_fidelity", a.local_fidelity, b.local_fidelity),
-            ("remote_fidelity", a.remote_fidelity, b.remote_fidelity),
-            ("idle_fidelity", a.idle_fidelity, b.idle_fidelity),
-        ] {
-            assert!(
-                (x.value() - y.value()).abs() <= NUMERIC_TOL,
-                "{context}: {field} {} vs {}",
-                x.value(),
-                y.value()
-            );
-        }
-    } else {
-        assert_eq!(a, b, "{context}");
-    }
-}
-
 /// Runs `circuit` through every eligible backend over a shuffled seed
-/// order and asserts pairwise agreement on every cell. Shuffling the
-/// replay order per backend proves runs are independent: the report of
-/// seed `s` cannot depend on which seeds were evaluated before it.
+/// order and asserts pairwise bit-for-bit agreement on every cell.
+/// Shuffling the replay order per backend proves runs are independent:
+/// the report of seed `s` cannot depend on which seeds were evaluated
+/// before it.
 fn differential_matrix(label: &str, circuit: &Circuit, config: &SystemConfig, shuffle: u64) {
     let backends = eligible_backends(circuit);
     let compiled: Vec<(Backend, CompiledCircuit)> = backends
@@ -130,15 +85,16 @@ fn differential_matrix(label: &str, circuit: &Circuit, config: &SystemConfig, sh
         for (i, (ba, cells_a)) in per_backend.iter().enumerate() {
             for (bb, cells_b) in &per_backend[i + 1..] {
                 for ((seed, a), (_, b)) in cells_a.iter().zip(cells_b) {
-                    assert_pair_agrees(label, design, *seed, (*ba, a), (*bb, b));
+                    assert_eq!(a, b, "{label} / {design} / seed {seed}: {ba} vs {bb}");
                 }
             }
         }
     }
 }
 
-/// The Clifford-only suite: wide circuits where the stabilizer fast path
-/// is eligible (and, at 8 qubits, the density oracle joins in).
+/// The Clifford suite: circuits where the stabilizer fast path is
+/// eligible, wide and at 8 qubits, plus QFT-8, where `auto` must fall
+/// back to the analytic walk.
 fn clifford_suite() -> Vec<(String, Circuit, SystemConfig)> {
     let paper = SystemConfig::paper_two_node_32();
     let mut small = paper.clone();
@@ -163,6 +119,7 @@ fn clifford_suite() -> Vec<(String, Circuit, SystemConfig)> {
             small.clone(),
         ),
         ("GHZ-chain-8".into(), ghz_chain(8), small.clone()),
+        ("GHZ-tree-8".into(), ghz_tree(8), small.clone()),
         ("QFT-8".into(), qft(8), small),
     ]
 }
@@ -170,8 +127,8 @@ fn clifford_suite() -> Vec<(String, Circuit, SystemConfig)> {
 #[test]
 fn serve_portfolio_agrees_across_eligible_backends() {
     // The exact traffic mix the serving layer is benchmarked on: QAOA
-    // and QFT stay analytic-only (non-Clifford, too wide for density),
-    // the GHZ circuits additionally exercise the stabilizer path.
+    // and QFT stay analytic-only (non-Clifford), the GHZ circuits
+    // additionally exercise the stabilizer path.
     let config = SystemConfig::paper_two_node_32();
     for (label, circuit) in dqc_bench::serve_portfolio() {
         differential_matrix(&label, &circuit, &config, 0x9087 ^ circuit.fingerprint());
@@ -235,14 +192,6 @@ fn explicit_stabilizer_is_rejected_on_non_clifford_portfolio_circuits() {
     }
 }
 
-#[test]
-fn density_is_rejected_beyond_its_width_budget() {
-    let config = SystemConfig::paper_two_node_32().with_backend(Backend::Density);
-    let err = CompiledCircuit::compile(&ghz_chain(32), &config)
-        .expect_err("32 qubits exceed the density budget");
-    assert!(matches!(err, DqcError::BackendUnsupported { backend, .. } if backend == "density"));
-}
-
 // ----------------------------------------------------- property-style
 
 /// Seeded property loop: for random Clifford circuits, the compile-time
@@ -270,12 +219,12 @@ fn random_clifford_outcomes_match_the_dense_oracle() {
                 Some(bit) => {
                     let expected = if *bit { 1.0 } else { 0.0 };
                     assert!(
-                        (p1 - expected).abs() <= NUMERIC_TOL,
+                        (p1 - expected).abs() <= ORACLE_TOL,
                         "trial {trial}, qubit {q}: certified {bit}, dense p1 = {p1}"
                     );
                 }
                 None => assert!(
-                    (p1 - 0.5).abs() <= NUMERIC_TOL,
+                    (p1 - 0.5).abs() <= ORACLE_TOL,
                     "trial {trial}, qubit {q}: uncertified but dense p1 = {p1}"
                 ),
             }
@@ -284,10 +233,10 @@ fn random_clifford_outcomes_match_the_dense_oracle() {
 }
 
 /// Seeded property loop: random Clifford circuits agree bit for bit
-/// between the stabilizer and analytic engines, and within tolerance
-/// against the density oracle, across random designs and seeds.
+/// between the stabilizer and analytic engines, across random designs
+/// and seeds.
 #[test]
-fn random_cliffords_pin_tableau_against_density() {
+fn random_cliffords_agree_across_engines() {
     let mut config = SystemConfig::paper_two_node_32();
     config.data_qubits_per_node = 4;
     for trial in 0..10u64 {

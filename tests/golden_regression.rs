@@ -9,12 +9,13 @@
 //! absorb float-formatting round-trips — which are exact — and is
 //! correspondingly tight.
 //!
-//! To re-pin after a deliberate behavior change:
+//! To re-pin after a deliberate behavior change (the golden files name
+//! their own targets, so the list lives in `PINNED` and the directory
+//! only):
 //!
 //! ```text
-//! cargo run --release --bin repro -- table1 fig5 topology-sweep \
-//!     codesign ablate-protocol backend-matrix analyze --runs 2 \
-//!     --format json --out tests/golden
+//! cargo run --release --bin repro -- $(basename -s .json tests/golden/*.json) \
+//!     --runs 2 --format json --out tests/golden
 //! ```
 
 use dqc_bench::Artifact;
@@ -36,7 +37,6 @@ const PINNED: &[&str] = &[
     "topology-sweep",
     "codesign",
     "ablate-protocol",
-    "backend-matrix",
     "analyze",
 ];
 
@@ -68,6 +68,27 @@ fn check_target(target: &str) {
             .collect::<Vec<_>>()
             .join("\n  ")
     );
+}
+
+#[test]
+fn golden_dir_holds_exactly_the_pinned_targets() {
+    // CI and the regenerate command take the target list from the file
+    // names, so a stale golden (one whose target is gone or unpinned)
+    // must fail here rather than linger unchecked.
+    let mut files: Vec<String> = std::fs::read_dir(golden_dir())
+        .expect("tests/golden is readable")
+        .map(|entry| {
+            entry
+                .expect("directory entry")
+                .file_name()
+                .into_string()
+                .expect("UTF-8 file name")
+        })
+        .collect();
+    files.sort();
+    let mut pinned: Vec<String> = PINNED.iter().map(|t| format!("{t}.json")).collect();
+    pinned.sort();
+    assert_eq!(files, pinned);
 }
 
 #[test]
@@ -107,46 +128,6 @@ fn ablate_protocol_matches_golden() {
 #[test]
 fn codesign_matches_golden() {
     check_target("codesign");
-}
-
-#[test]
-fn backend_matrix_matches_golden() {
-    check_target("backend-matrix");
-}
-
-#[test]
-fn golden_backend_matrix_engines_agree() {
-    // The acceptance claim of the backend-matrix target, asserted from
-    // the committed golden itself: for every matrix circuit, all three
-    // engines report the same fidelity and depth — the analytic numbers
-    // are pinned, and the stabilizer and density columns must match them
-    // to the golden tolerance.
-    let text = std::fs::read_to_string(golden_dir().join("backend-matrix.json")).unwrap();
-    let artifact = Artifact::parse(&text).unwrap();
-    let result = dqc::SweepResult::from_json(&artifact.data).expect("matrix payload parses back");
-    for (label, _) in dqc_bench::backend_matrix_circuits() {
-        let cell = |backend: dqc::Backend| {
-            result
-                .cell(&label, backend.name(), dqc::Design::AsyncBuf)
-                .unwrap_or_else(|| panic!("golden matrix misses {label} × {backend}"))
-        };
-        let analytic = cell(dqc::Backend::Analytic);
-        for backend in [dqc::Backend::Stabilizer, dqc::Backend::Density] {
-            let other = cell(backend);
-            assert!(
-                (other.report.mean_fidelity - analytic.report.mean_fidelity).abs() <= GOLDEN_TOL,
-                "{label}: {backend} fidelity {} vs analytic {}",
-                other.report.mean_fidelity,
-                analytic.report.mean_fidelity
-            );
-            assert!(
-                (other.report.mean_depth - analytic.report.mean_depth).abs() <= GOLDEN_TOL,
-                "{label}: {backend} depth {} vs analytic {}",
-                other.report.mean_depth,
-                analytic.report.mean_depth
-            );
-        }
-    }
 }
 
 #[test]

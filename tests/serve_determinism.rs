@@ -337,7 +337,7 @@ fn backends_never_share_a_cache_entry() {
     // The backend is folded into the configuration fingerprint, so the
     // serve cache key for the same circuit on the same hardware point
     // differs across backends — a stabilizer compilation can never be
-    // handed to a density request or vice versa.
+    // handed to an analytic request or vice versa.
     let circuit = Arc::new(dqc::workloads::ghz_chain(32));
     let base = SystemConfig::paper_two_node_32();
     let keys: Vec<u64> = Backend::ALL
