@@ -1,8 +1,8 @@
 //! `dqc-analyze` — the static diagnostics engine.
 //!
 //! Every other layer of this workspace discovers misconfiguration
-//! *dynamically*: a non-Clifford circuit forced onto the stabilizer
-//! backend fails inside `CompiledCircuit::compile`, an entanglement-starved
+//! *dynamically*: a circuit wider than the hardware point fails inside
+//! `CompiledCircuit::compile`, an entanglement-starved
 //! hardware point stretches a live engine run, a degenerate `ServeConfig`
 //! surprises a running daemon. This crate reports those properties
 //! **before any simulation budget is spent**, over circuits,
@@ -23,9 +23,8 @@
 //!   a qubit's measurement (`DQC-W002`), fully serialized multi-qubit
 //!   circuits with zero schedule slack (`DQC-W004`).
 //! * **Admission** — the compiler's static refusals, O(ops): width vs.
-//!   data capacity (`DQC-E001`), stabilizer × non-Clifford (`DQC-E002`),
-//!   topology node-count mismatch (`DQC-E004`), disconnected multi-node
-//!   topology (`DQC-E005`).
+//!   data capacity (`DQC-E001`), topology node-count mismatch
+//!   (`DQC-E004`), disconnected multi-node topology (`DQC-E005`).
 //! * **Link feasibility** — on the compilation the engine itself builds:
 //!   remote gates with no communication qubits (`DQC-E006`), and per-link
 //!   EPR demand so far beyond generation capacity that entanglement
@@ -37,17 +36,17 @@
 //!
 //! # Examples
 //!
-//! Prove a backend mismatch without compiling:
+//! Prove a width refusal without compiling:
 //!
 //! ```
 //! use dqc_analyze::Analyzer;
-//! use dqc_core::{Backend, SystemConfig};
+//! use dqc_core::SystemConfig;
 //! use dqc_workloads::PaperBenchmark;
 //!
-//! let config = SystemConfig::paper_two_node_32().with_backend(Backend::Stabilizer);
-//! let circuit = PaperBenchmark::Qft32.circuit(); // controlled-phase: non-Clifford
-//! let report = Analyzer::new().analyze_circuit("QFT-32", &circuit, &config);
-//! assert!(report.codes().any(|c| c == "DQC-E002"));
+//! let config = SystemConfig::paper_two_node_32(); // 2 × 16 data qubits
+//! let circuit = PaperBenchmark::QaoaR4_64.circuit(); // 64 qubits
+//! let report = Analyzer::new().analyze_circuit("QAOA-r4-64", &circuit, &config);
+//! assert!(report.codes().any(|c| c == "DQC-E001"));
 //! ```
 
 use dqc_circuit::{Circuit, Gate};
@@ -114,10 +113,10 @@ impl Analyzer {
     }
 
     /// The cheap O(ops) admission subset: every static refusal of
-    /// [`CompiledCircuit::refusals`] (`DQC-E001`…`DQC-E005`), without
-    /// partitioning or scheduling anything. This is what the
-    /// `dqc-served` daemon runs on its wire path before spending queue
-    /// space on a submission.
+    /// [`CompiledCircuit::refusals`] (`DQC-E001`, `DQC-E004`,
+    /// `DQC-E005`), without partitioning or scheduling anything. This is
+    /// what the `dqc-served` daemon runs on its wire path before spending
+    /// queue space on a submission.
     pub fn analyze_admission(
         &self,
         label: &str,

@@ -25,7 +25,7 @@
 #![warn(missing_docs)]
 
 use dqc_circuit::Circuit;
-use dqc_core::{AveragedReport, Design, DqcError, Experiment, Sweep, SweepResult, SystemConfig};
+use dqc_core::{AveragedReport, Design, DqcError, Sweep, SweepResult, SystemConfig};
 use dqc_entanglement::{EntanglementService, GenerationPattern, NetworkTopology};
 use dqc_partition::partition_circuit;
 use dqc_types::{Json, JsonError, Tick};
@@ -378,28 +378,6 @@ pub fn print_fig3_from(data: &Fig3Histograms) {
 }
 
 // ------------------------------------------------------------- Fig. 5 / 6
-
-/// Depth and fidelity of every design on one benchmark (one panel of
-/// Figures 5 and 6): one compilation shared by all designs.
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn design_sweep(
-    bench: PaperBenchmark,
-    config: &SystemConfig,
-    designs: &[Design],
-    runs: usize,
-    seed: u64,
-) -> Result<Vec<AveragedReport>, DqcError> {
-    let experiment = Experiment::new(&bench.circuit(), config)?
-        .runs(runs)
-        .base_seed(seed);
-    designs
-        .iter()
-        .map(|&design| experiment.clone().design(design).run())
-        .collect()
-}
 
 /// Extracts one benchmark panel (all designs, grid order) from a sweep.
 fn panel_reports(result: &SweepResult, bench: PaperBenchmark, config: &str) -> Vec<AveragedReport> {
@@ -1174,10 +1152,9 @@ const SKEW_HOT: usize = 2;
 /// QFT-32, same design, same base seed — the traffic shape of many
 /// tenants asking one popular question), with every `cold_every`-th
 /// request a distinct background evaluation drawn from the rest of the
-/// portfolio. Cross-request replay fusion coalesces the duplicates that
-/// land in one worker batch into a single replay; the unfused server
-/// re-runs every one. Pure function of its arguments, like
-/// [`portfolio_requests`].
+/// portfolio. Replay fusion, always on, coalesces the duplicates that
+/// land in one worker batch into a single replay. Pure function of its
+/// arguments, like [`portfolio_requests`].
 ///
 /// `cold_every = 0` makes every request the hot duplicate.
 pub fn skewed_requests(
@@ -1309,14 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn design_sweep_produces_one_report_per_design() {
-        let config = SystemConfig::paper_two_node_32();
-        let reports = design_sweep(PaperBenchmark::Tlim32, &config, &Design::ALL, 2, 0).unwrap();
-        assert_eq!(reports.len(), Design::ALL.len());
-        assert!(reports.iter().all(|r| r.runs == 2));
-    }
-
-    #[test]
     fn fig56_sweep_compiles_once_per_benchmark() {
         let result = fig56_sweep(1, 0).unwrap();
         assert_eq!(result.compilations, PaperBenchmark::FIG5.len());
@@ -1380,19 +1349,6 @@ mod tests {
         // Background requests never collide in seed, so they can't fuse.
         for pair in cold.windows(2) {
             assert_ne!(pair[0].base_seed, pair[1].base_seed);
-        }
-    }
-
-    #[test]
-    fn sweep_panels_match_design_sweep() {
-        // The Sweep-based figure path and the Experiment-based panel path
-        // must agree exactly: same engine, same seeds.
-        let result = fig56_sweep(2, 7).unwrap();
-        let config = SystemConfig::paper_two_node_32();
-        for bench in PaperBenchmark::FIG5 {
-            let direct = design_sweep(bench, &config, &Design::ALL, 2, 7).unwrap();
-            let from_sweep = panel_reports(&result, bench, "paper");
-            assert_eq!(direct, from_sweep, "{bench}");
         }
     }
 }

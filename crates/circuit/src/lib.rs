@@ -8,8 +8,6 @@
 //!   `is_clifford`) and Table II durations.
 //! * [`Operation`] / [`Circuit`] — gates bound to qubits, with a fluent
 //!   builder, validation, gate counts, and unit / latency-weighted depth.
-//! * [`CircuitDag`] — the data-dependency DAG with ASAP/ALAP levels used by
-//!   the schedulers in `dqc-core`.
 //! * [`commutes`] — conservative commutation rules that power the paper's
 //!   ASAP/ALAP segment-variant generation (§III-D).
 //! * [`to_qasm`] / [`from_qasm`] — OpenQASM 2.0 interchange, exact
@@ -20,14 +18,11 @@
 //! # Examples
 //!
 //! ```
-//! use dqc_circuit::{commutes, Circuit, CircuitDag};
+//! use dqc_circuit::{commutes, Circuit};
 //!
 //! let mut c = Circuit::new(3);
 //! c.h(0).cx(0, 1).rzz(1, 2, 0.5);
 //! assert_eq!(c.depth(), 3);
-//!
-//! let dag = CircuitDag::new(&c);
-//! assert_eq!(dag.roots().len(), 1);
 //!
 //! let ops = c.operations();
 //! assert!(!commutes(&ops[1], &ops[2])); // cx target feeds rzz
@@ -39,7 +34,6 @@
 mod circuit;
 mod commute;
 mod counts;
-mod dag;
 mod error;
 mod gate;
 mod json;
@@ -51,7 +45,6 @@ mod render;
 pub use circuit::Circuit;
 pub use commute::{commutes, commutes_with_all};
 pub use counts::GateCounts;
-pub use dag::CircuitDag;
 pub use error::CircuitError;
 pub use gate::Gate;
 pub use op::Operation;

@@ -296,7 +296,7 @@ impl Codesign {
         self.space.validate()?;
         let mut indices = self.strategy.select(self.space.len());
         // Static prefilter: points the analyzer proves can never compile
-        // (backend × circuit class, width, broken topology) are dropped
+        // (width, broken topology) are dropped
         // before they consume replay budget. Warnings never prune.
         let infeasible = dqc_analyze::Analyzer::new().infeasible_points(
             &self.space,

@@ -9,10 +9,9 @@
 //! ideal-device schedule, and the remote-gate fidelity table are computed
 //! once and shared immutably across every design and every seed.
 
-use crate::backend::{first_non_clifford, SchedulePlan};
 use crate::{
-    segment_sequence, Backend, Design, DqcError, ExecutionReport, PartitionStrategy,
-    RemoteFidelityTable, SegmentVariants, SystemConfig,
+    segment_sequence, Design, DqcError, ExecutionReport, PartitionStrategy, RemoteFidelityTable,
+    SegmentVariants, SystemConfig,
 };
 use dqc_circuit::Circuit;
 use dqc_entanglement::{NetworkTopology, RoutingTable};
@@ -74,10 +73,6 @@ pub struct CompiledCircuit {
     /// All-pairs shortest routes over the configured topology; `None`
     /// with the default all-to-all network (direct links everywhere).
     pub(crate) routing: Option<RoutingTable>,
-    /// The stabilizer engine's max-plus schedule plan; built whenever the
-    /// configured backend may select the stabilizer engine (`stabilizer`
-    /// or `auto`) and the circuit is Clifford-only.
-    pub(crate) plan: Option<SchedulePlan>,
 }
 
 impl CompiledCircuit {
@@ -94,12 +89,10 @@ impl CompiledCircuit {
         if compile_span.enabled() {
             compile_span.attr("qubits", u64::from(circuit.num_qubits()));
             compile_span.attr("cache_key", Self::cache_key(circuit, config));
-            compile_span.attr("backend", config.backend.name());
         }
         if let Some(refusal) = Self::refusals(circuit, config).into_iter().next() {
             return Err(refusal);
         }
-        let clifford = first_non_clifford(circuit).is_none();
         let ideal_report = crate::executor::ideal_report(circuit, config);
         let routing = {
             let _route_span = dqc_obs::span("compile.route");
@@ -147,8 +140,6 @@ impl CompiledCircuit {
             .iter()
             .map(|seg| SegmentVariants::compile(&ops[seg.clone()], &map))
             .collect();
-        let plan = (clifford && matches!(config.backend, Backend::Stabilizer | Backend::Auto))
-            .then(|| SchedulePlan::build(circuit, &map, config));
         if schedule_span.enabled() {
             schedule_span.attr("segments", segments.len());
         }
@@ -163,7 +154,6 @@ impl CompiledCircuit {
             remote_gates,
             ideal_report,
             routing,
-            plan,
         })
     }
 
@@ -172,9 +162,7 @@ impl CompiledCircuit {
     ///
     /// 1. [`DqcError::CircuitTooWide`] — more qubits than data capacity;
     /// 2. [`DqcError::TopologyMismatch`] — the network spans a different
-    ///    node count — or else [`DqcError::DisconnectedTopology`];
-    /// 3. [`DqcError::BackendUnsupported`] — a non-Clifford gate under
-    ///    `stabilizer` (the text names the first one and its op index).
+    ///    node count — or else [`DqcError::DisconnectedTopology`].
     ///
     /// O(ops): nothing is partitioned, routed or scheduled, so admission
     /// paths can ask per request.
@@ -195,15 +183,6 @@ impl CompiledCircuit {
                 });
             } else if config.num_nodes > 1 && !topology.is_connected() {
                 refusals.push(DqcError::DisconnectedTopology);
-            }
-        }
-        if config.backend == Backend::Stabilizer {
-            if let Some(index) = first_non_clifford(circuit) {
-                let gate = circuit.operations()[index].gate();
-                refusals.push(DqcError::BackendUnsupported {
-                    backend: config.backend.name(),
-                    reason: format!("op #{index} is the non-Clifford gate {gate}"),
-                });
             }
         }
         refusals
@@ -280,46 +259,6 @@ impl CompiledCircuit {
     pub fn supports(&self, design: Design) -> bool {
         design == Design::Ideal || self.remote_gates == 0 || self.config.comm_qubits_per_node > 0
     }
-
-    /// Whether the stabilizer fast path is available for this compilation
-    /// — i.e. the circuit is Clifford-only and the configured backend
-    /// (`stabilizer` or `auto`) asked for the plan to be built.
-    pub fn stabilizer_eligible(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// The concrete engine [`CompiledCircuit::run`] dispatches `design`
-    /// to — never [`Backend::Auto`].
-    ///
-    /// Selection rules: the ideal design short-circuits to the cached
-    /// ideal report (analytic); `auto` and `stabilizer` use the
-    /// stabilizer plan when it exists and the design is non-adaptive
-    /// (the §III-D adaptive controller probes live buffer state mid-run,
-    /// which a precomputed plan cannot replay — those designs fall back
-    /// to the identical-by-construction analytic walk).
-    pub fn selected_backend(&self, design: Design) -> Backend {
-        if design == Design::Ideal {
-            return Backend::Analytic;
-        }
-        match self.config.backend {
-            Backend::Analytic => Backend::Analytic,
-            Backend::Auto | Backend::Stabilizer => {
-                if self.plan.is_some() && !design.adaptive_scheduling() {
-                    Backend::Stabilizer
-                } else {
-                    Backend::Analytic
-                }
-            }
-        }
-    }
-
-    /// The stabilizer certification by-product: the deterministic
-    /// computational-basis outcome per qubit after the circuit (`None`
-    /// where a measurement would be genuinely random). Available exactly
-    /// when [`CompiledCircuit::stabilizer_eligible`] is true.
-    pub fn stabilizer_outcomes(&self) -> Option<&[Option<bool>]> {
-        self.plan.as_ref().map(|p| p.outcomes.as_slice())
-    }
 }
 
 #[cfg(test)]
@@ -358,16 +297,12 @@ mod tests {
 
     #[test]
     fn refusals_list_every_static_refusal_and_compile_returns_the_first() {
-        let mut cfg = config().with_backend(Backend::Stabilizer);
+        let mut cfg = config();
         cfg.topology = Some(NetworkTopology::chain(3));
         let circuit = qft(40);
         let refusals = CompiledCircuit::refusals(&circuit, &cfg);
         let codes: Vec<_> = refusals.iter().map(|e| e.code()).collect();
-        assert_eq!(
-            codes,
-            [Some("DQC-E001"), Some("DQC-E004"), Some("DQC-E002")],
-            "{refusals:?}"
-        );
+        assert_eq!(codes, [Some("DQC-E001"), Some("DQC-E004")], "{refusals:?}");
         let err = CompiledCircuit::compile(&circuit, &cfg).unwrap_err();
         assert_eq!(err, refusals[0]);
         assert!(CompiledCircuit::refusals(&qft(32), &config()).is_empty());

@@ -1,6 +1,5 @@
 //! System configuration (the paper's §IV-A and Table II).
 
-use crate::Backend;
 use dqc_entanglement::{
     ConsumeOrder, CutoffPolicy, GenerationPattern, LinkParams, NetworkTopology, ServiceConfig,
 };
@@ -125,6 +124,18 @@ impl FromStr for PartitionStrategy {
     }
 }
 
+/// The name dqcbench's layer probe passes to [`SystemConfig::with_backend`].
+///
+/// There is one replay engine, the per-operation walk, so this value
+/// chooses nothing. It stays only because dqcbench calls
+/// `with_backend(Backend::Auto)`; the benchmark's next change deletes
+/// both.
+#[derive(Debug, Clone, Copy)]
+pub enum Backend {
+    /// The walk, the only engine.
+    Auto,
+}
+
 /// Latencies of the primitive operations, following Table II (in ticks;
 /// one tick = 0.1 local-CNOT latency = 30 ns with the paper's numbers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,10 +238,6 @@ pub struct SystemConfig {
     pub partition_seed: u64,
     /// Which partitioner maps qubits onto nodes at compile time.
     pub partitioner: PartitionStrategy,
-    /// Which simulation engine executes compiled circuits. The default
-    /// (`analytic`) is bit-for-bit the historical behavior; `auto`
-    /// upgrades Clifford-only circuits to the stabilizer fast path.
-    pub backend: Backend,
     /// The inter-node network. `None` (the default) means every node pair
     /// shares a direct link — the paper's implicit all-to-all assumption,
     /// and byte-for-byte the legacy behavior. With `Some(topology)`,
@@ -260,7 +267,6 @@ impl SystemConfig {
             purify_links: false,
             partition_seed: 0xDAC5,
             partitioner: PartitionStrategy::Auto,
-            backend: Backend::Analytic,
             topology: None,
         }
     }
@@ -351,13 +357,12 @@ impl SystemConfig {
         }
     }
 
-    /// Returns a copy with the given simulation backend.
+    /// Returns an unchanged copy: [`Backend`] chooses nothing. Kept only
+    /// for dqcbench's layer probe, and deleted with the benchmark's next
+    /// change.
     #[must_use]
-    pub fn with_backend(&self, backend: Backend) -> Self {
-        Self {
-            backend,
-            ..self.clone()
-        }
+    pub fn with_backend(&self, _backend: Backend) -> Self {
+        self.clone()
     }
 
     /// Total data qubits across all nodes.
@@ -370,9 +375,8 @@ impl SystemConfig {
     ///
     /// Every field that influences compilation or execution is folded in
     /// (qubit counts, Table II latencies and fidelities, `psucc`, κ,
-    /// policies, protocol, partitioner, partition seed, backend, and the
-    /// complete topology with per-edge overrides), so two configurations
-    /// share a
+    /// policies, protocol, partitioner, partition seed, and the complete
+    /// topology with per-edge overrides), so two configurations share a
     /// fingerprint exactly when they are `==`, modulo the astronomically
     /// unlikely FNV-1a collision. Unlike `Hash`-derived values, the
     /// fingerprint never changes across runs, platforms, or toolchains.
@@ -421,7 +425,6 @@ impl SystemConfig {
         h.write_bool(self.purify_links);
         h.write_u64(self.partition_seed);
         h.write_str(self.partitioner.name());
-        h.write_str(self.backend.name());
         match &self.topology {
             Some(topology) => {
                 h.write_u8(1);
@@ -613,7 +616,6 @@ mod tests {
         assert!("smoke_signals".parse::<RemoteProtocol>().is_err());
         assert!("coin_flip".parse::<PartitionStrategy>().is_err());
         assert_eq!(PartitionStrategy::default(), PartitionStrategy::Auto);
-        assert_eq!(Backend::default(), Backend::Analytic);
     }
 
     #[test]
@@ -635,31 +637,15 @@ mod tests {
                 .partitioner,
             PartitionStrategy::Unweighted
         );
+        // The engine name chooses nothing: the copy is the same point.
+        assert_eq!(base.with_backend(Backend::Auto), base);
         assert_eq!(
-            base.with_backend(Backend::Stabilizer).backend,
-            Backend::Stabilizer
+            base.with_backend(Backend::Auto).fingerprint(),
+            base.fingerprint()
         );
         // Everything else is untouched.
         assert_eq!(base.with_epr_fidelity(0.95).latencies, base.latencies);
         assert_eq!(base.with_kappa(1e-3).fidelities, base.fidelities);
-    }
-
-    #[test]
-    fn fingerprint_tracks_backend() {
-        let base = SystemConfig::paper_two_node_32();
-        let prints: Vec<u64> = Backend::ALL
-            .iter()
-            .map(|b| base.with_backend(*b).fingerprint())
-            .collect();
-        for (i, a) in prints.iter().enumerate() {
-            for b in &prints[i + 1..] {
-                assert_ne!(a, b, "backends must never share a hardware point");
-            }
-        }
-        assert_eq!(
-            base.fingerprint(),
-            base.with_backend(Backend::Analytic).fingerprint()
-        );
     }
 
     #[test]

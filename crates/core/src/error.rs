@@ -67,14 +67,6 @@ pub enum DqcError {
     /// The configured network topology is not connected, so some node
     /// pairs could never establish end-to-end entanglement.
     DisconnectedTopology,
-    /// The selected simulation backend cannot execute this circuit (a
-    /// non-Clifford gate under the stabilizer engine).
-    BackendUnsupported {
-        /// Name of the selected backend.
-        backend: &'static str,
-        /// Why the backend refused the circuit.
-        reason: String,
-    },
 }
 
 impl fmt::Display for DqcError {
@@ -135,19 +127,13 @@ impl fmt::Display for DqcError {
                      share entanglement"
                 )
             }
-            DqcError::BackendUnsupported { backend, reason } => {
-                write!(
-                    f,
-                    "backend `{backend}` cannot execute this circuit: {reason}"
-                )
-            }
         }
     }
 }
 
 impl DqcError {
     /// The registered diagnostic code (`dqc_types::diag::REGISTRY`) of an
-    /// engine refusal: `DQC-E001`, `DQC-E002` or `DQC-E004`…`DQC-E006`.
+    /// engine refusal: `DQC-E001` or `DQC-E004`…`DQC-E006`.
     /// `None` for failures no static analysis can prove (partitioning,
     /// sweep declarations).
     pub fn code(&self) -> Option<&'static str> {
@@ -175,10 +161,6 @@ impl DqcError {
             DqcError::CircuitTooWide { .. } => {
                 ("DQC-E001", "shrink the circuit or add nodes/data qubits")
             }
-            DqcError::BackendUnsupported { .. } => (
-                "DQC-E002",
-                "select the `auto` or `analytic` backend, or Cliffordize the circuit",
-            ),
             DqcError::TopologyMismatch { .. } => {
                 ("DQC-E004", "make the topology and `num_nodes` agree")
             }
@@ -238,12 +220,6 @@ mod tests {
             .contains("kappa"));
         let e = DqcError::PointOutOfRange { index: 9, len: 4 };
         assert!(e.to_string().contains('9') && e.to_string().contains('4'));
-        let e = DqcError::BackendUnsupported {
-            backend: "stabilizer",
-            reason: "circuit contains a non-Clifford gate".to_string(),
-        };
-        assert!(e.to_string().contains("stabilizer"));
-        assert!(e.to_string().contains("non-Clifford"));
     }
 
     #[test]
@@ -253,10 +229,6 @@ mod tests {
                 qubits: 40,
                 capacity: 32,
             },
-            DqcError::BackendUnsupported {
-                backend: "stabilizer",
-                reason: "op #1 is the non-Clifford gate t".to_string(),
-            },
             DqcError::TopologyMismatch {
                 topology_nodes: 3,
                 config_nodes: 2,
@@ -264,7 +236,7 @@ mod tests {
             DqcError::DisconnectedTopology,
             DqcError::NoEntanglementPossible,
         ];
-        let codes = ["DQC-E001", "DQC-E002", "DQC-E004", "DQC-E005", "DQC-E006"];
+        let codes = ["DQC-E001", "DQC-E004", "DQC-E005", "DQC-E006"];
         for (refusal, code) in refusals.iter().zip(codes) {
             // `Diagnostic::new` panics on an unregistered code.
             let diagnostic = refusal.diagnostic("qft-32").unwrap();
@@ -274,7 +246,7 @@ mod tests {
             assert!(diagnostic.is_error());
         }
         assert_eq!(
-            refusals[3].diagnostic("qft-32").unwrap().site,
+            refusals[2].diagnostic("qft-32").unwrap().site,
             Site::Field("topology".to_string())
         );
         assert_eq!(DqcError::ZeroRuns.code(), None);

@@ -5,10 +5,7 @@
 //! This module is the *run-many* half of the engine; the *compile-once*
 //! half lives in [`crate::compile`].
 
-use crate::backend::SchedulePlan;
-use crate::{
-    Backend, CompiledCircuit, Design, DqcError, ExecutionReport, RemoteFidelityTable, VariantKind,
-};
+use crate::{CompiledCircuit, Design, DqcError, ExecutionReport, RemoteFidelityTable, VariantKind};
 use dqc_circuit::{Circuit, Gate, Operation};
 use dqc_entanglement::{swap_chain_fidelity, EntanglementService, RoutingTable};
 use dqc_partition::QubitMap;
@@ -50,28 +47,22 @@ impl CompiledCircuit {
     /// # }
     /// ```
     pub fn run(&self, design: Design, seed: u64) -> Result<ExecutionReport, DqcError> {
-        let backend = self.selected_backend(design);
         let mut replay_span = dqc_obs::span("exec.replay");
         if replay_span.enabled() {
-            replay_span.attr("backend", backend.name());
+            // dqcbench's `core.exec.analytic_us_p50` selects replays by
+            // this attribute; it goes with the benchmark's next change.
+            replay_span.attr("backend", "analytic");
             replay_span.attr("cache_key", self.key());
             replay_span.attr("design", design.to_string());
             replay_span.attr("seed", seed);
         }
-        // `selected_backend` picks the stabilizer engine only when the
-        // plan exists and the design is neither ideal (no remote gates
-        // to schedule against) nor adaptive (the controller probes live
-        // buffer state); every other case walks the circuit.
-        match (backend, &self.plan) {
-            (Backend::Stabilizer, Some(plan)) => run_stabilizer(self, plan, design, seed),
-            _ => run_analytic(self, design, seed),
-        }
+        walk(self, design, seed)
     }
 }
 
-/// The analytic walk: replays every operation of the circuit —
-/// bit-for-bit the historical executor.
-fn run_analytic(
+/// The per-operation walk: replays every operation of the circuit
+/// against the seeded entanglement service.
+fn walk(
     compiled: &CompiledCircuit,
     design: Design,
     seed: u64,
@@ -112,79 +103,6 @@ fn run_analytic(
         let stats = services.merged_stats();
         Ok(tracker.into_report(design, ideal_makespan, Some(stats), (0, 0, 0), config))
     }
-}
-
-/// The stabilizer engine's per-seed replay: only the remote gates touch
-/// the entanglement service; everything local was folded into the
-/// max-plus [`SchedulePlan`] at compile time. Produces bit-for-bit the
-/// same report as [`run_analytic`], at a cost proportional to the
-/// remote-gate count.
-fn run_stabilizer(
-    compiled: &CompiledCircuit,
-    plan: &SchedulePlan,
-    design: Design,
-    seed: u64,
-) -> Result<ExecutionReport, DqcError> {
-    if !compiled.supports(design) {
-        return Err(DqcError::NoEntanglementPossible);
-    }
-    let config = &compiled.config;
-    let mut services = ServicePool::new(config, design, seed, compiled.routing.as_ref());
-    // The same purification RNG stream the analytic tracker would carry.
-    let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed ^ 0x7EAC_4E12);
-    let mut ends: Vec<Tick> = Vec::with_capacity(plan.remote.len());
-    let mut busy = plan.local_busy.clone();
-    let mut remote_fidelity = Fidelity::PERFECT;
-    let mut total_link_wait = Tick::ZERO;
-    for gate in &plan.remote {
-        let t_deps = gate.deps.eval(&ends);
-        let outcome = serve_remote_gate(
-            &mut services,
-            gate.pair,
-            t_deps,
-            config,
-            &compiled.table,
-            &mut rng,
-        )?;
-        total_link_wait += outcome.link_wait;
-        remote_fidelity *= outcome.factor;
-        for &q in &gate.qubits {
-            busy[q] += outcome.end - outcome.start;
-        }
-        ends.push(outcome.end);
-    }
-    let makespan = plan.makespan.eval(&ends);
-    // Report assembly mirrors `Tracker::into_report` expression for
-    // expression, so the floats agree bit-for-bit.
-    let used_qubits = plan.used.iter().filter(|u| **u).count().max(1);
-    let total_idle: Tick = busy
-        .iter()
-        .zip(&plan.used)
-        .filter(|(_, used)| **used)
-        .map(|(busy, _)| makespan.saturating_sub(*busy) - Tick::ZERO)
-        .sum();
-    let mean_idle = total_idle.ticks() as f64 / used_qubits as f64;
-    let idle_fidelity = Fidelity::new((-2.0 * config.kappa_per_tick * mean_idle).exp());
-    let fidelity = plan.local_fidelity * remote_fidelity * idle_fidelity;
-    let remote_gates = plan.remote.len();
-    let mean_link_wait = if remote_gates == 0 {
-        0.0
-    } else {
-        total_link_wait.ticks() as f64 / remote_gates as f64
-    };
-    Ok(ExecutionReport {
-        design,
-        makespan,
-        ideal_makespan: compiled.ideal_report.makespan,
-        fidelity,
-        local_fidelity: plan.local_fidelity,
-        remote_fidelity,
-        idle_fidelity,
-        remote_gates,
-        service_stats: Some(services.merged_stats()),
-        mean_link_wait,
-        variant_counts: (0, 0, 0),
-    })
 }
 
 /// Builds the seed-independent ideal-device report: the circuit scheduled
@@ -299,7 +217,7 @@ fn take_routed(
     Ok((ready, swap_chain_fidelity(&fidelities)))
 }
 
-pub(crate) fn node_pair(map: &QubitMap, op: &Operation) -> (NodeId, NodeId) {
+fn node_pair(map: &QubitMap, op: &Operation) -> (NodeId, NodeId) {
     let qs = op.qubits();
     let (a, b) = (map.node_of(qs[0]), map.node_of(qs[1]));
     if a <= b {
@@ -321,8 +239,7 @@ struct RemoteOutcome {
 
 /// Serves one remote gate issued at `t_deps`: obtains the link(s) from
 /// the entanglement supply and computes the schedule span and fidelity
-/// factor. Shared verbatim by the analytic walk and the stabilizer
-/// replay, so both engines produce identical floats by construction.
+/// factor.
 fn serve_remote_gate(
     services: &mut ServicePool<'_>,
     pair: (NodeId, NodeId),
@@ -728,10 +645,8 @@ impl Tracker {
     }
 }
 
-/// Duration and fidelity factor of one local operation — the one table
-/// the analytic walk and the stabilizer plan both read, so their
-/// schedules and fidelities agree bit-for-bit.
-pub(crate) fn local_gate_cost(gate: Gate, config: &SystemConfig) -> (Tick, f64) {
+/// Duration and fidelity factor of one local operation.
+fn local_gate_cost(gate: Gate, config: &SystemConfig) -> (Tick, f64) {
     match gate {
         Gate::Measure => (config.latencies.measurement, config.fidelities.measurement),
         Gate::Swap => (
@@ -1167,117 +1082,5 @@ mod tests {
         let a = evaluate(&c, &cfg, Design::AdaptBuf, 11).unwrap();
         let b = evaluate(&c, &cfg, Design::AdaptBuf, 11).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn stabilizer_matches_analytic_bit_for_bit() {
-        // The stabilizer fast path folds the local schedule at compile
-        // time and replays only the remote gates — through the same
-        // service-pool code path as the analytic walk. The reports must
-        // therefore agree exactly (floats included), not just closely.
-        use crate::Backend;
-        for circuit in [
-            dqc_workloads::ghz_chain(32),
-            dqc_workloads::ghz_tree(32),
-            dqc_workloads::random_clifford(32, 400, 0.0, &mut seeded_rng(12)),
-        ] {
-            let stab_cfg = config().with_backend(Backend::Stabilizer);
-            for design in [Design::Original, Design::SyncBuf, Design::AsyncBuf] {
-                for seed in [0u64, 7, 1234] {
-                    let a = evaluate(&circuit, &config(), design, seed).unwrap();
-                    let s = evaluate(&circuit, &stab_cfg, design, seed).unwrap();
-                    assert_eq!(a, s, "{design} seed {seed}");
-                }
-            }
-        }
-    }
-
-    fn seeded_rng(seed: u64) -> rand_chacha::ChaCha8Rng {
-        use rand::SeedableRng;
-        rand_chacha::ChaCha8Rng::seed_from_u64(seed)
-    }
-
-    #[test]
-    fn stabilizer_matches_analytic_under_purification_and_teleport() {
-        use crate::Backend;
-        let c = dqc_workloads::ghz_chain(32);
-        for (purify, protocol) in [
-            (true, crate::RemoteProtocol::GateTeleport),
-            (false, crate::RemoteProtocol::StateTeleport),
-        ] {
-            let mut base = config();
-            base.purify_links = purify;
-            base.remote_protocol = protocol;
-            let stab = base.clone().with_backend(Backend::Stabilizer);
-            for seed in [0u64, 5] {
-                let a = evaluate(&c, &base, Design::AsyncBuf, seed).unwrap();
-                let s = evaluate(&c, &stab, Design::AsyncBuf, seed).unwrap();
-                assert_eq!(a, s, "purify={purify} {protocol:?} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn auto_upgrades_clifford_only_circuits() {
-        use crate::Backend;
-        let auto = config().with_backend(Backend::Auto);
-        let clifford = CompiledCircuit::compile(&dqc_workloads::ghz_chain(32), &auto).unwrap();
-        assert!(clifford.stabilizer_eligible());
-        assert_eq!(
-            clifford.selected_backend(Design::AsyncBuf),
-            Backend::Stabilizer
-        );
-        // Adaptive designs probe live buffer state mid-run: the replay
-        // cannot reproduce that, so Auto falls back to the analytic walk.
-        assert_eq!(
-            clifford.selected_backend(Design::AdaptBuf),
-            Backend::Analytic
-        );
-        assert_eq!(clifford.selected_backend(Design::Ideal), Backend::Analytic);
-        // A single non-Clifford gate (QAOA's rz) disqualifies the circuit:
-        // Auto silently keeps the analytic engine instead of erroring.
-        let qaoa = CompiledCircuit::compile(&PaperBenchmark::QaoaR4_32.circuit(), &auto).unwrap();
-        assert!(!qaoa.stabilizer_eligible());
-        assert_eq!(qaoa.selected_backend(Design::AsyncBuf), Backend::Analytic);
-        let a = qaoa.run(Design::AsyncBuf, 3).unwrap();
-        let b = CompiledCircuit::compile(&PaperBenchmark::QaoaR4_32.circuit(), &config())
-            .unwrap()
-            .run(Design::AsyncBuf, 3)
-            .unwrap();
-        assert_eq!(a, b, "auto on a non-Clifford circuit is pure analytic");
-    }
-
-    #[test]
-    fn explicit_stabilizer_rejects_non_clifford() {
-        use crate::Backend;
-        let cfg = config().with_backend(Backend::Stabilizer);
-        let err = CompiledCircuit::compile(&PaperBenchmark::QaoaR4_32.circuit(), &cfg).unwrap_err();
-        match err {
-            DqcError::BackendUnsupported { backend, reason } => {
-                assert_eq!(backend, "stabilizer");
-                assert!(reason.contains("non-Clifford"), "{reason}");
-            }
-            other => panic!("expected BackendUnsupported, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stabilizer_outcomes_certify_deterministic_qubits() {
-        use crate::Backend;
-        let mut c = Circuit::new(4);
-        c.x(0);
-        c.cx(0, 2); // cross-half so the partitioner has a cut
-        c.h(1);
-        c.cx(1, 3);
-        let mut cfg = config();
-        cfg.data_qubits_per_node = 2;
-        let compiled = CompiledCircuit::compile(&c, &cfg.with_backend(Backend::Auto)).unwrap();
-        let outcomes = compiled.stabilizer_outcomes().unwrap();
-        assert_eq!(outcomes[0], Some(true), "X|0> = |1>");
-        assert_eq!(outcomes[2], Some(true), "CX copies the flip");
-        assert_eq!(outcomes[1], None, "H puts q1 in superposition");
-        assert_eq!(outcomes[3], None, "entangled with q1");
-        let analytic = CompiledCircuit::compile(&c, &cfg).unwrap();
-        assert!(analytic.stabilizer_outcomes().is_none());
     }
 }

@@ -29,12 +29,11 @@
 //!   same engine.
 //! * [`RemoteFidelityTable`] — the §IV-C remote-gate fidelity from the
 //!   density-matrix teleportation evaluation, via the exact affine law.
-//! * [`Backend`] — the executor's two simulation engines, with identical
-//!   reports: the analytic Werner/affine path (default) and a
-//!   tableau-certified Clifford fast path that replays only the remote
-//!   gates per seed. `Backend::Auto` upgrades Clifford-only circuits to
-//!   the stabilizer engine automatically. The engine is chosen in code
-//!   through [`SystemConfig::with_backend`], never by users.
+//! * One replay engine — [`CompiledCircuit::run`] walks every operation
+//!   of the circuit per seed, which the §III-D adaptive controller needs
+//!   (it probes the live buffer level before each segment). [`Backend`]
+//!   and [`SystemConfig::with_backend`] choose nothing; they remain only
+//!   for dqcbench, whose next change deletes them.
 //! * Network topology — [`SystemConfig::with_topology`] attaches a
 //!   `dqc-entanglement` device graph; remote gates between non-adjacent
 //!   nodes then consume routed multi-hop swap chains, and the partitioner
@@ -85,7 +84,6 @@
 #![warn(missing_docs)]
 
 mod axis;
-mod backend;
 mod compile;
 mod config;
 mod design;
@@ -101,10 +99,10 @@ mod sweep;
 mod variants;
 
 pub use axis::{Axis, AxisValue, ScenarioKey};
-pub use backend::Backend;
 pub use compile::{compile_count, CompiledCircuit};
 pub use config::{
-    OperationFidelities, OperationLatencies, PartitionStrategy, RemoteProtocol, SystemConfig,
+    Backend, OperationFidelities, OperationLatencies, PartitionStrategy, RemoteProtocol,
+    SystemConfig,
 };
 pub use design::Design;
 pub use error::DqcError;

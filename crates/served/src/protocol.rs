@@ -129,8 +129,8 @@ pub enum WireError {
         point: String,
     },
     /// Static analysis proved the submission can never execute on its
-    /// target point (for example a stabilizer backend asked to run a
-    /// non-Clifford circuit). Carries the full structured findings so
+    /// target point (for example a circuit wider than the point's data
+    /// qubits). Carries the full structured findings so
     /// clients can render or machine-triage them; never retryable.
     Rejected {
         /// The hardware point the submission targeted.

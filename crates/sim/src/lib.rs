@@ -43,7 +43,6 @@ mod channel;
 mod density;
 mod gates;
 mod matrix;
-mod pauli;
 mod purify;
 mod state;
 mod swap;
@@ -56,7 +55,6 @@ pub use channel::{depolarizing_prob_for_fidelity, KrausChannel};
 pub use density::{embed_unitary, DensityMatrix};
 pub use gates::gate_matrix;
 pub use matrix::Matrix;
-pub use pauli::{Pauli, PauliString};
 pub use purify::{purification_rounds, purify_werner, purify_werner_numeric, PurificationOutcome};
 pub use state::Statevector;
 pub use swap::{

@@ -266,11 +266,8 @@ pub const REGISTRY: &[CodeInfo] = &[
         severity: Severity::Error,
         summary: "circuit is wider than the system's data-qubit capacity",
     },
-    CodeInfo {
-        code: "DQC-E002",
-        severity: Severity::Error,
-        summary: "stabilizer backend selected for a non-Clifford circuit",
-    },
+    // DQC-E002 ("stabilizer backend selected for a non-Clifford circuit")
+    // is retired: the stabilizer engine is deleted. Never reuse the code.
     // DQC-E003 ("density-matrix backend selected beyond its qubit limit")
     // is retired: the density engine is deleted. Never reuse the code.
     CodeInfo {

@@ -104,10 +104,7 @@ pub fn random_clifford<R: Rng + ?Sized>(
 ///
 /// A bisecting partitioner cuts only the bridges, and the remote phase
 /// completes at the start of the schedule — entangle early, then compute
-/// locally. That is the regime where the stabilizer backend's
-/// compile-time schedule folding pays off most: the analytic engine
-/// replays every local gate per seed, while the folded schedule touches
-/// only the bridges.
+/// locally.
 ///
 /// # Panics
 ///

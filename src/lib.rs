@@ -11,10 +11,10 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`types`] | `dqc-types` | ids, [`types::Tick`], [`types::Fidelity`] |
-//! | [`circuit`] | `dqc-circuit` | circuit IR, DAG, commutation, QASM |
+//! | [`circuit`] | `dqc-circuit` | circuit IR, commutation, QASM |
 //! | [`workloads`] | `dqc-workloads` | TLIM / QAOA / QFT generators |
 //! | [`partition`] | `dqc-partition` | METIS-style multilevel partitioner |
-//! | [`sim`] | `dqc-sim` | statevector / density / stabilizer engines |
+//! | [`sim`] | `dqc-sim` | statevector / density / stabilizer simulators |
 //! | [`entanglement`] | `dqc-entanglement` | EPR generation + buffer service |
 //! | [`core`] | `dqc-core` | the co-designed architecture + engine |
 //! | [`analyze`] | `dqc-analyze` | static diagnostics: coded lints + feasibility proofs |
@@ -95,7 +95,7 @@ pub use dqc_workloads as workloads;
 pub use dqc_analyze::{AnalysisReport, Analyzer};
 pub use dqc_codesign::{Codesign, CodesignResult, CostModel, Objectives, SearchStrategy};
 pub use dqc_core::{
-    AveragedReport, Axis, AxisValue, Backend, CompiledCircuit, Design, DesignSpace, DqcError,
+    AveragedReport, Axis, AxisValue, CompiledCircuit, Design, DesignSpace, DqcError,
     ExecutionReport, Experiment, ScenarioKey, SpaceResult, SpaceSweep, Sweep, SweepCell,
     SweepResult, SystemConfig,
 };

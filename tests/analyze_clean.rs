@@ -19,7 +19,7 @@ use dqc::entanglement::NetworkTopology;
 use dqc::serve::{QuotaConfig, RateLimit};
 use dqc::types::diag::REGISTRY;
 use dqc::workloads::{ghz_tree, qft, PaperBenchmark};
-use dqc::{Backend, Design, ServeConfig, SystemConfig};
+use dqc::{Design, ServeConfig, SystemConfig};
 use std::collections::BTreeSet;
 
 fn paper_config(bench: PaperBenchmark) -> SystemConfig {
@@ -67,8 +67,6 @@ fn circuit_fixture(code: &str) -> Option<(&'static str, Circuit, SystemConfig)> 
         // 40 data qubits can never fit 2 × 16. (Tree, not chain — a
         // chain would also trip the serialization lint.)
         "DQC-E001" => ("ghz-40", ghz_tree(40), paper()),
-        // QFT's controlled-phase rotations are non-Clifford.
-        "DQC-E002" => ("qft-32", qft(32), paper().with_backend(Backend::Stabilizer)),
         // A 3-node graph contradicts the declared 2-node system.
         "DQC-E004" => {
             let mut config = paper();
@@ -193,17 +191,6 @@ fn every_registered_code_has_a_triggering_fixture() {
         covered.insert(info.code);
     }
     assert_eq!(covered.len(), REGISTRY.len(), "a code ran no fixture");
-}
-
-#[test]
-fn stabilizer_refusal_names_the_first_non_clifford_gate() {
-    // QFT opens with `h q[0]`; op #1 is its first controlled phase.
-    let report = fixture("DQC-E002");
-    let message = &report.diagnostics()[0].message;
-    assert!(
-        message.contains("op #1") && message.contains("cp("),
-        "{message}"
-    );
 }
 
 // ---------------------------------------------------- no invented refusals
