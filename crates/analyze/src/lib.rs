@@ -60,38 +60,30 @@ mod report;
 
 pub use report::AnalysisReport;
 
+/// `DQC-W003` fires when the estimated entanglement-generation time
+/// exceeds the circuit's critical path by this factor. 32× sits ~3×
+/// above the paper corpus's worst case (QFT-32 at ~10×), so the shipped
+/// benchmarks analyze clean while an entanglement-starved configuration
+/// is still caught.
+const EPR_STRETCH_THRESHOLD: f64 = 32.0;
+
+/// `DQC-W004` ignores circuits shorter than this (a handful of serial
+/// gates is not a scheduling hazard).
+const MIN_SERIALIZED_OPS: usize = 8;
+
 /// The static analyzer: a bundle of pure passes over circuits, system
-/// configurations, design spaces, and serve configs.
-/// Stateless apart from its thresholds; cheap to construct.
+/// configurations, design spaces, and serve configs. Stateless; its
+/// thresholds are constants.
 ///
 /// Every `analyze_*` method returns an [`AnalysisReport`]; reports
 /// merge, so a front end can fold many subjects into one document.
-#[derive(Debug, Clone)]
-pub struct Analyzer {
-    /// `DQC-W003` fires when the estimated entanglement-generation time
-    /// exceeds the circuit's critical path by this factor. The default
-    /// (32×) sits ~3× above the paper corpus's worst case (QFT-32 at
-    /// ~10×), so the shipped benchmarks analyze clean while an
-    /// entanglement-starved configuration is still caught.
-    pub epr_stretch_threshold: f64,
-    /// `DQC-W004` ignores circuits shorter than this (a handful of
-    /// serial gates is not a scheduling hazard).
-    pub min_serialized_ops: usize,
-}
-
-impl Default for Analyzer {
-    fn default() -> Self {
-        Self {
-            epr_stretch_threshold: 32.0,
-            min_serialized_ops: 8,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct Analyzer;
 
 impl Analyzer {
-    /// An analyzer with the default thresholds.
+    /// The analyzer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Runs every circuit-level pass: lints, admission, and (when the
@@ -176,7 +168,7 @@ impl Analyzer {
         // so nothing can ever run in parallel and distribution buys no
         // depth. `depth()` is the DAG's critical-path length in layers.
         if circuit.num_qubits() >= 2
-            && circuit.len() >= self.min_serialized_ops
+            && circuit.len() >= MIN_SERIALIZED_OPS
             && circuit.depth() == circuit.len()
         {
             report.push(Diagnostic::new(
@@ -245,7 +237,7 @@ impl Analyzer {
             peak as f64 * config.latencies.epr_cycle.ticks() as f64 / rate.max(f64::MIN_POSITIVE);
         let critical_path_ticks = (circuit.timed_depth().ticks() as f64).max(1.0);
         let stretch = generation_ticks / critical_path_ticks;
-        if stretch > self.epr_stretch_threshold {
+        if stretch > EPR_STRETCH_THRESHOLD {
             report.push(Diagnostic::new(
                 "DQC-W003",
                 Site::Link { a, b },

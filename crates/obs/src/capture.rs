@@ -32,7 +32,8 @@ pub struct Capture {
 }
 
 impl Capture {
-    /// Drains a ring recorder's current contents into a capture.
+    /// Copies a ring recorder's current contents into a capture. The
+    /// ring keeps its records, so two captures in a row repeat them.
     pub fn from_ring(
         producer: impl Into<String>,
         clock: impl Into<String>,

@@ -44,7 +44,8 @@ impl CompileCache {
     }
 
     /// Number of cached compilations.
-    pub(crate) fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.len()
     }
 

@@ -11,9 +11,8 @@
 //!
 //! It holds only knobs that change what a server admits or how much
 //! work it keeps warm. Settings that could only change speed, never an
-//! answer, are constants: the batch bound ([`BATCH_MAX`]), the latency
-//! window ([`LATENCY_WINDOW`]), the histogram ladder
-//! ([`BUCKET_BOUNDS_US`]), and replay fusion, which is always on.
+//! answer, are constants: the batch bound ([`BATCH_MAX`]), the histogram
+//! ladder ([`BUCKET_BOUNDS_US`]), and replay fusion, which is always on.
 //!
 //! JSON semantics are deliberately **lenient on absence, strict on type
 //! and on names**: a hand-written config file may name only the knobs it
@@ -27,10 +26,6 @@ use dqc_types::{Diagnostic, Json, JsonError, Site};
 
 /// The largest number of queued requests one worker wake-up drains.
 pub(crate) const BATCH_MAX: usize = 8;
-
-/// How many recent per-request latencies the server retains for the
-/// p50/p99 summary in [`ServeStats`](crate::ServeStats).
-pub(crate) const LATENCY_WINDOW: usize = 8192;
 
 /// Inclusive upper bounds, in whole microseconds, of the queue-wait and
 /// service-time histogram buckets (an overflow bucket is always

@@ -11,9 +11,9 @@
 //! * **[`Server`]** — a long-lived service holding one *shard* per
 //!   registered hardware point ([`SystemConfig`](dqc_core::SystemConfig)),
 //!   each with exactly [`ServeBuilder::workers_per_shard`] worker threads.
-//! * **[`EvalRequest`] / [`EvalResponse`]** — the request stream in, the
-//!   result stream out (an `mpsc` channel; responses arrive in
-//!   completion order, matched by [`RequestId`]).
+//! * **[`EvalRequest`] / [`EvalResponse`]** — each request is submitted
+//!   with its reply, and the worker that serves it calls the reply once
+//!   with the response, in completion order.
 //! * **Warm compile caches** — each shard holds an LRU-bounded cache of
 //!   [`CompiledCircuit`](dqc_core::CompiledCircuit)s keyed by stable
 //!   circuit × configuration fingerprints, so a circuit seen twice never
@@ -27,14 +27,12 @@
 //!   ([`ServeBuilder::queue_capacity`]); a full queue refuses the
 //!   request with the typed [`ServeError::Overloaded`] backpressure
 //!   signal instead of letting latency grow without bound. Every
-//!   *server-owned* structure is bounded (queues, caches, the latency
-//!   window); the result channel is the one deliberate exception — it is
-//!   unbounded and owned by the client, whose job is to drain it. A
-//!   client that submits without ever receiving accumulates its own
-//!   responses.
-//! * **[`ServeStats`]** — a JSON-serializable snapshot: requests
-//!   served/rejected, cache hits/misses, per-shard queue depth, p50/p99
-//!   latency, and throughput.
+//!   server-owned structure is bounded (queues, caches); where a reply
+//!   sends its response is up to the caller.
+//! * **Metrics** — one registry per server holds every counter and the
+//!   queue-wait and service-time histograms, per shard
+//!   ([`Server::metrics`]). [`ServeStats`] sums the nine counters over
+//!   the shards; each request's latency rides on its [`EvalResponse`].
 //!
 //! Determinism survives concurrency: each request carries its own seed
 //! range and replays through the same [`Experiment`](dqc_core::Experiment)
@@ -54,27 +52,27 @@
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), dqc_serve::ServeError> {
-//! let (server, responses) = ServeBuilder::new()
+//! let server = ServeBuilder::new()
 //!     .hardware_point("paper", SystemConfig::paper_two_node_32())
 //!     .workers_per_shard(1) // exact hit/miss counts below need one worker
 //!     .spawn()?;
 //!
+//! let (tx, responses) = std::sync::mpsc::channel();
 //! let qaoa = Arc::new(PaperBenchmark::QaoaR4_32.circuit());
 //! let tlim = Arc::new(PaperBenchmark::Tlim32.circuit());
 //! for (label, circuit) in [("QAOA-r4-32", &qaoa), ("TLIM-32", &tlim)] {
 //!     for seed in 0..3 {
+//!         let tx = tx.clone();
 //!         server.submit(
 //!             EvalRequest::new(label, Arc::clone(circuit), "paper", Design::AdaptBuf)
 //!                 .runs(2)
 //!                 .base_seed(seed),
+//!             move |response| drop(tx.send(response)),
 //!         )?;
 //!     }
 //! }
-//! let mut ok = 0;
-//! for _ in 0..6 {
-//!     let response = responses.recv().expect("stream stays open");
-//!     ok += usize::from(response.outcome.is_ok());
-//! }
+//! drop(tx);
+//! let ok = responses.iter().filter(|r| r.outcome.is_ok()).count();
 //! assert_eq!(ok, 6);
 //!
 //! let stats = server.shutdown();
@@ -89,7 +87,7 @@
 //! lives in one typed, JSON-round-tripping [`ServeConfig`] shared with
 //! the network daemon; the builder setters above are shims over its
 //! fields. Settings that could only change speed, never an answer (the
-//! batch bound, the telemetry window), are constants, and fusion is
+//! batch bound, the histogram ladder), are constants, and fusion is
 //! always on.
 
 #![forbid(unsafe_code)]
@@ -105,22 +103,30 @@ mod stats;
 
 pub use config::{QuotaConfig, RateLimit, ServeConfig};
 pub use error::ServeError;
-pub use request::{EvalOutput, EvalRequest, EvalResponse, RequestId};
+pub use request::{EvalOutput, EvalRequest, EvalResponse};
 pub use server::{ServeBuilder, Server};
-pub use stats::{LatencySummary, ServeStats, ShardSnapshot};
+pub use stats::ServeStats;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dqc_core::{Design, DqcError, SystemConfig};
+    use dqc_obs::MetricsSnapshot;
     use dqc_workloads::{qft, PaperBenchmark};
+    use std::sync::mpsc::{channel, Sender};
     use std::sync::Arc;
 
-    fn paper_server() -> (Server, std::sync::mpsc::Receiver<EvalResponse>) {
+    fn paper_server() -> Server {
         ServeBuilder::new()
             .hardware_point("paper", SystemConfig::paper_two_node_32())
             .spawn()
             .unwrap()
+    }
+
+    /// A reply that forwards the response into `tx`.
+    fn to(tx: &Sender<EvalResponse>) -> impl FnOnce(EvalResponse) + Send + 'static {
+        let tx = tx.clone();
+        move |response| drop(tx.send(response))
     }
 
     #[test]
@@ -144,15 +150,13 @@ mod tests {
 
     #[test]
     fn submit_rejects_unknown_points_and_zero_runs() {
-        let (server, _rx) = paper_server();
+        let server = paper_server();
         let circuit = Arc::new(PaperBenchmark::Tlim32.circuit());
         let err = server
-            .submit(EvalRequest::new(
-                "t",
-                Arc::clone(&circuit),
-                "warp",
-                Design::AdaptBuf,
-            ))
+            .submit(
+                EvalRequest::new("t", Arc::clone(&circuit), "warp", Design::AdaptBuf),
+                drop,
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -161,7 +165,10 @@ mod tests {
             }
         );
         let err = server
-            .submit(EvalRequest::new("t", circuit, "paper", Design::AdaptBuf).runs(0))
+            .submit(
+                EvalRequest::new("t", circuit, "paper", Design::AdaptBuf).runs(0),
+                drop,
+            )
             .unwrap_err();
         assert_eq!(err, ServeError::Engine(DqcError::ZeroRuns));
     }
@@ -170,7 +177,7 @@ mod tests {
     fn overload_is_deterministic_in_accept_only_mode() {
         // Zero workers: nothing drains, so the third submission must hit
         // the 2-deep queue's admission bound — no timing involved.
-        let (server, _rx) = ServeBuilder::new()
+        let server = ServeBuilder::new()
             .hardware_point("paper", SystemConfig::paper_two_node_32())
             .workers_per_shard(0)
             .queue_capacity(2)
@@ -178,9 +185,9 @@ mod tests {
             .unwrap();
         let circuit = Arc::new(PaperBenchmark::Tlim32.circuit());
         let request = EvalRequest::new("t", circuit, "paper", Design::AdaptBuf);
-        server.submit(request.clone()).unwrap();
-        server.submit(request.clone()).unwrap();
-        let err = server.submit(request.clone()).unwrap_err();
+        server.submit(request.clone(), drop).unwrap();
+        server.submit(request.clone(), drop).unwrap();
+        let err = server.submit(request.clone(), drop).unwrap_err();
         assert_eq!(
             err,
             ServeError::Overloaded {
@@ -191,24 +198,22 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.shards[0].queue_depth, 2);
     }
 
     #[test]
     fn engine_errors_arrive_as_responses_not_panics() {
-        let (server, rx) = paper_server();
+        let server = paper_server();
+        let (tx, rx) = channel();
         // 64 qubits cannot fit the paper's 32-data-qubit system.
         let too_wide = Arc::new(qft(64));
-        let id = server
-            .submit(EvalRequest::new(
-                "qft64",
-                too_wide,
-                "paper",
-                Design::AdaptBuf,
-            ))
+        server
+            .submit(
+                EvalRequest::new("qft64", too_wide, "paper", Design::AdaptBuf),
+                to(&tx),
+            )
             .unwrap();
         let response = rx.recv().unwrap();
-        assert_eq!(response.id, id);
+        assert_eq!(response.circuit_label, "qft64");
         assert!(matches!(
             response.outcome,
             Err(ServeError::Engine(DqcError::CircuitTooWide { .. }))
@@ -220,17 +225,19 @@ mod tests {
 
     #[test]
     fn responses_match_direct_evaluation() {
-        let (server, rx) = paper_server();
+        let server = paper_server();
+        let (tx, rx) = channel();
         let circuit = Arc::new(PaperBenchmark::QaoaR4_32.circuit());
-        let id = server
+        server
             .submit(
                 EvalRequest::new("qaoa", Arc::clone(&circuit), "paper", Design::AsyncBuf)
                     .runs(3)
                     .base_seed(7),
+                to(&tx),
             )
             .unwrap();
         let response = rx.recv().unwrap();
-        assert_eq!(response.id, id);
+        assert_eq!(response.circuit_label, "qaoa");
         let output = response.outcome.unwrap();
         let direct = dqc_core::Experiment::new(&circuit, &SystemConfig::paper_two_node_32())
             .unwrap()
@@ -246,7 +253,7 @@ mod tests {
 
     #[test]
     fn shards_route_by_point_and_cache_independently() {
-        let (server, rx) = ServeBuilder::new()
+        let server = ServeBuilder::new()
             .hardware_point("small", SystemConfig::paper_two_node_32())
             .hardware_point("large", SystemConfig::paper_two_node_64())
             // Two same-shard workers can both miss the same circuit
@@ -259,78 +266,86 @@ mod tests {
             server.point_config("large").unwrap().data_qubits_per_node,
             32
         );
+        let (tx, rx) = channel();
         let circuit = Arc::new(PaperBenchmark::Tlim32.circuit());
         for point in ["small", "large", "small", "large"] {
             server
-                .submit(EvalRequest::new(
-                    "t",
-                    Arc::clone(&circuit),
-                    point,
-                    Design::AdaptBuf,
-                ))
+                .submit(
+                    EvalRequest::new("t", Arc::clone(&circuit), point, Design::AdaptBuf),
+                    to(&tx),
+                )
                 .unwrap();
         }
         let mut points: Vec<String> = (0..4).map(|_| rx.recv().unwrap().point).collect();
         points.sort();
         assert_eq!(points, vec!["large", "large", "small", "small"]);
+        let metrics = server.metrics();
         let stats = server.shutdown();
         // One compilation per shard: the same circuit is a different
         // hardware point (and cache key) on each.
         assert_eq!(stats.cache_misses, 2);
         assert_eq!(stats.cache_hits, 2);
-        for shard in &stats.shards {
-            assert_eq!(shard.cache_misses, 1, "{}", shard.point);
-            assert_eq!(shard.cached_circuits, 1, "{}", shard.point);
+        for point in ["small", "large"] {
+            let misses = metrics.counter(&format!("serve.cache_misses{{point={point}}}"));
+            assert_eq!(misses, Some(1), "{point}");
         }
     }
 
     #[test]
     fn stats_snapshot_counts_and_serializes() {
-        let (server, rx) = paper_server();
+        let server = paper_server();
+        let (tx, rx) = channel();
         let circuit = Arc::new(PaperBenchmark::Tlim32.circuit());
         for seed in 0..5 {
             server
                 .submit(
                     EvalRequest::new("t", Arc::clone(&circuit), "paper", Design::AdaptBuf)
                         .base_seed(seed),
+                    to(&tx),
                 )
                 .unwrap();
         }
         for _ in 0..5 {
             rx.recv().unwrap();
         }
+        // The counters survive the metrics JSON a `metrics` frame
+        // carries, and the totals are their sums over the shards.
+        let text = server.metrics().to_json().to_compact_string();
+        let metrics = MetricsSnapshot::from_json(&dqc_types::Json::parse(&text).unwrap()).unwrap();
         let stats = server.shutdown();
         assert_eq!(stats.submitted, 5);
         assert_eq!(stats.served, 5);
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.cache_hits + stats.cache_misses, 5);
         assert!(stats.dispatches >= 1);
-        assert_eq!(stats.latency.samples, 5);
-        assert!(stats.latency.p99_ms >= stats.latency.p50_ms);
-        assert!(stats.throughput_rps > 0.0);
-        // The snapshot round-trips through the JSON pipeline.
-        let back = ServeStats::from_json(&stats.to_json()).unwrap();
-        assert_eq!(back, stats);
+        assert_eq!(metrics.counter("serve.served{point=paper}"), Some(5));
+        assert_eq!(
+            metrics.counter("serve.dispatches{point=paper}"),
+            Some(stats.dispatches)
+        );
     }
 
     #[test]
     fn shutdown_drains_accepted_work() {
-        let (server, rx) = ServeBuilder::new()
+        let server = ServeBuilder::new()
             .hardware_point("paper", SystemConfig::paper_two_node_32())
             .workers_per_shard(1)
             .spawn()
             .unwrap();
+        let (tx, rx) = channel();
         let circuit = Arc::new(PaperBenchmark::Tlim32.circuit());
         for seed in 0..8 {
             server
                 .submit(
                     EvalRequest::new("t", Arc::clone(&circuit), "paper", Design::AdaptBuf)
                         .base_seed(seed),
+                    to(&tx),
                 )
                 .unwrap();
         }
+        drop(tx);
         let stats = server.shutdown();
         assert_eq!(stats.served, 8, "accepted work completes before exit");
-        assert_eq!(rx.iter().count(), 8, "…and every response was streamed");
+        assert_eq!(rx.iter().count(), 8, "…and every reply was called");
     }
 }

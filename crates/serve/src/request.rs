@@ -3,22 +3,8 @@
 use crate::ServeError;
 use dqc_circuit::Circuit;
 use dqc_core::{AveragedReport, Design, ExecutionReport};
-use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Server-assigned identity of one accepted request, returned by
-/// [`Server::submit`](crate::Server::submit) and echoed on the matching
-/// [`EvalResponse`]. Ids are assigned in submission order and never
-/// reused by one server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RequestId(pub u64);
-
-impl fmt::Display for RequestId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "req{}", self.0)
-    }
-}
 
 /// One unit of work for the serving layer: evaluate `circuit` on the
 /// named hardware point under `design`, averaging `runs` seeded runs
@@ -117,12 +103,10 @@ impl EvalOutput {
     }
 }
 
-/// One completed (or failed) request, streamed back over the server's
-/// result channel.
+/// One completed (or failed) request, handed to the reply it was
+/// submitted with.
 #[derive(Debug, Clone)]
 pub struct EvalResponse {
-    /// Identity assigned at submission.
-    pub id: RequestId,
     /// The request's circuit label, echoed back.
     pub circuit_label: String,
     /// The hardware point that served the request.
@@ -149,11 +133,5 @@ mod tests {
         assert_eq!(req.base_seed, 42);
         assert_eq!(req.circuit_label, "bell");
         assert_eq!(req.point, "paper");
-    }
-
-    #[test]
-    fn request_ids_order_and_display() {
-        assert!(RequestId(1) < RequestId(2));
-        assert_eq!(RequestId(7).to_string(), "req7");
     }
 }

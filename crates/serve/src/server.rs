@@ -10,8 +10,7 @@
 //! routed to their point's shard; workers drain the queue in batches of
 //! up to [`BATCH_MAX`] (coalescing same-shard requests into one
 //! dispatch), serve each request compile-once out of the shard cache,
-//! and stream [`EvalResponse`]s back over the result channel handed out
-//! at spawn.
+//! and hand each [`EvalResponse`] to the reply it was submitted with.
 //!
 //! **Replay fusion** (always on) rides on the dispatch path: every
 //! dispatch is split into groups of requests sharing a compile
@@ -30,23 +29,25 @@
 //! request is byte-identical to a direct in-process evaluation.
 
 use crate::cache::CompileCache;
-use crate::config::{ServeConfig, BATCH_MAX, LATENCY_WINDOW};
+use crate::config::{ServeConfig, BATCH_MAX};
 use crate::queue::{BoundedQueue, PushRefused};
-use crate::stats::{LatencyWindow, ServeStats, ShardCounters, ShardSnapshot};
-use crate::{EvalOutput, EvalRequest, EvalResponse, RequestId, ServeError};
+use crate::stats::{ServeStats, ShardCounters};
+use crate::{EvalOutput, EvalRequest, EvalResponse, ServeError};
 use dqc_core::{CompiledCircuit, DqcError, ExecutionReport, SystemConfig};
 use dqc_obs::{MetricsSnapshot, Registry, TraceId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Where an accepted request's [`EvalResponse`] goes: called once, by
+/// the worker that serves the request.
+type Reply = Box<dyn FnOnce(EvalResponse) + Send>;
+
 /// An accepted request travelling through a shard queue.
 struct Job {
-    id: RequestId,
     request: EvalRequest,
+    reply: Reply,
     submitted_at: Instant,
     /// Submission time on the installed observability clock, captured
     /// only while recording — lets the worker synthesize the queue-wait
@@ -61,8 +62,6 @@ struct WorkerContext {
     cache: Arc<Mutex<CompileCache>>,
     config: Arc<SystemConfig>,
     point: String,
-    results: Sender<EvalResponse>,
-    latency: Arc<LatencyWindow>,
 }
 
 /// One hardware point's slice of the server.
@@ -71,7 +70,6 @@ struct Shard {
     config: Arc<SystemConfig>,
     queue: Arc<BoundedQueue<Job>>,
     counters: Arc<ShardCounters>,
-    cache: Arc<Mutex<CompileCache>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -89,21 +87,24 @@ struct Shard {
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), dqc_serve::ServeError> {
-/// let (server, responses) = ServeBuilder::new()
+/// let server = ServeBuilder::new()
 ///     .hardware_point("paper", SystemConfig::paper_two_node_32())
 ///     .workers_per_shard(2)
 ///     .spawn()?;
 ///
+/// let (tx, responses) = std::sync::mpsc::channel();
 /// let circuit = Arc::new(PaperBenchmark::Tlim32.circuit());
 /// for seed in 0..4 {
+///     let tx = tx.clone();
 ///     server.submit(
 ///         EvalRequest::new("TLIM-32", Arc::clone(&circuit), "paper", Design::AdaptBuf)
 ///             .runs(2)
 ///             .base_seed(seed),
+///         move |response| drop(tx.send(response)),
 ///     )?;
 /// }
 /// for _ in 0..4 {
-///     let response = responses.recv().expect("server streams responses");
+///     let response = responses.recv().expect("every request is answered");
 ///     assert_eq!(response.outcome.unwrap().reports.len(), 2);
 /// }
 /// let stats = server.shutdown();
@@ -140,17 +141,6 @@ impl ServeBuilder {
     pub fn hardware_point(mut self, label: impl Into<String>, config: SystemConfig) -> Self {
         self.points.push((label.into(), config));
         self
-    }
-
-    /// The hardware-point labels registered so far, in declaration
-    /// order (duplicates included — they are rejected at
-    /// [`spawn`](ServeBuilder::spawn)).
-    ///
-    /// Front ends that wrap one builder — the `dqc-served` daemon
-    /// reusing a shard registration for its welcome frame — read the
-    /// labels here instead of re-tracking them.
-    pub fn point_labels(&self) -> impl Iterator<Item = &str> {
-        self.points.iter().map(|(label, _)| label.as_str())
     }
 
     /// Replaces the whole configuration in one move — the path
@@ -193,7 +183,7 @@ impl ServeBuilder {
     }
 
     /// Spawns the shards and their worker pools, returning the server
-    /// handle and the receiving end of the result channel.
+    /// handle.
     ///
     /// # Errors
     ///
@@ -201,7 +191,7 @@ impl ServeBuilder {
     /// [`ServeError::DuplicatePoint`] when two points share a label, or
     /// [`ServeError::InvalidConfig`] when
     /// [`ServeConfig::validate`] finds an error.
-    pub fn spawn(self) -> Result<(Server, Receiver<EvalResponse>), ServeError> {
+    pub fn spawn(self) -> Result<Server, ServeError> {
         self.config.check()?;
         if self.points.is_empty() {
             return Err(ServeError::NoHardwarePoints);
@@ -216,9 +206,7 @@ impl ServeBuilder {
         }
 
         let config = self.config;
-        let (results, receiver) = channel();
         let registry = Arc::new(Registry::new());
-        let latency = Arc::new(LatencyWindow::new(LATENCY_WINDOW));
         let shards: Vec<Shard> = self
             .points
             .into_iter()
@@ -235,8 +223,6 @@ impl ServeBuilder {
                             cache: Arc::clone(&cache),
                             config: Arc::clone(&system),
                             point: point.clone(),
-                            results: results.clone(),
-                            latency: Arc::clone(&latency),
                         };
                         std::thread::spawn(move || worker_loop(ctx))
                     })
@@ -246,26 +232,17 @@ impl ServeBuilder {
                     config: system,
                     queue,
                     counters,
-                    cache,
                     workers,
                 }
             })
             .collect();
 
-        // `results` drops here: once every worker exits, the receiver
-        // disconnects — the client's end-of-stream signal.
-        Ok((
-            Server {
-                shards,
-                index,
-                config,
-                next_id: AtomicU64::new(0),
-                started: Instant::now(),
-                latency,
-                registry,
-            },
-            receiver,
-        ))
+        Ok(Server {
+            shards,
+            index,
+            config,
+            registry,
+        })
     }
 }
 
@@ -280,9 +257,6 @@ pub struct Server {
     shards: Vec<Shard>,
     index: HashMap<String, usize>,
     config: ServeConfig,
-    next_id: AtomicU64,
-    started: Instant,
-    latency: Arc<LatencyWindow>,
     registry: Arc<Registry>,
 }
 
@@ -297,11 +271,6 @@ impl std::fmt::Debug for Shard {
 }
 
 impl Server {
-    /// Starts a [`ServeBuilder`].
-    pub fn builder() -> ServeBuilder {
-        ServeBuilder::new()
-    }
-
     /// The configuration this server was spawned with.
     pub fn config(&self) -> &ServeConfig {
         &self.config
@@ -317,11 +286,16 @@ impl Server {
         self.index.get(point).map(|&i| &*self.shards[i].config)
     }
 
-    /// Submits a request to its hardware point's shard.
+    /// Submits a request to its hardware point's shard, with the reply
+    /// that receives its outcome.
     ///
-    /// Returns the request's id immediately; the outcome arrives on the
-    /// result channel as an [`EvalResponse`] carrying the same id.
-    /// Responses arrive in *completion* order, not submission order.
+    /// Returns as soon as the request is queued. The worker that serves
+    /// it calls `reply` once with the [`EvalResponse`], so replies come
+    /// in *completion* order, not submission order. `reply` runs on that
+    /// worker's thread, so it should hand the response off quickly and
+    /// must not panic. When `submit` refuses the request, `reply` is
+    /// dropped uncalled. A caller that wants a stream passes
+    /// `move |r| drop(tx.send(r))` over an `mpsc` channel.
     ///
     /// # Errors
     ///
@@ -333,7 +307,11 @@ impl Server {
     /// * [`ServeError::ShuttingDown`] — the server is draining.
     ///
     /// [`DqcError::ZeroRuns`]: dqc_core::DqcError::ZeroRuns
-    pub fn submit(&self, mut request: EvalRequest) -> Result<RequestId, ServeError> {
+    pub fn submit(
+        &self,
+        mut request: EvalRequest,
+        reply: impl FnOnce(EvalResponse) + Send + 'static,
+    ) -> Result<(), ServeError> {
         let Some(&shard_idx) = self.index.get(&request.point) else {
             return Err(ServeError::UnknownPoint {
                 point: request.point,
@@ -352,17 +330,16 @@ impl Server {
             request.trace = Some(TraceId::mint());
         }
         let shard = &self.shards[shard_idx];
-        let id = RequestId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let job = Job {
-            id,
             request,
+            reply: Box::new(reply),
             submitted_at: Instant::now(),
             submitted_us,
         };
         match shard.queue.try_push(job) {
             Ok(()) => {
                 shard.counters.submitted.bump();
-                Ok(id)
+                Ok(())
             }
             Err(PushRefused::Full) => {
                 shard.counters.rejected.bump();
@@ -378,57 +355,16 @@ impl Server {
         }
     }
 
-    /// A point-in-time snapshot of counters, queue depths, cache state,
-    /// fusion activity, latency quantiles, and throughput.
+    /// The serving counters, each summed over every shard from the
+    /// metrics registry.
     pub fn stats(&self) -> ServeStats {
-        let shards: Vec<ShardSnapshot> = self
-            .shards
-            .iter()
-            .map(|s| ShardSnapshot {
-                point: s.point.clone(),
-                queue_depth: s.queue.depth(),
-                queue_capacity: s.queue.capacity(),
-                submitted: s.counters.submitted.get(),
-                served: s.counters.served.get(),
-                rejected: s.counters.rejected.get(),
-                errors: s.counters.errors.get(),
-                cache_hits: s.counters.cache_hits.get(),
-                cache_misses: s.counters.cache_misses.get(),
-                dispatches: s.counters.dispatches.get(),
-                fused_requests: s.counters.fused_requests.get(),
-                fused_replays_saved: s.counters.fused_replays_saved.get(),
-                cached_circuits: s.cache.lock().expect("cache lock not poisoned").len(),
-            })
-            .collect();
-        let total = |f: fn(&ShardSnapshot) -> u64| shards.iter().map(f).sum();
-        let served: u64 = total(|s| s.served);
-        let elapsed = self.started.elapsed();
-        let elapsed_ms = elapsed.as_secs_f64() * 1e3;
-        ServeStats {
-            submitted: total(|s| s.submitted),
-            served,
-            rejected: total(|s| s.rejected),
-            errors: total(|s| s.errors),
-            cache_hits: total(|s| s.cache_hits),
-            cache_misses: total(|s| s.cache_misses),
-            dispatches: total(|s| s.dispatches),
-            fused_requests: total(|s| s.fused_requests),
-            fused_replays_saved: total(|s| s.fused_replays_saved),
-            elapsed_ms,
-            throughput_rps: if elapsed_ms > 0.0 {
-                served as f64 / elapsed.as_secs_f64()
-            } else {
-                0.0
-            },
-            latency: self.latency.summarize(),
-            shards,
-        }
+        ServeStats::from_metrics(&self.metrics())
     }
 
-    /// A raw snapshot of the server's metrics registry: the same
-    /// per-shard counters [`Server::stats`] rolls up, plus the
-    /// queue-wait and service-time histograms the rolled-up view elides.
-    /// This is what the daemon's `metrics` wire frame serializes.
+    /// A raw snapshot of the server's metrics registry: the per-shard
+    /// counters [`Server::stats`] sums, plus the queue-wait and
+    /// service-time histograms. This is what the daemon's `metrics` wire
+    /// frame serializes.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -443,7 +379,9 @@ impl Server {
 
     /// Gracefully shuts down: closes every queue (refusing new
     /// submissions), lets the workers drain what was already accepted,
-    /// joins them, and returns the final [`ServeStats`].
+    /// joins them, and returns the final [`ServeStats`]. With zero
+    /// workers nothing drains: the queued requests' replies are dropped
+    /// uncalled with the queues.
     pub fn shutdown(mut self) -> ServeStats {
         self.close_and_join();
         self.stats()
@@ -584,8 +522,9 @@ fn serve_group(ctx: &WorkerContext, key: u64, group: Vec<Job>) {
                 }
             }
         };
-        finish_job(ctx, job, outcome, cache_hit, service_started);
+        // The span covers serving; the reply runs after it ends.
         drop(request_span);
+        finish_job(ctx, job, outcome, cache_hit, service_started);
     }
     if members > 1 {
         ctx.counters.fused_requests.add(members);
@@ -600,8 +539,7 @@ fn serve_group(ctx: &WorkerContext, key: u64, group: Vec<Job>) {
     }
 }
 
-/// Completes one job: counters, histograms, latency, and the response
-/// send.
+/// Completes one job: counters, histograms, and the reply.
 fn finish_job(
     ctx: &WorkerContext,
     job: Job,
@@ -621,11 +559,7 @@ fn finish_job(
     ctx.counters
         .service
         .record(micros(service_started.elapsed()));
-    ctx.latency.record(latency);
-    // A gone receiver means the client stopped listening; keep
-    // draining so shutdown still completes.
-    let _ = ctx.results.send(EvalResponse {
-        id: job.id,
+    (job.reply)(EvalResponse {
         circuit_label: job.request.circuit_label,
         point: ctx.point.clone(),
         outcome,
@@ -704,12 +638,14 @@ mod tests {
             ("distinct", distinct, 0, 0, 0),
         ] {
             let queue = Arc::new(BoundedQueue::new(JOBS));
-            for (id, circuit) in (0u64..).zip(&circuits) {
+            let (results, responses) = std::sync::mpsc::channel();
+            for (index, circuit) in circuits.iter().enumerate() {
+                let results = results.clone();
                 let job = Job {
-                    id: RequestId(id),
                     request: EvalRequest::new("QFT", Arc::clone(circuit), point, Design::AdaptBuf)
                         .runs(RUNS)
                         .base_seed(11),
+                    reply: Box::new(move |response| drop(results.send((index, response)))),
                     submitted_at: Instant::now(),
                     submitted_us: None,
                 };
@@ -720,15 +656,13 @@ mod tests {
             queue.close();
             let registry = Registry::new();
             let counters = Arc::new(ShardCounters::register(&registry, point));
-            let (results, responses) = channel();
+            drop(results);
             worker_loop(WorkerContext {
                 queue,
                 counters: Arc::clone(&counters),
                 cache: Arc::new(Mutex::new(CompileCache::new(JOBS))),
                 config: Arc::new(system.clone()),
                 point: point.to_string(),
-                results,
-                latency: Arc::new(LatencyWindow::new(JOBS)),
             });
 
             assert_eq!(counters.dispatches.get(), 1, "{point}: one pop");
@@ -749,10 +683,10 @@ mod tests {
                 })
                 .count();
             assert_eq!(fusion_groups, groups, "{point}: fusion_group events");
-            let served: Vec<EvalResponse> = responses.iter().collect();
+            let served: Vec<(usize, EvalResponse)> = responses.iter().collect();
             assert_eq!(served.len(), JOBS);
-            for response in served {
-                let direct = Experiment::new(&circuits[response.id.0 as usize], &system)
+            for (index, response) in served {
+                let direct = Experiment::new(&circuits[index], &system)
                     .unwrap()
                     .design(Design::AdaptBuf)
                     .runs(RUNS)
@@ -760,7 +694,7 @@ mod tests {
                     .reports()
                     .unwrap();
                 let output = response.outcome.expect("job succeeds");
-                assert_eq!(output.reports, direct, "{point}: {:?}", response.id);
+                assert_eq!(output.reports, direct, "{point}: job {index}");
             }
         }
     }

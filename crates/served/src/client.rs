@@ -11,11 +11,10 @@
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::protocol::{
-    bye_frame, hello_frame, metrics_frame, parse_server_frame, stats_frame, submit_frame,
-    trace_frame, DaemonStats, ServerFrame, Submission, Welcome, WireError, WireReply,
+    bye_frame, hello_frame, metrics_frame, parse_server_frame, submit_frame, trace_frame,
+    ServerFrame, Submission, Welcome, WireError, WireReply,
 };
 use dqc_obs::{Capture, MetricsSnapshot};
-use dqc_serve::ServeStats;
 use dqc_types::JsonError;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -199,43 +198,22 @@ impl ServedClient {
                     tag: None, error, ..
                 } => return Err(ClientError::Fatal(error)),
                 ServerFrame::Bye => return Err(ClientError::ClosedByServer),
-                // A stats/metrics/trace reply racing ahead of results is
-                // dropped here; `stats()`, `metrics()`, and `trace()`
-                // are the only senders of those requests and each drains
-                // its own reply before returning.
-                ServerFrame::Stats { .. }
-                | ServerFrame::Metrics { .. }
+                // A metrics/trace reply racing ahead of results is dropped
+                // here; `metrics()` and `trace()` are the only senders of
+                // those requests and each drains its own reply before
+                // returning.
+                ServerFrame::Metrics { .. }
                 | ServerFrame::Trace { .. }
                 | ServerFrame::Welcome(_) => {}
             }
         }
     }
 
-    /// Requests and returns the daemon's live stats snapshot (the
-    /// serving layer's and the daemon's own counters). Replies to
-    /// earlier submissions that arrive first are buffered for
-    /// [`recv_reply`](ServedClient::recv_reply).
-    ///
-    /// # Errors
-    ///
-    /// Same failure surface as [`recv_reply`](ServedClient::recv_reply).
-    pub fn stats(&mut self) -> Result<(ServeStats, DaemonStats), ClientError> {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        write_frame(&mut self.writer, &stats_frame(tag))?;
-        self.drain_until(tag, |frame, tag| match frame {
-            ServerFrame::Stats {
-                tag: reply_tag,
-                serve,
-                daemon,
-            } if reply_tag == tag => ControlFlow::Break((serve, daemon)),
-            other => ControlFlow::Continue(other),
-        })
-    }
-
     /// Requests and returns one snapshot of the daemon's metrics
     /// registry: the serving layer's per-shard `serve.*` metrics plus
     /// the daemon's `served.*` connection counters (protocol v3).
+    /// Replies to earlier submissions that arrive first are buffered
+    /// for [`recv_reply`](ServedClient::recv_reply).
     ///
     /// # Errors
     ///
@@ -307,8 +285,7 @@ impl ServedClient {
                     tag: None, error, ..
                 } => return Err(ClientError::Fatal(error)),
                 ServerFrame::Bye => return Err(ClientError::ClosedByServer),
-                ServerFrame::Stats { .. }
-                | ServerFrame::Metrics { .. }
+                ServerFrame::Metrics { .. }
                 | ServerFrame::Trace { .. }
                 | ServerFrame::Welcome(_) => {}
             }

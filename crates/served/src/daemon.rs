@@ -2,34 +2,33 @@
 //!
 //! [`ServedBuilder`] wraps [`ServeBuilder`] — same shard registration,
 //! same worker/queue/cache knobs — and adds the network surface (a bound
-//! listener) and the multi-tenant [`QuotaConfig`]. [`bind`] spawns:
+//! listener) and the multi-tenant [`QuotaConfig`](crate::QuotaConfig).
+//! [`bind`] spawns, beside the serving layer's workers:
 //!
 //! * one **accept thread** handing sockets to per-connection threads,
-//! * one **router thread** owning the serve layer's result channel and
-//!   steering each [`EvalResponse`] back to the connection (and tag)
-//!   that submitted it,
 //! * per connection, a **reader thread** (handshake, frame dispatch,
 //!   quota admission, submission) and a **writer thread** (serializing
-//!   outbound frames, so a slow client never blocks the router).
+//!   outbound frames, so a slow client never blocks a worker).
 //!
-//! Everything is plain `std` threads and channels — no async runtime —
-//! matching the serving layer underneath.
+//! Each accepted submission carries its reply: the worker that serves
+//! it releases the client's quota slot and queues the `result` frame on
+//! the connection's writer. Everything is plain `std` threads and
+//! channels — no async runtime — matching the serving layer underneath.
 //!
-//! Ordering: replies to one connection arrive in *completion* order,
-//! exactly like the in-process result channel; clients correlate by tag.
-//! Admission errors (`quota_exceeded`, `overloaded`, `bad_request`) are
-//! answered inline from the reader thread, so a refused request never
-//! consumes shard-queue space.
+//! Ordering: replies to one connection arrive in *completion* order;
+//! clients correlate by tag. Admission errors (`quota_exceeded`,
+//! `overloaded`, `bad_request`) are answered inline from the reader
+//! thread, so a refused request never consumes shard-queue space.
 //!
 //! [`bind`]: ServedBuilder::bind
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::protocol::{
     bye_frame, error_frame, metrics_reply_frame, parse_client_frame, result_frame,
-    stats_reply_frame, trace_reply_frame, ClientFrame, DaemonStats, Submission, Welcome, WireError,
-    WireOutput, PROTOCOL_VERSION, SERVER_NAME,
+    trace_reply_frame, ClientFrame, Submission, Welcome, WireError, WireOutput, PROTOCOL_VERSION,
+    SERVER_NAME,
 };
-use crate::quota::{AdmissionLedger, QuotaConfig};
+use crate::quota::AdmissionLedger;
 use dqc_core::{Design, SystemConfig};
 use dqc_obs::{Capture, Counter, Registry, RingRecorder, TraceId};
 use dqc_serve::{
@@ -42,7 +41,7 @@ use std::fmt;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -194,12 +193,7 @@ impl ServedBuilder {
         self.config(config)
     }
 
-    /// The quota terms configured so far.
-    pub fn quota(&self) -> QuotaConfig {
-        self.serve.config_ref().quota
-    }
-
-    /// Attaches the span ring the daemon drains to answer `trace`
+    /// Attaches the span ring the daemon copies to answer `trace`
     /// frames. The daemon does **not** install it: the caller decides
     /// when recording is on by pairing the same ring with
     /// [`dqc_obs::install`]. Without a ring, `trace` replies carry an
@@ -225,14 +219,12 @@ impl ServedBuilder {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let quota = self.serve.config_ref().quota;
-        let (server, responses) = self.serve.spawn()?;
-        let server = Arc::new(server);
+        let server = Arc::new(self.serve.spawn()?);
         // The daemon's counters live in the serving layer's registry, so
         // the `metrics` wire frame is one snapshot covering both layers.
         let counters = Counters::register(&server.registry());
         let shared = Arc::new(Shared {
             ledger: AdmissionLedger::new(quota),
-            dispatcher: Dispatcher::default(),
             counters,
             trace_ring: self.trace_ring,
             closing: AtomicBool::new(false),
@@ -241,10 +233,6 @@ impl ServedBuilder {
             conn_threads: Mutex::new(Vec::new()),
         });
 
-        let router = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || router_loop(&responses, &shared))
-        };
         let accept = {
             let shared = Arc::clone(&shared);
             let server = Arc::clone(&server);
@@ -256,7 +244,6 @@ impl ServedBuilder {
             server,
             shared,
             accept: Some(accept),
-            router: Some(router),
         })
     }
 }
@@ -270,21 +257,15 @@ pub struct Served {
     server: Arc<Server>,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    router: Option<JoinHandle<()>>,
 }
 
 impl Served {
-    /// Starts a [`ServedBuilder`].
-    pub fn builder() -> ServedBuilder {
-        ServedBuilder::new()
-    }
-
     /// The address the daemon is listening on.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
-    /// The serving layer's live stats snapshot.
+    /// The serving layer's counters, summed over its shards.
     pub fn serve_stats(&self) -> ServeStats {
         self.server.stats()
     }
@@ -304,7 +285,8 @@ impl Served {
 
     /// Gracefully shuts the daemon down: stops accepting, severs open
     /// connections, drains the serving layer, and returns the final
-    /// [`ShutdownReport`].
+    /// [`ShutdownReport`]. Each drained request's reply releases its
+    /// quota slot; its frame finds the connection gone and is dropped.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shared.closing.store(true, Ordering::SeqCst);
         // Wake the accept thread; the drop of this probe connection is
@@ -333,17 +315,11 @@ impl Served {
         for thread in conn_threads {
             let _ = thread.join();
         }
-        // Dangling routes (requests whose reply never arrived) drop
-        // their writer handles so the writer threads can exit too.
-        self.shared.dispatcher.clear(&self.shared.ledger);
         let server = Arc::try_unwrap(self.server)
             .expect("accept and connection threads released their server handles");
+        // Draining calls every queued reply, and shutdown drops the
+        // queues with their writer handles, so the writer threads exit.
         let serve = server.shutdown();
-        // Workers are joined now, so the result channel is disconnected
-        // and the router falls out of recv().
-        if let Some(router) = self.router.take() {
-            let _ = router.join();
-        }
         ShutdownReport {
             serve,
             daemon: self.shared.counters.snapshot(),
@@ -361,9 +337,9 @@ pub struct ShutdownReport {
     pub daemon: DaemonStats,
 }
 
-/// State shared by the accept, router, and reader threads (the writer
-/// threads deliberately hold none of it, so they can outlive shutdown
-/// briefly without pinning the daemon).
+/// State shared by the accept and reader threads and by the replies of
+/// accepted submissions (the writer threads deliberately hold none of
+/// it, so they can outlive shutdown briefly without pinning the daemon).
 ///
 /// The connection registry (`conns`) exists so shutdown can sever live
 /// sockets; each entry is a dup'd descriptor, so a connection *must*
@@ -373,7 +349,6 @@ pub struct ShutdownReport {
 #[derive(Debug)]
 struct Shared {
     ledger: AdmissionLedger,
-    dispatcher: Dispatcher,
     counters: Counters,
     trace_ring: Option<Arc<RingRecorder>>,
     closing: AtomicBool,
@@ -388,10 +363,26 @@ impl Shared {
     }
 }
 
+/// The daemon's own counters, read by [`Served::daemon_stats`] and
+/// carried by the `metrics` frame under the same `served.*` names.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DaemonStats {
+    /// Connections accepted since the daemon started.
+    pub connections_accepted: u64,
+    /// Connections currently open.
+    pub connections_active: u64,
+    /// Submissions refused by a per-client quota.
+    pub quota_rejected: u64,
+    /// Submissions refused as malformed (`bad_request`).
+    pub bad_requests: u64,
+    /// Frames that broke the protocol (connection then closed).
+    pub protocol_errors: u64,
+}
+
 /// The daemon's counters, as handles into the serving layer's metrics
 /// registry (`served.*` names). `connections_active` is derived from the
 /// two monotone counters so every registered metric stays monotone —
-/// the stats-frame regression tests rely on that.
+/// the metrics-frame regression tests rely on that.
 #[derive(Debug)]
 struct Counters {
     connections_accepted: Arc<Counter>,
@@ -427,98 +418,37 @@ impl Counters {
     }
 }
 
-/// Where one accepted request's reply goes, and under which trace
-/// identity the reply is stamped.
-#[derive(Debug)]
-struct Route {
+/// The reply an accepted submission carries. The worker that serves the
+/// request calls it: it releases the client's quota slot and queues the
+/// `result` (or engine `error`) frame, stamped with the request's tag
+/// and trace, on the connection's writer.
+fn reply(
+    shared: &Arc<Shared>,
+    client: &str,
     tag: u64,
-    client: String,
-    trace: Option<TraceId>,
-    reply: Sender<Json>,
-}
-
-/// Matches serve-layer responses to the connections awaiting them.
-///
-/// `submit` returns the request id *after* the request is already live,
-/// so a fast worker can complete it before the reader thread registers
-/// the route. The `orphans` side of the map absorbs that race: whichever
-/// of {response, route} arrives second completes the pair.
-#[derive(Debug, Default)]
-struct Dispatcher {
-    inner: Mutex<DispatchInner>,
-}
-
-#[derive(Debug, Default)]
-struct DispatchInner {
-    routes: HashMap<u64, Route>,
-    orphans: HashMap<u64, EvalResponse>,
-}
-
-impl Dispatcher {
-    /// Registers where request `id`'s reply should go. If the response
-    /// already arrived (orphaned), hands both back for the caller to
-    /// deliver.
-    fn register(&self, id: u64, route: Route) -> Option<(Route, EvalResponse)> {
-        let mut inner = self.inner.lock().expect("dispatcher poisoned");
-        if let Some(response) = inner.orphans.remove(&id) {
-            return Some((route, response));
-        }
-        inner.routes.insert(id, route);
-        None
-    }
-
-    /// Pairs an arriving response with its route, or stashes it as an
-    /// orphan until the route is registered.
-    fn resolve(&self, response: EvalResponse) -> Option<(Route, EvalResponse)> {
-        let mut inner = self.inner.lock().expect("dispatcher poisoned");
-        match inner.routes.remove(&response.id.0) {
-            Some(route) => Some((route, response)),
-            None => {
-                inner.orphans.insert(response.id.0, response);
-                None
-            }
-        }
-    }
-
-    /// Drops every outstanding route (shutdown), releasing each quota
-    /// slot so the ledger ends balanced.
-    fn clear(&self, ledger: &AdmissionLedger) {
-        let mut inner = self.inner.lock().expect("dispatcher poisoned");
-        for (_, route) in inner.routes.drain() {
-            ledger.release(&route.client);
-        }
-        inner.orphans.clear();
-    }
-}
-
-/// Releases the quota slot and sends the reply frame for one completed
-/// response. Used by the router and (for orphan races) reader threads.
-fn deliver(shared: &Shared, route: Route, response: EvalResponse) {
-    shared.ledger.release(&route.client);
-    let frame = match response.outcome {
-        Ok(output) => result_frame(
-            route.tag,
-            &WireOutput {
-                label: response.circuit_label,
-                point: response.point,
-                cache_hit: response.cache_hit,
-                latency_ms: response.latency.as_secs_f64() * 1e3,
-                trace_id: route.trace,
-                reports: output.reports,
-            },
-        ),
-        Err(e) => error_frame(Some(route.tag), &WireError::from_serve(e), route.trace),
-    };
-    // A send failure means the connection is gone; the result is simply
-    // dropped, exactly like an in-process caller hanging up its channel.
-    let _ = route.reply.send(frame);
-}
-
-fn router_loop(responses: &Receiver<EvalResponse>, shared: &Shared) {
-    while let Ok(response) = responses.recv() {
-        if let Some((route, response)) = shared.dispatcher.resolve(response) {
-            deliver(shared, route, response);
-        }
+    trace: TraceId,
+    writer: &Sender<Json>,
+) -> impl FnOnce(EvalResponse) + Send + 'static {
+    let (shared, client, writer) = (Arc::clone(shared), client.to_string(), writer.clone());
+    move |response| {
+        shared.ledger.release(&client);
+        let frame = match response.outcome {
+            Ok(output) => result_frame(
+                tag,
+                &WireOutput {
+                    label: response.circuit_label,
+                    point: response.point,
+                    cache_hit: response.cache_hit,
+                    latency_ms: response.latency.as_secs_f64() * 1e3,
+                    trace_id: Some(trace),
+                    reports: output.reports,
+                },
+            ),
+            Err(e) => error_frame(Some(tag), &WireError::from_serve(e), Some(trace)),
+        };
+        // A send failure means the connection is gone; the result is
+        // simply dropped.
+        let _ = writer.send(frame);
     }
 }
 
@@ -581,8 +511,8 @@ fn connection_loop(stream: TcpStream, server: &Arc<Server>, shared: &Arc<Shared>
     };
     let (reply_tx, reply_rx) = channel::<Json>();
     // The writer owns the outbound half so a slow or dead client never
-    // blocks the router; it exits when every reply handle drops or the
-    // socket breaks. It holds no daemon state.
+    // blocks a serving worker; it exits when every reply handle drops or
+    // the socket breaks. It holds no daemon state.
     std::thread::spawn(move || {
         let mut writer = BufWriter::new(write_half);
         while let Ok(frame) = reply_rx.recv() {
@@ -654,12 +584,6 @@ fn connection_loop(stream: TcpStream, server: &Arc<Server>, shared: &Arc<Shared>
             Ok(ClientFrame::Submit { tag, submission }) => {
                 handle_submit(tag, &submission, &client, &reply_tx, server, shared);
             }
-            Ok(ClientFrame::Stats { tag }) => {
-                let frame = stats_reply_frame(tag, &server.stats(), &shared.counters.snapshot());
-                if reply_tx.send(frame).is_err() {
-                    break;
-                }
-            }
             Ok(ClientFrame::Metrics { tag }) => {
                 let frame = metrics_reply_frame(tag, &server.metrics());
                 if reply_tx.send(frame).is_err() {
@@ -715,8 +639,8 @@ fn connection_loop(stream: TcpStream, server: &Arc<Server>, shared: &Arc<Shared>
 }
 
 /// Admission pipeline for one submission: quota, then decode/parse, then
-/// the shard queue. Refusals are answered inline; acceptances register a
-/// route for the router to complete.
+/// the shard queue. Refusals are answered inline; an accepted submission
+/// carries its [`reply`] into the queue.
 fn handle_submit(
     tag: u64,
     submission: &Submission,
@@ -733,8 +657,8 @@ fn handle_submit(
     // Admitted: the submission owns a trace identity from here on —
     // echoed on its eventual `result` or `error` frame and threaded
     // through the serving layer's span tree when a recorder is
-    // installed. Every exit below either registers a route (released on
-    // delivery) or releases the slot itself.
+    // installed. Every exit below either hands the slot to the reply
+    // (released when the request is served) or releases it itself.
     let trace = TraceId::mint();
     let request = match submission.to_eval_request() {
         Ok(request) => request.trace(trace),
@@ -767,25 +691,12 @@ fn handle_submit(
             return;
         }
     }
-    match server.submit(request) {
-        Ok(id) => {
-            let route = Route {
-                tag,
-                client: client.to_string(),
-                trace: Some(trace),
-                reply: reply_tx.clone(),
-            };
-            if let Some((route, response)) = shared.dispatcher.register(id.0, route) {
-                deliver(shared, route, response);
-            }
-        }
-        Err(e) => {
-            shared.ledger.release(client);
-            let _ = reply_tx.send(error_frame(
-                Some(tag),
-                &WireError::from_serve(e),
-                Some(trace),
-            ));
-        }
+    if let Err(e) = server.submit(request, reply(shared, client, tag, trace, reply_tx)) {
+        shared.ledger.release(client);
+        let _ = reply_tx.send(error_frame(
+            Some(tag),
+            &WireError::from_serve(e),
+            Some(trace),
+        ));
     }
 }

@@ -11,7 +11,7 @@
 //!   `std` sockets and threads, like the layer underneath.
 //! * **Vocabulary** ([`protocol`]) — a versioned handshake
 //!   (`hello`/`welcome`), tagged pipelined submissions, typed errors,
-//!   and a live `stats` command. Circuits travel either as structured
+//!   and live `metrics` and `trace` commands. Circuits travel either as structured
 //!   JSON or as OpenQASM 2.0 text; both decode to fingerprint-identical
 //!   [`Circuit`](dqc_circuit::Circuit)s, so wire traffic shares the
 //!   in-process compile caches.
@@ -20,7 +20,8 @@
 //!   the serve layer's global `overloaded` backpressure so one greedy
 //!   tenant cannot starve the rest.
 //! * **Daemon** ([`daemon`]) — [`ServedBuilder`] → [`Served`]: accept
-//!   thread, response router, reader/writer pair per connection, orderly
+//!   thread, reader/writer pair per connection, each accepted submission
+//!   carrying its reply to the connection's writer, orderly
 //!   [`shutdown`](Served::shutdown).
 //! * **Client** ([`client`]) — [`ServedClient`], the blocking client the
 //!   `serve_wire` benchmark and the daemon tests drive.
@@ -78,10 +79,10 @@ pub mod protocol;
 pub mod quota;
 
 pub use client::{ClientError, ServedClient};
-pub use daemon::{Served, ServedBuilder, ServedError, ShutdownReport};
+pub use daemon::{DaemonStats, Served, ServedBuilder, ServedError, ShutdownReport};
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 pub use protocol::{
-    CircuitPayload, DaemonStats, QuotaScope, Submission, Welcome, WireError, WireOutput, WireReply,
+    CircuitPayload, QuotaScope, Submission, Welcome, WireError, WireOutput, WireReply,
     PROTOCOL_VERSION, SERVER_NAME,
 };
 pub use quota::{QuotaConfig, RateLimit};

@@ -1,12 +1,13 @@
 //! The versioned wire vocabulary: every frame either direction, typed.
 //!
-//! One handshake, three commands, and their replies:
+//! One handshake, four commands, and their replies:
 //!
 //! | client → server | server → client |
 //! |---|---|
 //! | `hello` (identity + protocol) | `welcome` (points, designs, config) or fatal `error` |
 //! | `submit` (tagged evaluation) | tagged `result` or tagged `error` |
-//! | `stats` (tagged) | tagged `stats` (serve + daemon snapshots) |
+//! | `metrics` (tagged) | tagged `metrics` (the registry: every counter and histogram) |
+//! | `trace` (tagged) | tagged `trace` (recent spans and events, plus the metrics) |
 //! | `bye` | `bye`, then close |
 //!
 //! Circuits travel in either of two formats under `submit.circuit`:
@@ -26,7 +27,7 @@
 use dqc_circuit::{from_qasm, Circuit};
 use dqc_core::{Design, ExecutionReport};
 use dqc_obs::{Capture, MetricsSnapshot, TraceId};
-use dqc_serve::{EvalRequest, ServeConfig, ServeError, ServeStats};
+use dqc_serve::{EvalRequest, ServeConfig, ServeError};
 use dqc_types::{Diagnostic, Json, JsonError};
 use std::error::Error;
 use std::fmt;
@@ -55,7 +56,11 @@ use std::sync::Arc;
 /// v5: the autoscaler is gone. The `welcome` config echo lost
 /// `autoscale`; the `stats` reply's serve snapshot lost
 /// `autoscale_ticks`, `rebalances` and each shard's `workers`.
-pub const PROTOCOL_VERSION: i64 = 5;
+///
+/// v6: the `stats` command and its reply are gone. The `metrics` reply
+/// carries every counter they rolled up, and each request's latency
+/// rides on its `result`.
+pub const PROTOCOL_VERSION: i64 = 6;
 
 /// The server identity string sent in `welcome`.
 pub const SERVER_NAME: &str = concat!("dqc-served/", env!("CARGO_PKG_VERSION"));
@@ -552,11 +557,6 @@ pub fn submit_frame(tag: u64, submission: &Submission) -> Json {
     ])
 }
 
-/// Builds a tagged `stats` request frame.
-pub fn stats_frame(tag: u64) -> Json {
-    Json::object([("type", Json::from("stats")), ("tag", Json::uint(tag))])
-}
-
 /// Builds a tagged `metrics` request frame (v3).
 pub fn metrics_frame(tag: u64) -> Json {
     Json::object([("type", Json::from("metrics")), ("tag", Json::uint(tag))])
@@ -605,11 +605,6 @@ pub enum ClientFrame {
         /// The request body.
         submission: Submission,
     },
-    /// A tagged request for the live stats snapshot.
-    Stats {
-        /// Client-chosen tag echoed on the reply.
-        tag: u64,
-    },
     /// A tagged request for the raw metrics registry snapshot (v3).
     Metrics {
         /// Client-chosen tag echoed on the reply.
@@ -654,9 +649,6 @@ pub fn parse_client_frame(json: &Json) -> Result<ClientFrame, WireError> {
             };
             Ok(ClientFrame::Submit { tag, submission })
         }
-        "stats" => Ok(ClientFrame::Stats {
-            tag: json.u64_field("tag").map_err(protocol_err)?,
-        }),
         "metrics" => Ok(ClientFrame::Metrics {
             tag: json.u64_field("tag").map_err(protocol_err)?,
         }),
@@ -746,53 +738,6 @@ impl Welcome {
     }
 }
 
-/// The daemon's own counters, reported alongside the serving layer's
-/// [`ServeStats`] in the `stats` reply.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DaemonStats {
-    /// Connections accepted since the daemon started.
-    pub connections_accepted: u64,
-    /// Connections currently open.
-    pub connections_active: u64,
-    /// Submissions refused by a per-client quota.
-    pub quota_rejected: u64,
-    /// Submissions refused as malformed (`bad_request`).
-    pub bad_requests: u64,
-    /// Frames that broke the protocol (connection then closed).
-    pub protocol_errors: u64,
-}
-
-impl DaemonStats {
-    /// Serializes the counters.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            (
-                "connections_accepted",
-                Json::uint(self.connections_accepted),
-            ),
-            ("connections_active", Json::uint(self.connections_active)),
-            ("quota_rejected", Json::uint(self.quota_rejected)),
-            ("bad_requests", Json::uint(self.bad_requests)),
-            ("protocol_errors", Json::uint(self.protocol_errors)),
-        ])
-    }
-
-    /// Reads the counters back.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError::Schema`] on a missing or mistyped field.
-    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            connections_accepted: json.u64_field("connections_accepted")?,
-            connections_active: json.u64_field("connections_active")?,
-            quota_rejected: json.u64_field("quota_rejected")?,
-            bad_requests: json.u64_field("bad_requests")?,
-            protocol_errors: json.u64_field("protocol_errors")?,
-        })
-    }
-}
-
 /// The successful payload of a wire reply: the response fields of an
 /// [`EvalResponse`](dqc_serve::EvalResponse) that survive serialization.
 #[derive(Debug, Clone, PartialEq)]
@@ -851,18 +796,8 @@ pub fn result_frame(tag: u64, output: &WireOutput) -> Json {
     ])
 }
 
-/// Builds a tagged `stats` reply frame.
-pub fn stats_reply_frame(tag: u64, serve: &ServeStats, daemon: &DaemonStats) -> Json {
-    Json::object([
-        ("type", Json::from("stats")),
-        ("tag", Json::uint(tag)),
-        ("serve", serve.to_json()),
-        ("daemon", daemon.to_json()),
-    ])
-}
-
-/// Builds a tagged `metrics` reply frame (v3): the raw registry
-/// snapshot behind the stats roll-up.
+/// Builds a tagged `metrics` reply frame (v3): the daemon's metrics
+/// registry, every `serve.*` and `served.*` metric.
 pub fn metrics_reply_frame(tag: u64, metrics: &MetricsSnapshot) -> Json {
     Json::object([
         ("type", Json::from("metrics")),
@@ -903,15 +838,6 @@ pub enum ServerFrame {
         trace_id: Option<TraceId>,
         /// The error itself.
         error: WireError,
-    },
-    /// A tagged stats snapshot.
-    Stats {
-        /// The client's tag, echoed back.
-        tag: u64,
-        /// The serving layer's snapshot.
-        serve: ServeStats,
-        /// The daemon's own counters.
-        daemon: DaemonStats,
     },
     /// A tagged raw metrics snapshot (v3).
     Metrics {
@@ -972,11 +898,6 @@ pub fn parse_server_frame(json: &Json) -> Result<ServerFrame, JsonError> {
             },
             trace_id: optional_trace_id(json)?,
             error: WireError::from_json(json.field("error")?)?,
-        },
-        "stats" => ServerFrame::Stats {
-            tag: json.u64_field("tag")?,
-            serve: ServeStats::from_json(json.field("serve")?)?,
-            daemon: DaemonStats::from_json(json.field("daemon")?)?,
         },
         "metrics" => ServerFrame::Metrics {
             tag: json.u64_field("tag")?,
@@ -1183,23 +1104,14 @@ mod tests {
 
     #[test]
     fn unknown_frame_types_are_protocol_errors() {
-        let frame = Json::object([("type", Json::from("teleport"))]);
-        let err = parse_client_frame(&frame).unwrap_err();
-        assert!(matches!(err, WireError::Protocol { .. }), "{err}");
-        assert!(parse_server_frame(&frame).is_err());
-    }
-
-    #[test]
-    fn daemon_stats_round_trip() {
-        let stats = DaemonStats {
-            connections_accepted: 5,
-            connections_active: 2,
-            quota_rejected: 3,
-            bad_requests: 1,
-            protocol_errors: 0,
-        };
-        let json = Json::parse(&stats.to_json().to_compact_string()).unwrap();
-        assert_eq!(DaemonStats::from_json(&json).unwrap(), stats);
+        let teleport = Json::object([("type", Json::from("teleport"))]);
+        // `stats` was a command until v6; the `metrics` frame replaced it.
+        let stats = Json::parse(r#"{"type":"stats","tag":1}"#).unwrap();
+        for frame in [teleport, stats] {
+            let err = parse_client_frame(&frame).unwrap_err();
+            assert!(matches!(err, WireError::Protocol { .. }), "{err}");
+            assert!(parse_server_frame(&frame).is_err());
+        }
     }
 
     #[test]

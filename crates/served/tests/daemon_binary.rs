@@ -1,9 +1,10 @@
 //! The `dqc-served` binary end to end: command-line parsing,
-//! `--port-file`, `--config`, process start-up, and the readiness line,
-//! then real traffic over TCP. The other wire tests bind the daemon
-//! in-process; this one runs the executable a deployment runs, once
-//! configured by flags and once by the shipped `configs/served.json`,
-//! and checks that a removed flag stops it at start-up.
+//! `--port-file`, `--config`, process start-up, the readiness line and
+//! the thread budget, then real traffic over TCP. The other wire tests
+//! bind the daemon in-process; this one runs the executable a deployment
+//! runs, once configured by flags and once by the shipped
+//! `configs/served.json`, and checks that a removed flag stops it at
+//! start-up.
 
 use dqc_core::{Design, ExecutionReport, Experiment, SystemConfig};
 use dqc_serve::ServeConfig;
@@ -84,6 +85,15 @@ fn daemon_binary_serves_json_and_qasm_identically_to_direct_evaluation() {
         assert_eq!(written, addr, "--port-file holds the announced address");
         let _ = std::fs::remove_file(&port_file);
 
+        // Before any connection: the main and accept threads plus the
+        // workers of the two shards, and nothing else.
+        if cfg!(target_os = "linux") {
+            let threads = std::fs::read_dir(format!("/proc/{}/task", daemon.0.id()))
+                .expect("the daemon's threads are listed")
+                .count();
+            assert_eq!(threads, 2 + 2 * resolved.workers_per_shard, "{flags:?}");
+        }
+
         let config = SystemConfig::paper_two_node_32();
         let circuits = [
             ("QFT-16", qft(16), Design::AdaptBuf),
@@ -134,11 +144,16 @@ fn daemon_binary_serves_json_and_qasm_identically_to_direct_evaluation() {
             assert_eq!(report_json(&output.reports), direct, "{label} differs");
         }
 
-        let (serve, wire) = client.stats().expect("stats round trip");
-        assert_eq!(serve.served, submitted as u64);
-        assert_eq!(serve.rejected + serve.errors, 0);
-        assert_eq!(wire.quota_rejected + wire.bad_requests, 0);
-        assert_eq!(wire.protocol_errors, 0);
+        let metrics = client.metrics().expect("metrics round trip");
+        let total = |name: &str| metrics.counter_sum(&format!("{name}{{"));
+        assert_eq!(total("serve.served"), submitted as u64);
+        assert_eq!(total("serve.rejected") + total("serve.errors"), 0);
+        let counter = |name: &str| metrics.counter(name).unwrap_or_else(|| panic!("{name}"));
+        assert_eq!(
+            counter("served.quota_rejected") + counter("served.bad_requests"),
+            0
+        );
+        assert_eq!(counter("served.protocol_errors"), 0);
         client.bye().expect("clean goodbye");
     }
 }

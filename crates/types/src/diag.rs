@@ -339,8 +339,8 @@ pub const REGISTRY: &[CodeInfo] = &[
     },
     // DQC-W007 ("autoscale hysteresis is zero") and DQC-W008 ("metrics
     // window disabled or histogram buckets degenerate") are retired: the
-    // hysteresis, the latency window and the bucket ladder are
-    // constants. Never reuse the codes.
+    // hysteresis and the latency window are gone, and the bucket ladder
+    // is a constant. Never reuse the codes.
 ];
 
 /// Looks a code up in [`REGISTRY`].

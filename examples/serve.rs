@@ -7,18 +7,19 @@
 //!
 //! Spawns a [`dqc::Server`] with two hardware points (the paper's
 //! two-node 32- and 64-qubit machines), submits a mixed QAOA/QFT/GHZ
-//! request stream against both, and prints the per-request results as
-//! they complete, followed by the server's stats snapshot — cache
-//! amortization, batching, queue depths, and latency quantiles. Finally
-//! it overfills a deliberately tiny queue to show the typed
-//! `Overloaded` backpressure signal.
+//! request stream against both, and prints the per-request results and
+//! latencies as they complete, followed by the server's counters —
+//! cache amortization and batching — and each shard's slice of them from
+//! the metrics registry. Finally it overfills a deliberately tiny queue
+//! to show the typed `Overloaded` backpressure signal.
 
 use dqc::workloads::{ghz_chain, qft, PaperBenchmark};
 use dqc::{Design, EvalRequest, ServeBuilder, ServeError, SystemConfig};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (server, responses) = ServeBuilder::new()
+    let server = ServeBuilder::new()
         .hardware_point("paper-32", SystemConfig::paper_two_node_32())
         .hardware_point("paper-64", SystemConfig::paper_two_node_64())
         .workers_per_shard(2)
@@ -28,7 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A mixed request stream: three circuits, both hardware points,
     // several seeds each. The circuits travel behind `Arc`s — submitting
-    // one a thousand times would copy nothing.
+    // one a thousand times would copy nothing. Each request carries its
+    // reply; here every reply forwards its response into one channel.
+    let (tx, responses) = channel();
     let workload = [
         ("QAOA-r4-32", Arc::new(PaperBenchmark::QaoaR4_32.circuit())),
         ("QFT-32", Arc::new(qft(32))),
@@ -38,10 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, circuit) in &workload {
         for point in ["paper-32", "paper-64"] {
             for seed in 0..3 {
+                let tx = tx.clone();
                 server.submit(
                     EvalRequest::new(*label, Arc::clone(circuit), point, Design::AdaptBuf)
                         .runs(5)
                         .base_seed(seed * 1000),
+                    move |response| drop(tx.send(response)),
                 )?;
                 submitted += 1;
             }
@@ -49,13 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("submitted {submitted} requests; responses in completion order:\n");
-    for _ in 0..submitted {
+    for done in 1..=submitted {
         let response = responses.recv()?;
         let output = response.outcome?;
         let avg = output.averaged();
         println!(
-            "  {:<4} {:<10} on {:<8} {} depth {:>7.1} ({:>5.2}x ideal)  fidelity {:.4}  [{:.2} ms]",
-            response.id.to_string(),
+            "  {done:>2}. {:<10} on {:<8} {} depth {:>7.1} ({:>5.2}x ideal)  fidelity {:.4}  [{:.2} ms]",
             response.circuit_label,
             response.point,
             if response.cache_hit { "warm" } else { "cold" },
@@ -68,27 +72,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = server.stats();
     println!(
-        "\nserved {} requests at {:.0} req/s: {} cache hits / {} misses, \
+        "\nserved {} requests: {} cache hits / {} misses, \
          {} dispatches (mean batch {:.1})",
         stats.served,
-        stats.throughput_rps,
         stats.cache_hits,
         stats.cache_misses,
         stats.dispatches,
         stats.served as f64 / stats.dispatches.max(1) as f64,
     );
-    println!(
-        "latency p50 {:.2} ms  p99 {:.2} ms  max {:.2} ms",
-        stats.latency.p50_ms, stats.latency.p99_ms, stats.latency.max_ms
-    );
-    for shard in &stats.shards {
+    // The same counters per shard, as the daemon's `metrics` frame
+    // carries them.
+    let metrics = server.metrics();
+    for point in server.points() {
+        let counter = |name: &str| {
+            metrics
+                .counter(&format!("{name}{{point={point}}}"))
+                .unwrap_or(0)
+        };
         println!(
-            "  shard {:<8} queue {}/{}  served {}  warm circuits {}",
-            shard.point,
-            shard.queue_depth,
-            shard.queue_capacity,
-            shard.served,
-            shard.cached_circuits
+            "  shard {point:<8} served {}  cache misses {}",
+            counter("serve.served"),
+            counter("serve.cache_misses"),
         );
     }
     server.shutdown();
@@ -96,16 +100,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Admission control: a queue of 2 with no workers fills after two
     // requests; the third is refused with a typed backpressure error
     // instead of queueing unboundedly.
-    let (tiny, _responses) = ServeBuilder::new()
+    let tiny = ServeBuilder::new()
         .hardware_point("tiny", SystemConfig::paper_two_node_32())
         .workers_per_shard(0)
         .queue_capacity(2)
         .spawn()?;
     let bell = Arc::new(ghz_chain(2));
     let request = EvalRequest::new("bell", bell, "tiny", Design::AdaptBuf);
-    tiny.submit(request.clone())?;
-    tiny.submit(request.clone())?;
-    match tiny.submit(request) {
+    tiny.submit(request.clone(), drop)?;
+    tiny.submit(request.clone(), drop)?;
+    match tiny.submit(request, drop) {
         Err(ServeError::Overloaded { point, capacity }) => {
             println!("\nbackpressure: shard `{point}` refused request (queue capacity {capacity})");
         }

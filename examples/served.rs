@@ -10,7 +10,7 @@
 //! structured JSON payload, once as OpenQASM 2.0 text — showing that
 //! both travel formats land on one warm compile-cache entry. A second,
 //! quota-capped scenario shows a greedy client throttled with a typed
-//! `QuotaExceeded` while the daemon's stats keep the ledger.
+//! `QuotaExceeded` while the daemon's counters keep the ledger.
 //!
 //! Everything here also works from outside the process: launch
 //! `cargo run --release --bin dqc-served` and point any frame-speaking
@@ -64,10 +64,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let (serve, wire) = client.stats()?;
+    // Every counter travels in the `metrics` frame, per shard for the
+    // serving layer (`serve.*{point=…}`) and daemon-wide (`served.*`).
+    let metrics = client.metrics()?;
+    let counter = |name: &str| metrics.counter(name).unwrap_or(0);
     println!(
         "\nserved {} requests, {} cache hits / {} misses, {} connections\n",
-        serve.served, serve.cache_hits, serve.cache_misses, wire.connections_accepted
+        counter("serve.served{point=paper}"),
+        counter("serve.cache_hits{point=paper}"),
+        counter("serve.cache_misses{point=paper}"),
+        counter("served.connections_accepted"),
     );
     client.bye()?;
     daemon.shutdown();

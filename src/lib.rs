@@ -101,7 +101,7 @@ pub use dqc_core::{
 };
 pub use dqc_entanglement::{LinkParams, NetworkTopology, Route, RoutingTable, TopologyFamily};
 pub use dqc_serve::{
-    EvalOutput, EvalRequest, EvalResponse, QuotaConfig, RateLimit, RequestId, ServeBuilder,
-    ServeConfig, ServeError, ServeStats, Server,
+    EvalOutput, EvalRequest, EvalResponse, QuotaConfig, RateLimit, ServeBuilder, ServeConfig,
+    ServeError, ServeStats, Server,
 };
 pub use dqc_served::{Served, ServedBuilder, ServedClient, Submission, WireError};

@@ -14,7 +14,8 @@ use dqc::{
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 /// The fixed request set: the serving portfolio × two designs × two seed
@@ -74,23 +75,25 @@ fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
         order.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
 
         // A second, idle shard on the same hardware: its workers share
-        // the result channel and the registry, and must neither serve
-        // nor perturb anything.
-        let (server, responses) = ServeBuilder::new()
+        // the registry, and must neither serve nor perturb anything.
+        let server = ServeBuilder::new()
             .hardware_point("paper", SystemConfig::paper_two_node_32())
             .hardware_point("spare", SystemConfig::paper_two_node_32())
             .workers_per_shard(workers)
             .queue_capacity(requests.len())
             .spawn()
             .unwrap();
-        let mut by_id = HashMap::new();
+        let (tx, responses) = channel();
         for &request_idx in &order {
-            let id = server.submit(requests[request_idx].clone()).unwrap();
-            by_id.insert(id, request_idx);
+            let tx = tx.clone();
+            server
+                .submit(requests[request_idx].clone(), move |r| {
+                    drop(tx.send((request_idx, r)))
+                })
+                .unwrap();
         }
         for _ in 0..requests.len() {
-            let response = responses.recv().expect("server streams every response");
-            let request_idx = by_id.remove(&response.id).expect("ids are unique");
+            let (request_idx, response) = responses.recv().expect("every request is answered");
             let output = response.outcome.unwrap_or_else(|e| {
                 panic!("request {request_idx} failed with {workers} workers: {e}")
             });
@@ -100,12 +103,16 @@ fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
                 requests[request_idx].circuit_label
             );
         }
+        assert_eq!(
+            server.points().collect::<Vec<_>>(),
+            ["paper", "spare"],
+            "registration order"
+        );
+        let spare = server.metrics().counter("serve.served{point=spare}");
+        assert_eq!(spare, Some(0), "the spare shard stays idle");
         let stats = server.shutdown();
         assert_eq!(stats.served, requests.len() as u64);
         assert_eq!(stats.rejected, 0);
-        let points: Vec<&str> = stats.shards.iter().map(|s| s.point.as_str()).collect();
-        assert_eq!(points, ["paper", "spare"], "registration order");
-        assert_eq!(stats.shards[1].served, 0, "the spare shard stays idle");
         assert_eq!(stats.cache_hits + stats.cache_misses, requests.len() as u64);
         // Each of the 6 distinct circuits must miss cold at least once;
         // concurrent workers may race a few extra misses, never fewer.
@@ -134,20 +141,23 @@ fn fused_serving_is_byte_identical_to_direct_evaluation() {
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
 
-        let (server, responses) = ServeBuilder::new()
+        let server = ServeBuilder::new()
             .hardware_point("paper", SystemConfig::paper_two_node_32())
             .workers_per_shard(workers)
             .queue_capacity(requests.len())
             .spawn()
             .unwrap();
-        let mut by_id = HashMap::new();
+        let (tx, responses) = channel();
         for &request_idx in &order {
-            let id = server.submit(requests[request_idx].clone()).unwrap();
-            by_id.insert(id, request_idx);
+            let tx = tx.clone();
+            server
+                .submit(requests[request_idx].clone(), move |r| {
+                    drop(tx.send((request_idx, r)))
+                })
+                .unwrap();
         }
         for _ in 0..requests.len() {
-            let response = responses.recv().expect("server streams every response");
-            let request_idx = by_id.remove(&response.id).expect("ids are unique");
+            let (request_idx, response) = responses.recv().expect("every request is answered");
             let output = response
                 .outcome
                 .unwrap_or_else(|e| panic!("request {request_idx} failed: {e}"));
@@ -171,20 +181,22 @@ fn observability_recording_never_changes_served_bytes() {
     let expected = direct_reports(&requests);
 
     let serve_all = |requests: &[EvalRequest]| -> Vec<Vec<ExecutionReport>> {
-        let (server, responses) = ServeBuilder::new()
+        let server = ServeBuilder::new()
             .hardware_point("paper", SystemConfig::paper_two_node_32())
             .workers_per_shard(2)
             .queue_capacity(requests.len())
             .spawn()
             .unwrap();
-        let mut by_id = HashMap::new();
+        let (tx, responses) = channel();
         for (request_idx, request) in requests.iter().enumerate() {
-            by_id.insert(server.submit(request.clone()).unwrap(), request_idx);
+            let tx = tx.clone();
+            server
+                .submit(request.clone(), move |r| drop(tx.send((request_idx, r))))
+                .unwrap();
         }
         let mut outputs = vec![Vec::new(); requests.len()];
         for _ in 0..requests.len() {
-            let response = responses.recv().expect("server streams every response");
-            let request_idx = by_id.remove(&response.id).expect("ids are unique");
+            let (request_idx, response) = responses.recv().expect("every request is answered");
             outputs[request_idx] = response.outcome.expect("request succeeds").reports;
         }
         server.shutdown();
@@ -244,21 +256,25 @@ fn repeated_serving_of_one_request_is_self_consistent() {
     // traffic — always returns the same bytes (cold or warm cache).
     let requests = request_set();
     let probe = requests[3].clone();
-    let (server, responses) = ServeBuilder::new()
+    let server = ServeBuilder::new()
         .hardware_point("paper", SystemConfig::paper_two_node_32())
         .workers_per_shard(3)
         .queue_capacity(2 * requests.len())
         .spawn()
         .unwrap();
-    let mut probe_ids = HashSet::new();
+    let (tx, responses) = channel();
     for request in &requests {
-        probe_ids.insert(server.submit(probe.clone()).unwrap());
-        server.submit(request.clone()).unwrap();
+        for (is_probe, request) in [(true, &probe), (false, request)] {
+            let tx = tx.clone();
+            server
+                .submit(request.clone(), move |r| drop(tx.send((is_probe, r))))
+                .unwrap();
+        }
     }
     let mut probe_outputs = Vec::new();
     for _ in 0..2 * requests.len() {
-        let response = responses.recv().unwrap();
-        if probe_ids.contains(&response.id) {
+        let (is_probe, response) = responses.recv().unwrap();
+        if is_probe {
             probe_outputs.push(response.outcome.unwrap().reports);
         }
     }

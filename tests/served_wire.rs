@@ -305,10 +305,20 @@ fn greedy_client_is_throttled_while_polite_client_is_admitted() {
     }
     // Quotas are per-client: the polite client's submissions are both
     // admitted even though the greedy client is pinned at its cap.
-    let (serve, wire) = polite.stats().expect("stats round trip");
-    assert_eq!(serve.submitted, 4, "2 greedy + 2 polite admitted");
-    assert_eq!(wire.quota_rejected, 3, "exactly the greedy overflow");
-    assert_eq!(wire.connections_active, 2);
+    let metrics = polite.metrics().expect("metrics round trip");
+    let counter = |name: &str| metrics.counter(name).unwrap_or_else(|| panic!("{name}"));
+    assert_eq!(
+        counter("serve.submitted{point=paper}"),
+        4,
+        "2 greedy + 2 polite admitted"
+    );
+    assert_eq!(
+        counter("served.quota_rejected"),
+        3,
+        "exactly the greedy overflow"
+    );
+    let open = counter("served.connections_accepted") - counter("served.connections_closed");
+    assert_eq!(open, 2);
 
     drop(greedy);
     drop(polite);
@@ -453,11 +463,11 @@ fn full_queue_is_reported_as_overloaded() {
 }
 
 /// The handshake's version gate, driven by a raw socket: a `hello` for
-/// protocol v4 gets one fatal, untagged `protocol` error naming both
+/// protocol v5 gets one fatal, untagged `protocol` error naming both
 /// versions, then end-of-stream, and counts as one protocol error.
 #[test]
 fn hello_for_an_older_protocol_is_refused_then_closed() {
-    assert_eq!(PROTOCOL_VERSION, 5);
+    assert_eq!(PROTOCOL_VERSION, 6);
     let daemon = ServedBuilder::new()
         .hardware_point("paper", SystemConfig::paper_two_node_32())
         .workers_per_shard(1)
@@ -468,7 +478,7 @@ fn hello_for_an_older_protocol_is_refused_then_closed() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
-    let hello = Json::parse(r#"{"type":"hello","protocol":4,"client":"v4-client"}"#).unwrap();
+    let hello = Json::parse(r#"{"type":"hello","protocol":5,"client":"v5-client"}"#).unwrap();
     write_frame(&mut stream, &hello).expect("hello is sent");
 
     let frame = read_frame(&mut stream).expect("the refusal arrives");
@@ -478,8 +488,8 @@ fn hello_for_an_older_protocol_is_refused_then_closed() {
             error: WireError::Protocol { message },
             ..
         } => {
-            assert!(message.contains("client speaks 4"), "{message}");
-            assert!(message.contains("server speaks 5"), "{message}");
+            assert!(message.contains("client speaks 5"), "{message}");
+            assert!(message.contains("server speaks 6"), "{message}");
         }
         other => panic!("expected an untagged protocol error, got {other:?}"),
     }

@@ -26,9 +26,11 @@ crates/served/src/daemon.rs
 crates/obs/src/wall.rs
 "
 
-# HashMap: serving/daemon bookkeeping keyed for lookup only, the
-# executor's qubit scratch table (drained in deterministic gate order),
-# and tests that collate replies by tag before order-insensitive asserts.
+# HashMap: bookkeeping keyed for lookup only (the server's point index
+# and fusion memo, the daemon's one map, its connection registry, and
+# the quota ledger), the executor's qubit scratch table (drained in
+# deterministic gate order), and tests that key compilations,
+# fingerprints or replies for order-insensitive asserts.
 HASHMAP_ALLOW="
 crates/serve/src/server.rs
 crates/served/src/daemon.rs
