@@ -52,7 +52,6 @@
 use dqc_circuit::{Circuit, Gate};
 use dqc_core::{CompiledCircuit, Design, DesignSpace, DqcError, SystemConfig};
 use dqc_serve::ServeConfig;
-use dqc_types::json::{Json, JsonError};
 use dqc_types::{Diagnostic, Site};
 use std::collections::BTreeMap;
 
@@ -305,17 +304,4 @@ fn ordered(a: usize, b: usize) -> (usize, usize) {
     } else {
         (b, a)
     }
-}
-
-// Re-exports the CLI and the fixture tests lean on.
-pub use dqc_types::diag::{code_info, CodeInfo, REGISTRY};
-
-/// Parses a JSON array of diagnostics (the CLI's `--format json` output
-/// payload) back into typed findings.
-pub fn diagnostics_from_json(json: &Json) -> Result<Vec<Diagnostic>, JsonError> {
-    json.as_array()
-        .ok_or_else(|| JsonError::schema("diagnostics payload must be an array"))?
-        .iter()
-        .map(Diagnostic::from_json)
-        .collect()
 }

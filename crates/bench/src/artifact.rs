@@ -1,17 +1,21 @@
 //! Machine-readable result artifacts: one JSON document per repro target.
 //!
-//! Every reproduction target (`table1` … `ablate-purification`) can emit
-//! its numbers as an [`Artifact`] — a stable envelope around the
-//! target-specific payload — via [`target_data`]. CI runs the targets at
-//! fixed `--runs`/`--seed`, writes the artifacts, and gates them against
-//! the committed golden files under `tests/golden/` with `repro diff`;
-//! the same envelope is what `tests/golden_regression.rs` rebuilds
+//! Every reproduction target (`table1` … `analyze`) computes its numbers
+//! as an [`Artifact`] — a stable envelope around the target-specific
+//! payload from [`target_data`] — and [`print_artifact`] renders that
+//! payload as the paper's table, so a table is always a rendering of the
+//! artifact the JSON mode writes. CI runs the targets at fixed
+//! `--runs`/`--seed`, writes the artifacts, and gates them against the
+//! committed golden files under `tests/golden/` with `repro diff`; the
+//! same envelope is what `tests/golden_regression.rs` rebuilds
 //! in-process.
 //!
 //! The envelope is versioned ([`SCHEMA_VERSION`]) so a deliberate schema
 //! change (bump) is distinguishable from accidental drift (diff failure).
 
-use dqc_core::{DqcError, SystemConfig};
+use crate::{Fig3Histograms, Table1Row, Table2Data};
+use dqc_codesign::CodesignResult;
+use dqc_core::{DqcError, SweepResult, SystemConfig};
 use dqc_types::{Json, JsonError};
 
 /// Version of the artifact envelope and of every payload schema below it.
@@ -19,30 +23,162 @@ use dqc_types::{Json, JsonError};
 /// regenerate the golden files in the same commit.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// The names of every target that can emit a JSON artifact, in `repro`'s
-/// execution order.
-const TARGET_NAMES: &[&str] = &[
-    "table1",
-    "table2",
-    "fig3",
-    "fig5",
-    "fig6",
-    "fig56",
-    "fig7",
-    "fig8",
-    "topology-sweep",
-    "codesign",
-    "ablate-cutoff",
-    "ablate-psucc",
-    "ablate-segment",
-    "ablate-protocol",
-    "ablate-purification",
-    "analyze",
+/// Computes a target's payload from `(runs, seed)`.
+type DataFn = fn(usize, u64) -> Result<Json, DqcError>;
+
+/// Prints a target's payload in the layout of the paper; the run count
+/// is the one the table's header names.
+type PrintFn = fn(&Json, usize) -> Result<(), JsonError>;
+
+/// Every repro target, in `repro`'s execution order: its name, the
+/// payload it computes, and the printer that renders that payload.
+/// `fig5`, `fig6` and `fig56` share one payload (the combined Fig. 5/6
+/// sweep grid): the figures are two renderings of the same experiments.
+const TARGETS: &[(&str, DataFn, PrintFn)] = &[
+    (
+        "table1",
+        |_, _| {
+            let table = crate::table1_data();
+            Ok(Json::Array(table.iter().map(Table1Row::to_json).collect()))
+        },
+        |data, _| {
+            let table: Vec<Table1Row> = rows(data)?
+                .iter()
+                .map(Table1Row::from_json)
+                .collect::<Result<_, _>>()?;
+            crate::print_table1(&table);
+            Ok(())
+        },
+    ),
+    (
+        "table2",
+        |_, _| Ok(crate::table2_data(&SystemConfig::paper_two_node_32()).to_json()),
+        |data, _| {
+            crate::print_table2_from(&Table2Data::from_json(data)?);
+            Ok(())
+        },
+    ),
+    (
+        "fig3",
+        |_, seed| Ok(crate::fig3_histograms(10, seed).to_json()),
+        |data, _| {
+            crate::print_fig3_from(&Fig3Histograms::from_json(data)?);
+            Ok(())
+        },
+    ),
+    ("fig5", fig56_data, |data, runs| {
+        print_sweep(data, runs, crate::print_fig5_from)
+    }),
+    ("fig6", fig56_data, |data, runs| {
+        print_sweep(data, runs, crate::print_fig6_from)
+    }),
+    ("fig56", fig56_data, |data, runs| {
+        let result = SweepResult::from_json(data)?;
+        crate::print_fig5_from(&result, runs);
+        println!();
+        crate::print_fig6_from(&result, runs);
+        Ok(())
+    }),
+    (
+        "fig7",
+        |runs, seed| Ok(crate::fig7_sweep(runs, seed)?.to_json()),
+        |data, runs| print_sweep(data, runs, crate::print_fig7_from),
+    ),
+    (
+        "fig8",
+        |runs, seed| Ok(crate::fig8_sweep(runs, seed)?.to_json()),
+        |data, runs| print_sweep(data, runs, crate::print_fig8_from),
+    ),
+    (
+        "topology-sweep",
+        |runs, seed| {
+            let results = crate::topology_sweep_all(runs, seed)?;
+            Ok(Json::Array(
+                results
+                    .iter()
+                    .map(|(nodes, result)| {
+                        Json::object([("nodes", Json::from(*nodes)), ("result", result.to_json())])
+                    })
+                    .collect(),
+            ))
+        },
+        |data, runs| {
+            let results: Vec<(usize, SweepResult)> = rows(data)?
+                .iter()
+                .map(|row| {
+                    let result = SweepResult::from_json(row.field("result")?)?;
+                    Ok((row.usize_field("nodes")?, result))
+                })
+                .collect::<Result<_, JsonError>>()?;
+            crate::print_topology_from(&results, runs);
+            Ok(())
+        },
+    ),
+    (
+        "codesign",
+        |runs, seed| Ok(crate::codesign_search(runs, seed)?.to_json()),
+        |data, runs| {
+            crate::print_codesign_from(&CodesignResult::from_json(data)?, runs);
+            Ok(())
+        },
+    ),
+    (
+        "ablate-cutoff",
+        |runs, seed| Ok(crate::cutoff_ablation_sweep(runs, seed)?.to_json()),
+        |data, runs| print_sweep(data, runs, crate::print_cutoff_ablation_from),
+    ),
+    (
+        "ablate-psucc",
+        |runs, seed| Ok(crate::psucc_ablation_sweep(runs, seed)?.to_json()),
+        |data, runs| print_sweep(data, runs, crate::print_psucc_ablation_from),
+    ),
+    (
+        "ablate-segment",
+        |runs, seed| Ok(crate::segment_ablation_sweep(runs, seed)?.to_json()),
+        |data, runs| print_sweep(data, runs, crate::print_segment_ablation_from),
+    ),
+    (
+        "ablate-protocol",
+        |runs, seed| Ok(crate::protocol_ablation_sweep(runs, seed)?.to_json()),
+        |data, runs| print_sweep(data, runs, crate::print_protocol_ablation_from),
+    ),
+    (
+        "ablate-purification",
+        |runs, seed| Ok(crate::purification_ablation_sweep(runs, seed)?.to_json()),
+        |data, runs| print_sweep(data, runs, crate::print_purification_ablation_from),
+    ),
+    (
+        "analyze",
+        |_, _| Ok(crate::analyze_data()),
+        |data, _| crate::print_analyze_from(data),
+    ),
 ];
 
-/// The names of every target that can emit a JSON artifact.
-pub fn target_names() -> &'static [&'static str] {
-    TARGET_NAMES
+/// The payload `fig5`, `fig6` and `fig56` share.
+fn fig56_data(runs: usize, seed: u64) -> Result<Json, DqcError> {
+    Ok(crate::fig56_sweep(runs, seed)?.to_json())
+}
+
+/// Parses a [`SweepResult`] payload and prints it with `print`.
+fn print_sweep(data: &Json, runs: usize, print: fn(&SweepResult, usize)) -> Result<(), JsonError> {
+    print(&SweepResult::from_json(data)?, runs);
+    Ok(())
+}
+
+/// The rows of a payload that is a JSON array.
+pub(crate) fn rows(data: &Json) -> Result<&[Json], JsonError> {
+    data.as_array()
+        .ok_or_else(|| JsonError::schema("payload: expected an array of rows"))
+}
+
+/// The table entry of the target called `name`.
+fn entry(name: &str) -> Option<&'static (&'static str, DataFn, PrintFn)> {
+    TARGETS.iter().find(|(n, _, _)| *n == name)
+}
+
+/// The names of every repro target, in `repro`'s execution order.
+pub fn target_names() -> impl Iterator<Item = &'static str> {
+    TARGETS.iter().map(|(name, _, _)| *name)
 }
 
 /// One serialized run of one repro target: the payload from
@@ -134,11 +270,8 @@ impl Artifact {
     }
 }
 
-/// Computes the JSON payload of one repro target — the data behind the
-/// corresponding `print_*` rendering, serialized instead of printed.
-///
-/// `fig5`, `fig6`, and `fig56` share one payload (the combined Fig. 5/6
-/// sweep grid): the figures are two renderings of the same experiments.
+/// Computes the JSON payload of one repro target — the data
+/// [`print_artifact`] renders as the target's table.
 ///
 /// # Errors
 ///
@@ -149,35 +282,24 @@ impl Artifact {
 /// Panics when `target` is not one of [`target_names`]; the CLI validates
 /// names before dispatching here.
 pub fn target_data(target: &str, runs: usize, seed: u64) -> Result<Json, DqcError> {
-    Ok(match target {
-        "table1" => Json::Array(
-            crate::table1_data()
-                .iter()
-                .map(crate::Table1Row::to_json)
-                .collect(),
-        ),
-        "table2" => crate::table2_data(&SystemConfig::paper_two_node_32()).to_json(),
-        "fig3" => crate::fig3_histograms(10, seed).to_json(),
-        "fig5" | "fig6" | "fig56" => crate::fig56_sweep(runs, seed)?.to_json(),
-        "fig7" => crate::fig7_sweep(runs, seed)?.to_json(),
-        "fig8" => crate::fig8_sweep(runs, seed)?.to_json(),
-        "topology-sweep" => Json::Array(
-            crate::topology_sweep_all(runs, seed)?
-                .iter()
-                .map(|(nodes, result)| {
-                    Json::object([("nodes", Json::from(*nodes)), ("result", result.to_json())])
-                })
-                .collect(),
-        ),
-        "codesign" => crate::codesign_search(runs, seed)?.to_json(),
-        "ablate-cutoff" => crate::cutoff_ablation_sweep(runs, seed)?.to_json(),
-        "ablate-psucc" => crate::psucc_ablation_sweep(runs, seed)?.to_json(),
-        "ablate-segment" => crate::segment_ablation_sweep(runs, seed)?.to_json(),
-        "ablate-protocol" => crate::protocol_ablation_sweep(runs, seed)?.to_json(),
-        "ablate-purification" => crate::purification_ablation_sweep(runs, seed)?.to_json(),
-        "analyze" => crate::analyze_data(),
-        other => panic!("unknown artifact target `{other}`"),
-    })
+    let (_, data, _) =
+        entry(target).unwrap_or_else(|| panic!("unknown artifact target `{target}`"));
+    data(runs, seed)
+}
+
+/// Prints an artifact's payload as its target's table, in the layout of
+/// the paper — what `repro` shows in table mode for the same target,
+/// runs and seed.
+///
+/// # Errors
+///
+/// [`JsonError::Schema`] when the target is unknown or the payload does
+/// not have the target's shape.
+pub fn print_artifact(artifact: &Artifact) -> Result<(), JsonError> {
+    let (_, _, print) = entry(&artifact.target).ok_or_else(|| {
+        JsonError::schema(format!("unknown artifact target `{}`", artifact.target))
+    })?;
+    print(&artifact.data, artifact.runs)
 }
 
 #[cfg(test)]
@@ -222,14 +344,16 @@ mod tests {
     fn cheap_targets_build_diffable_artifacts() {
         // The fully deterministic targets are fast enough to build in a
         // unit test; sweep-heavy targets are covered by the golden
-        // regression integration test.
-        for target in ["table1", "table2", "fig3"] {
+        // regression integration test. Every reparsed artifact must also
+        // print: table mode renders exactly this payload.
+        for target in ["table1", "table2", "fig3", "analyze"] {
             let artifact = Artifact::build(target, 1, 7).unwrap();
             let reparsed = Artifact::parse(&artifact.to_pretty_string()).unwrap();
             assert!(
                 json::diff(&artifact.to_json(), &reparsed.to_json(), 0.0).is_empty(),
                 "{target} must survive a write/parse cycle exactly"
             );
+            print_artifact(&reparsed).unwrap();
         }
     }
 
@@ -244,15 +368,5 @@ mod tests {
             .map(|r| crate::Table1Row::from_json(r).unwrap())
             .collect();
         assert_eq!(rows, crate::table1_data());
-    }
-
-    #[test]
-    fn every_named_target_is_dispatchable() {
-        // Compile-time-ish guard: the dispatch match and the name list
-        // stay in sync. Running every sweep here would be slow, so this
-        // only checks that no listed name panics as unknown for the
-        // cheap, deterministic subset and that the list is non-empty.
-        assert!(target_names().contains(&"table1"));
-        assert!(target_names().contains(&"ablate-purification"));
     }
 }

@@ -22,8 +22,9 @@
 //! ```
 //!
 //! Without arguments it runs everything with the paper's 50-run averages
-//! in table format. With `--format json` each target's numbers are
-//! serialized as one [`dqc_bench::Artifact`] — to stdout, or to
+//! in table format. Each target builds one [`dqc_bench::Artifact`]: table
+//! mode prints its payload with [`dqc_bench::print_artifact`], and
+//! `--format json` writes the artifact itself — to stdout, or to
 //! `DIR/<target>.json` when `--out` is given. `repro diff` compares two
 //! artifacts structurally, treating numbers within `EPS` (mixed
 //! absolute/relative, default 1e-9) as equal; it exits non-zero when they
@@ -37,42 +38,9 @@
 //! add tracing overhead, so profile runs are not timing-representative.
 
 use dqc_bench::Artifact;
-use dqc_core::DqcError;
 use dqc_types::json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// A target's table-mode runner: (runs, seed) → outcome.
-type Runner = fn(usize, u64) -> Result<(), DqcError>;
-
-/// Every runnable target, in `all` execution order.
-const TARGETS: &[(&str, Runner)] = &[
-    ("table1", |_, _| {
-        dqc_bench::print_table1(&dqc_bench::table1_data());
-        Ok(())
-    }),
-    ("table2", |_, _| {
-        dqc_bench::print_table2(&dqc_core::SystemConfig::paper_two_node_32());
-        Ok(())
-    }),
-    ("fig3", |_, seed| {
-        dqc_bench::print_fig3(seed);
-        Ok(())
-    }),
-    ("fig5", dqc_bench::run_fig5),
-    ("fig6", dqc_bench::run_fig6),
-    ("fig56", dqc_bench::run_fig56),
-    ("fig7", dqc_bench::run_fig7),
-    ("fig8", dqc_bench::run_fig8),
-    ("topology-sweep", dqc_bench::run_topology_sweep),
-    ("codesign", dqc_bench::run_codesign),
-    ("ablate-cutoff", dqc_bench::run_cutoff_ablation),
-    ("ablate-psucc", dqc_bench::run_psucc_ablation),
-    ("ablate-segment", dqc_bench::run_segment_ablation),
-    ("ablate-protocol", dqc_bench::run_protocol_ablation),
-    ("ablate-purification", dqc_bench::run_purification_ablation),
-    ("analyze", dqc_bench::run_analyze),
-];
 
 /// Output rendering selected by `--format`.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -85,28 +53,15 @@ enum Format {
 
 /// Expands one CLI word into the targets it names.
 fn expand(name: &str) -> Option<Vec<&'static str>> {
-    match name {
+    let names = dqc_bench::target_names();
+    let expanded: Vec<&'static str> = match name {
         // Figures 5 and 6 render the same sweep, so `all` takes the
         // combined `fig56` target and pays for that grid only once.
-        "all" => Some(
-            TARGETS
-                .iter()
-                .map(|(n, _)| *n)
-                .filter(|n| *n != "fig5" && *n != "fig6")
-                .collect(),
-        ),
-        "ablations" => Some(
-            TARGETS
-                .iter()
-                .map(|(n, _)| *n)
-                .filter(|n| n.starts_with("ablate-"))
-                .collect(),
-        ),
-        _ => TARGETS
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(n, _)| vec![*n]),
-    }
+        "all" => names.filter(|n| *n != "fig5" && *n != "fig6").collect(),
+        "ablations" => names.filter(|n| n.starts_with("ablate-")).collect(),
+        _ => names.filter(|n| *n == name).collect(),
+    };
+    (!expanded.is_empty()).then_some(expanded)
 }
 
 fn main() -> ExitCode {
@@ -193,20 +148,15 @@ fn main() -> ExitCode {
     });
 
     for (i, target) in targets.iter().enumerate() {
-        let outcome = match format {
-            Format::Table => {
-                if i > 0 {
-                    println!();
-                }
-                let runner = TARGETS
-                    .iter()
-                    .find(|(n, _)| n == target)
-                    .map(|(_, f)| *f)
-                    .expect("expanded targets are valid");
-                runner(runs, seed).map_err(|e| e.to_string())
-            }
-            Format::Json => emit_artifact(target, runs, seed, out_dir.as_deref()),
-        };
+        if format == Format::Table && i > 0 {
+            println!();
+        }
+        let outcome = Artifact::build(target, runs, seed)
+            .map_err(|e| e.to_string())
+            .and_then(|artifact| match format {
+                Format::Table => dqc_bench::print_artifact(&artifact).map_err(|e| e.to_string()),
+                Format::Json => emit_artifact(&artifact, out_dir.as_deref()),
+            });
         if let Err(e) = outcome {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -235,21 +185,9 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds one target's artifact and writes it to `DIR/<target>.json`, or
-/// prints it to stdout when no directory was given.
-fn emit_artifact(
-    target: &str,
-    runs: usize,
-    seed: u64,
-    out_dir: Option<&Path>,
-) -> Result<(), String> {
-    // Guard against registry drift: a target listed in TARGETS (table
-    // mode) but missing from the artifact dispatch must fail cleanly,
-    // not panic inside `Artifact::build`.
-    if !dqc_bench::target_names().contains(&target) {
-        return Err(format!("target {target} has no JSON artifact"));
-    }
-    let artifact = Artifact::build(target, runs, seed).map_err(|e| e.to_string())?;
+/// Writes one artifact to `DIR/<target>.json`, or prints it to stdout
+/// when no directory was given.
+fn emit_artifact(artifact: &Artifact, out_dir: Option<&Path>) -> Result<(), String> {
     match out_dir {
         Some(dir) => {
             let path = dir.join(artifact.file_name());
@@ -349,20 +287,5 @@ fn usage(message: &str) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::TARGETS;
-
-    #[test]
-    fn table_and_artifact_registries_stay_in_sync() {
-        // Every table-mode target must have a JSON artifact and vice
-        // versa — a name added to one registry but not the other would
-        // work in one --format and error in the other.
-        let table: Vec<&str> = TARGETS.iter().map(|(n, _)| *n).collect();
-        let json = dqc_bench::target_names();
-        assert_eq!(table, json, "repro TARGETS vs dqc_bench::target_names()");
     }
 }

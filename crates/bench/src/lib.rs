@@ -1,14 +1,16 @@
 //! Reproduction harness for every table and figure of the paper's
 //! evaluation (§IV–V).
 //!
-//! Each `*_data` function regenerates the numbers behind one artifact;
-//! each `print_*` function renders them in the layout of the paper. Every
-//! figure and ablation runner is one [`Sweep`] — the grid of {benchmark ×
-//! design × config} cells runs through the engine's thread-parallel,
-//! compile-once runner, so a full `repro all` compiles each benchmark
-//! once per configuration instead of once per seed. The
-//! [`repro` binary](../repro/index.html) drives them from the command
-//! line. Timing is not this crate's job: the workspace benchmark
+//! Each `*_data`, `*_sweep` or `*_search` function regenerates the numbers
+//! behind one artifact; each `print_*_from` function renders them in the
+//! layout of the paper. A table is a rendering of its artifact:
+//! [`print_artifact`] parses an [`Artifact`]'s payload and prints it, so
+//! the [`repro` binary](../repro/index.html)'s table mode shows exactly
+//! the numbers its JSON mode writes. Every figure and ablation grid is
+//! one [`Sweep`] — the {benchmark × design × config} cells run through
+//! the engine's thread-parallel, compile-once runner, so a full
+//! `repro all` compiles each benchmark once per configuration instead of
+//! once per seed. Timing is not this crate's job: the workspace benchmark
 //! (`dqcbench/`, declared in `BENCHMARK.json`) measures the layers
 //! underneath, and checks its outputs against the goldens
 //! [`Artifact`] regenerates.
@@ -33,7 +35,7 @@ use dqc_workloads::PaperBenchmark;
 
 mod artifact;
 
-pub use artifact::{target_data, target_names, Artifact, SCHEMA_VERSION};
+pub use artifact::{print_artifact, target_data, target_names, Artifact, SCHEMA_VERSION};
 
 /// Number of randomized runs the paper averages per bar.
 pub const PAPER_RUNS: usize = 50;
@@ -244,11 +246,6 @@ impl Table2Data {
 
 /// Prints Table II — the operation latencies/fidelities actually used by
 /// the executor.
-pub fn print_table2(config: &SystemConfig) {
-    print_table2_from(&table2_data(config));
-}
-
-/// Prints Table II from pre-extracted data.
 pub fn print_table2_from(data: &Table2Data) {
     println!("TABLE II: QUANTUM OPERATION PROPERTIES");
     println!("{:<22} {:>9} {:>10}", "Name", "Latency", "Fidelity");
@@ -350,11 +347,6 @@ impl Fig3Histograms {
 }
 
 /// Prints the Fig. 3 sync-vs-async arrival comparison as text sparklines.
-pub fn print_fig3(seed: u64) {
-    print_fig3_from(&fig3_histograms(10, seed));
-}
-
-/// Prints Fig. 3 from pre-computed histograms.
 pub fn print_fig3_from(data: &Fig3Histograms) {
     println!("FIG 3: ENTANGLEMENT ARRIVALS PER T_local (10 comm pairs, psucc = 0.4)");
     for (label, hist) in [
@@ -471,41 +463,6 @@ pub fn print_fig6_from(result: &SweepResult, runs: usize) {
     }
 }
 
-/// Runs and prints the full Figure 5 (depth, 4 × 32-qubit benchmarks).
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_fig5(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_fig5_from(&fig56_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
-/// Runs and prints the full Figure 6 (fidelity, 4 × 32-qubit benchmarks).
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_fig6(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_fig6_from(&fig56_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
-/// Runs the shared Fig. 5/6 grid **once** and prints both figures —
-/// Figures 5 and 6 are two renderings of the same experiments, so the
-/// `all` reproduction path uses this instead of paying the sweep twice.
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_fig56(runs: usize, seed: u64) -> Result<(), DqcError> {
-    let result = fig56_sweep(runs, seed)?;
-    print_fig5_from(&result, runs);
-    println!();
-    print_fig6_from(&result, runs);
-    Ok(())
-}
-
 // ----------------------------------------------------------------- Fig. 7
 
 /// The communication/buffer-qubit counts swept by Figure 7.
@@ -552,33 +509,11 @@ pub fn print_fig7_from(result: &SweepResult, runs: usize) {
     }
 }
 
-/// Runs and prints Figure 7: QAOA-r8-32 depth with 10/15/20 communication
-/// and buffer qubits (buffered designs + ideal), as one sweep over the
-/// configuration axis.
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_fig7(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_fig7_from(&fig7_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
 // ----------------------------------------------------------------- Fig. 8
 
-/// Runs and prints Figure 8: the 64-qubit system (32 data + 20 comm + 20
-/// buffer per node) on QAOA-r4-64 and QAOA-r8-64.
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_fig8(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_fig8_from(&fig8_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
 /// The sweep grid behind Figure 8: QAOA-r4-64 / QAOA-r8-64 × all designs
-/// on the 64-qubit system configuration.
+/// on the 64-qubit system (32 data + 20 comm + 20 buffer qubits per
+/// node).
 ///
 /// # Errors
 ///
@@ -603,8 +538,8 @@ pub fn print_fig8_from(result: &SweepResult, runs: usize) {
 
 // --------------------------------------------------------- Topology sweep
 
-/// The topology families swept by [`run_topology_sweep`], with their
-/// device graphs for a given node count.
+/// The topology families swept by [`topology_sweep`], with their device
+/// graphs for a given node count.
 fn topology_axis(nodes: usize) -> Vec<(&'static str, NetworkTopology)> {
     let grid = match nodes {
         4 => NetworkTopology::grid2d(2, 2),
@@ -619,9 +554,11 @@ fn topology_axis(nodes: usize) -> Vec<(&'static str, NetworkTopology)> {
     ]
 }
 
-/// The sweep grid behind the topology figure: the remote-heavy QAOA-r8-32
-/// benchmark on {chain, ring, grid, all-to-all} × node-count
-/// configurations, async-buffered design, as one compile-once [`Sweep`].
+/// The sweep grid behind the topology figure (extension beyond the paper):
+/// the remote-heavy QAOA-r8-32 benchmark on {chain, ring, grid,
+/// all-to-all} × node-count configurations, async-buffered design, as one
+/// compile-once [`Sweep`]. Sparse device graphs make non-adjacent remote
+/// gates pay multi-hop swap chains.
 ///
 /// # Errors
 ///
@@ -638,20 +575,6 @@ pub fn topology_sweep(nodes: usize, runs: usize, seed: u64) -> Result<SweepResul
         sweep = sweep.config(name, base.with_topology(topology));
     }
     sweep.run()
-}
-
-/// Runs and prints the network-topology sweep (extension beyond the
-/// paper): end-to-end depth and fidelity of the remote-heavy QAOA-r8-32
-/// benchmark when the implicit all-to-all network is replaced by sparse
-/// device graphs whose non-adjacent remote gates pay multi-hop swap
-/// chains.
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_topology_sweep(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_topology_from(&topology_sweep_all(runs, seed)?, runs);
-    Ok(())
 }
 
 /// The node counts covered by the topology-sweep target.
@@ -777,32 +700,11 @@ pub fn print_codesign_from(result: &dqc_codesign::CodesignResult, runs: usize) {
     );
 }
 
-/// Runs and prints the codesign search (the paper's co-design loop as a
-/// reproduction target).
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_codesign(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_codesign_from(&codesign_search(runs, seed)?, runs);
-    Ok(())
-}
-
 // -------------------------------------------------------------- Ablations
 
-/// Sweeps the buffer cutoff age and reports depth/fidelity/waste for one
-/// design (extension beyond the paper: quantifies §III-C's cutoff remark).
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_cutoff_ablation(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_cutoff_ablation_from(&cutoff_ablation_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
-/// The sweep grid behind the cutoff ablation (config labels are the
-/// cutoff ages in ticks).
+/// The sweep grid behind the cutoff ablation (extension beyond the paper:
+/// quantifies §III-C's cutoff remark): `async_buf` across buffer cutoff
+/// ages; config labels are the ages in ticks.
 ///
 /// # Errors
 ///
@@ -835,22 +737,12 @@ pub fn print_cutoff_ablation_from(result: &SweepResult, runs: usize) {
     }
 }
 
-/// Sweeps the per-attempt success probability, showing where buffering
-/// stops mattering (extension).
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_psucc_ablation(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_psucc_ablation_from(&psucc_ablation_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
 /// The success probabilities swept by the psucc ablation.
 const PSUCC_AXIS: [f64; 5] = [0.1, 0.2, 0.4, 0.6, 0.8];
 
-/// The sweep grid behind the psucc ablation (config labels are the
-/// probabilities).
+/// The sweep grid behind the psucc ablation (extension): the
+/// per-attempt success probability, showing where buffering stops
+/// mattering; config labels are the probabilities.
 ///
 /// # Errors
 ///
@@ -892,25 +784,15 @@ pub fn print_psucc_ablation_from(result: &SweepResult, runs: usize) {
     }
 }
 
-/// Compares the two remote-gate protocols (extension: the paper's stated
-/// future work of combining gate and state teleportation).
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_protocol_ablation(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_protocol_ablation_from(&protocol_ablation_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
 /// The two protocols compared by the protocol ablation.
 const PROTOCOL_AXIS: [dqc_core::RemoteProtocol; 2] = [
     dqc_core::RemoteProtocol::GateTeleport,
     dqc_core::RemoteProtocol::StateTeleport,
 ];
 
-/// The sweep grid behind the protocol ablation (config labels are the
-/// protocol debug names).
+/// The sweep grid behind the protocol ablation (extension: the paper's
+/// stated future work of combining gate and state teleportation); config
+/// labels are the protocol debug names.
 ///
 /// # Errors
 ///
@@ -954,20 +836,10 @@ pub fn print_protocol_ablation_from(result: &SweepResult, runs: usize) {
     }
 }
 
-/// Compares plain consumption against purify-on-consume (extension built
-/// on the paper's citation \[53\]: purification trades entanglement rate
-/// for link quality).
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_purification_ablation(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_purification_ablation_from(&purification_ablation_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
-/// The sweep grid behind the purification ablation (config labels are
-/// `false`/`true`).
+/// The sweep grid behind the purification ablation: plain consumption
+/// against purify-on-consume (extension built on the paper's citation
+/// \[53\]: purification trades entanglement rate for link quality);
+/// config labels are `false`/`true`.
 ///
 /// # Errors
 ///
@@ -1004,17 +876,6 @@ pub fn print_purification_ablation_from(result: &SweepResult, runs: usize) {
     }
 }
 
-/// Sweeps the adaptive segment size `m` (extension beyond the paper's
-/// fixed `m = n_comm · psucc`).
-///
-/// # Errors
-///
-/// Propagates [`DqcError`] from the engine.
-pub fn run_segment_ablation(runs: usize, seed: u64) -> Result<(), DqcError> {
-    print_segment_ablation_from(&segment_ablation_sweep(runs, seed)?, runs);
-    Ok(())
-}
-
 /// The segment sizes swept by the segment ablation.
 const SEGMENT_AXIS: [usize; 5] = [1, 2, 4, 8, 16];
 
@@ -1034,8 +895,9 @@ fn segment_axis() -> Vec<(usize, usize, SystemConfig)> {
         .collect()
 }
 
-/// The sweep grid behind the segment ablation (config labels are `m1`,
-/// `m2`, …).
+/// The sweep grid behind the segment ablation: the adaptive segment size
+/// `m` (extension beyond the paper's fixed `m = n_comm · psucc`); config
+/// labels are `m1`, `m2`, ….
 ///
 /// # Errors
 ///
@@ -1230,15 +1092,18 @@ fn analyze_subject(label: &str, point: &str, report: &dqc_analyze::AnalysisRepor
     ])
 }
 
-/// Prints the static-analysis audit of the shipped corpus.
-pub fn run_analyze(_runs: usize, _seed: u64) -> Result<(), DqcError> {
+/// Prints the static-analysis audit of the shipped corpus from an
+/// [`analyze_data`] payload.
+///
+/// # Errors
+///
+/// [`JsonError::Schema`] when the payload does not have
+/// [`analyze_data`]'s shape.
+pub fn print_analyze_from(data: &Json) -> Result<(), JsonError> {
     println!("STATIC ANALYSIS (shipped corpus, no execution)");
-    for subject in analyze_data().as_array().expect("analyze payload is rows") {
-        let label = subject.str_field("label").expect("row has a label");
-        let report = dqc_analyze::AnalysisReport::from_json(
-            subject.field("report").expect("row has a report"),
-        )
-        .expect("payload reports are well-formed");
+    for subject in artifact::rows(data)? {
+        let label = subject.str_field("label")?;
+        let report = dqc_analyze::AnalysisReport::from_json(subject.field("report")?)?;
         let (errors, warnings) = report.counts();
         if report.is_clean() {
             println!("  {label:<28} clean");

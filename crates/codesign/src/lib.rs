@@ -208,11 +208,11 @@ impl CodesignResult {
 /// A configured co-design search: one benchmark, one typed design space,
 /// one strategy, one cost model.
 ///
-/// The search realizes every selected point, evaluates it through the
-/// compile-once [`dqc_core::SpaceSweep`] engine (points differing only
-/// in the design axis share a compilation), prices its hardware, and
-/// extracts the
-/// Pareto frontier over (fidelity ↑, relative depth ↓, hardware cost ↓).
+/// The search selects its points, drops those the static analyzer proves
+/// infeasible, evaluates the rest with one [`DesignSpace::evaluate`] call
+/// (points differing only in the design axis share a compilation), prices
+/// each point's hardware, and extracts the Pareto frontier over
+/// (fidelity ↑, relative depth ↓, hardware cost ↓).
 #[derive(Debug, Clone)]
 pub struct Codesign {
     circuit_label: String,
@@ -286,12 +286,11 @@ impl Codesign {
     ///
     /// # Errors
     ///
-    /// Propagates every [`DqcError`] of the underlying
-    /// [`dqc_core::SpaceSweep`]: invalid space declarations, empty
-    /// selections, zero runs, and engine failures. When the static
-    /// prefilter prunes every selected point, returns the first
-    /// [`CompiledCircuit::refusals`] entry of the first pruned point —
-    /// the error compiling that point gives.
+    /// Propagates every [`DqcError`] of [`DesignSpace::evaluate`]:
+    /// invalid space declarations, zero runs, empty selections, and
+    /// engine failures. When the static prefilter prunes every selected
+    /// point, returns the first [`CompiledCircuit::refusals`] entry of the
+    /// first pruned point — the error compiling that point gives.
     pub fn run(&self) -> Result<CodesignResult, DqcError> {
         self.space.validate()?;
         let mut indices = self.strategy.select(self.space.len());
@@ -319,29 +318,29 @@ impl Codesign {
                 }
             }
         }
-        let result = self
-            .space
-            .sweep()
-            .circuit(self.circuit_label.clone(), self.circuit.clone())
-            .subset(indices)
-            .runs(self.runs)
-            .base_seed(self.base_seed)
-            .threads(self.threads)
-            .run()?;
-
-        let mut candidates = Vec::with_capacity(result.cells.len());
-        for cell in result.cells {
-            let point = self.space.point(cell.point_index)?;
+        let (reports, compilations) = self.space.evaluate(
+            &self.circuit,
+            &indices,
+            self.runs,
+            self.base_seed,
+            self.threads,
+        )?;
+        let mut candidates = Vec::with_capacity(reports.len());
+        for (point_index, report) in indices.into_iter().zip(reports) {
+            let point = self.space.point(point_index)?;
             let scenario = self.space.realize(&point);
             candidates.push(Candidate {
                 objectives: Objectives {
-                    fidelity: cell.report.mean_fidelity,
-                    depth_relative: cell.report.mean_depth_relative,
+                    fidelity: report.mean_fidelity,
+                    depth_relative: report.mean_depth_relative,
                     hardware_cost: self.cost_model.cost(&scenario.config),
                 },
-                key: cell.key,
-                point_index: cell.point_index,
-                report: cell.report,
+                key: ScenarioKey {
+                    circuit: self.circuit_label.clone(),
+                    values: point.values,
+                },
+                point_index,
+                report,
             });
         }
         let objectives: Vec<Objectives> = candidates.iter().map(|c| c.objectives).collect();
@@ -352,7 +351,7 @@ impl Codesign {
             cost_model: self.cost_model,
             candidates,
             frontier,
-            compilations: result.compilations,
+            compilations,
             pruned,
         })
     }

@@ -236,11 +236,6 @@ impl CompiledCircuit {
         &self.segments
     }
 
-    /// The pre-compiled scheduling variants of segment `index`.
-    pub fn segment_variants(&self, index: usize) -> &SegmentVariants {
-        &self.variants[index]
-    }
-
     /// Makespan of the circuit on an ideal monolithic device.
     pub fn ideal_makespan(&self) -> Tick {
         self.ideal_report.ideal_makespan

@@ -10,7 +10,7 @@ use dqc_circuit::{Circuit, Gate, Operation};
 use dqc_entanglement::{swap_chain_fidelity, EntanglementService, RoutingTable};
 use dqc_partition::QubitMap;
 use dqc_types::{Fidelity, NodeId, Tick};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::SystemConfig;
 
@@ -375,7 +375,7 @@ impl OnDemandGenerator {
 /// linked; with one, supplies exist per topology *edge* and non-adjacent
 /// pairs are served by [`take_routed`] swap chains over them.
 struct ServicePool<'a> {
-    supplies: HashMap<(NodeId, NodeId), Supply>,
+    supplies: BTreeMap<(NodeId, NodeId), Supply>,
     config: &'a SystemConfig,
     design: Design,
     seed: u64,
@@ -390,7 +390,7 @@ impl<'a> ServicePool<'a> {
         routing: Option<&'a RoutingTable>,
     ) -> Self {
         Self {
-            supplies: HashMap::new(),
+            supplies: BTreeMap::new(),
             config,
             design,
             seed,
@@ -800,26 +800,26 @@ mod tests {
     fn depth_orderings_match_paper() {
         // Paper Fig. 5 shape on the remote-heavy benchmark.
         let c = PaperBenchmark::QaoaR8_32.circuit();
-        let mut depths = std::collections::HashMap::new();
+        let mut depths = BTreeMap::new();
         for design in Design::ALL {
             let r = evaluate_many(&c, &config(), design, 10, 7).unwrap();
-            depths.insert(design, r.mean_depth);
+            depths.insert(design.name(), r.mean_depth);
         }
         assert!(
-            depths[&Design::Original] > depths[&Design::SyncBuf] * 2.0,
+            depths["original"] > depths["sync_buf"] * 2.0,
             "buffering should cut depth by more than half: orig {} sync {}",
-            depths[&Design::Original],
-            depths[&Design::SyncBuf]
+            depths["original"],
+            depths["sync_buf"]
         );
         assert!(
-            depths[&Design::SyncBuf] > depths[&Design::AsyncBuf],
+            depths["sync_buf"] > depths["async_buf"],
             "async smooths arrivals: sync {} async {}",
-            depths[&Design::SyncBuf],
-            depths[&Design::AsyncBuf]
+            depths["sync_buf"],
+            depths["async_buf"]
         );
-        assert!(depths[&Design::AsyncBuf] >= depths[&Design::AdaptBuf] * 0.99);
-        assert!(depths[&Design::AdaptBuf] >= depths[&Design::InitBuf] * 0.99);
-        assert!(depths[&Design::InitBuf] > depths[&Design::Ideal]);
+        assert!(depths["async_buf"] >= depths["adapt_buf"] * 0.99);
+        assert!(depths["adapt_buf"] >= depths["init_buf"] * 0.99);
+        assert!(depths["init_buf"] > depths["ideal"]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The shared grid-execution engine behind [`crate::Sweep`] and
-//! [`crate::SpaceSweep`].
+//! [`crate::DesignSpace::evaluate`].
 //!
 //! Both front ends reduce their grids to the same plan: a list of
 //! *compile pairs* (circuit × configuration — each compiled into one

@@ -19,13 +19,13 @@
 //! * [`Sweep`] — a cartesian {benchmark × config × design} grid executed
 //!   by a thread-based parallel runner with deterministic per-cell seeding
 //!   and ordered collection.
-//! * [`DesignSpace`] / [`SpaceSweep`] — the typed co-design layer: every
-//!   tunable knob (hardware: EPR fidelity, κ, EPR cycle, comm/buffer
-//!   qubits, topology; software: design, protocol, partitioner) is a
-//!   first-class [`Axis`] with typed values, a scenario is a structured
-//!   [`ScenarioKey`], and sweeps share one compilation per circuit ×
-//!   realized configuration (design-axis neighbours never recompile).
-//!   `Sweep` is the string-labeled compatibility front end over the
+//! * [`DesignSpace`] — the typed co-design layer: every tunable knob
+//!   (hardware: EPR fidelity, κ, EPR cycle, comm/buffer qubits, topology;
+//!   software: design, protocol, partitioner) is a first-class [`Axis`]
+//!   with typed values, a scenario is a structured [`ScenarioKey`], and
+//!   [`DesignSpace::evaluate`] runs a list of points on one circuit with
+//!   one compilation per realized configuration (design-axis neighbours
+//!   never recompile). `Sweep` is the string-labeled front end over the
 //!   same engine.
 //! * [`RemoteFidelityTable`] — the §IV-C remote-gate fidelity from the
 //!   density-matrix teleportation evaluation, via the exact affine law.
@@ -110,6 +110,6 @@ pub use experiment::Experiment;
 pub use remote::RemoteFidelityTable;
 pub use report::{AveragedReport, ExecutionReport};
 pub use segment::{remote_count, segment_sequence};
-pub use space::{DesignPoint, DesignSpace, Scenario, SpaceCell, SpaceResult, SpaceSweep};
+pub use space::{DesignPoint, DesignSpace, Scenario};
 pub use sweep::{Sweep, SweepCell, SweepResult};
 pub use variants::{alap_variant, asap_variant, SegmentVariants, VariantKind};

@@ -14,12 +14,10 @@
 //!    config × design, row-major) no matter which worker finished first.
 //!
 //! `Sweep` is the free-form, string-labeled front end: any
-//! [`SystemConfig`] under any label. It is a thin compatibility shim
-//! over the shared grid engine in [`crate::grid`] — the typed
-//! [`crate::DesignSpace`]/[`crate::SpaceSweep`] layer runs on the same
-//! engine and keys results by structured [`crate::ScenarioKey`]s instead
-//! of label strings; prefer it when the configurations you sweep are
-//! combinations of the standard co-design axes.
+//! [`SystemConfig`] under any label, over the shared grid engine in
+//! [`crate::grid`]. The typed layer reaches the same engine through
+//! [`crate::DesignSpace::evaluate`], which evaluates the points of a
+//! space of standard co-design axes on one circuit.
 
 use crate::grid::GridPlan;
 use crate::{AveragedReport, Design, DqcError, SystemConfig};

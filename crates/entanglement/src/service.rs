@@ -85,15 +85,6 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Mean link age at consumption, in ticks.
-    pub fn mean_consumed_age(&self) -> f64 {
-        if self.consumed == 0 {
-            0.0
-        } else {
-            self.total_consumed_age.ticks() as f64 / self.consumed as f64
-        }
-    }
-
     /// Serializes the counters for the machine-readable results pipeline.
     pub fn to_json(&self) -> dqc_types::Json {
         use dqc_types::Json;

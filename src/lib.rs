@@ -25,8 +25,8 @@
 //!
 //! The evaluation engine's main types — [`CompiledCircuit`],
 //! [`Experiment`], [`Sweep`], [`Design`], [`SystemConfig`], [`DqcError`] —
-//! the typed co-design layer ([`DesignSpace`], [`SpaceSweep`],
-//! [`ScenarioKey`], [`Codesign`], [`CostModel`]), and the
+//! the typed co-design layer ([`DesignSpace`], [`ScenarioKey`],
+//! [`Codesign`], [`CostModel`]), and the
 //! network-topology types ([`NetworkTopology`], [`TopologyFamily`],
 //! [`RoutingTable`], [`LinkParams`]), and the serving layer
 //! ([`Server`], [`ServeBuilder`], [`ServeConfig`], [`EvalRequest`],
@@ -96,8 +96,7 @@ pub use dqc_analyze::{AnalysisReport, Analyzer};
 pub use dqc_codesign::{Codesign, CodesignResult, CostModel, Objectives, SearchStrategy};
 pub use dqc_core::{
     AveragedReport, Axis, AxisValue, CompiledCircuit, Design, DesignSpace, DqcError,
-    ExecutionReport, Experiment, ScenarioKey, SpaceResult, SpaceSweep, Sweep, SweepCell,
-    SweepResult, SystemConfig,
+    ExecutionReport, Experiment, ScenarioKey, Sweep, SweepCell, SweepResult, SystemConfig,
 };
 pub use dqc_entanglement::{LinkParams, NetworkTopology, Route, RoutingTable, TopologyFamily};
 pub use dqc_serve::{

@@ -177,10 +177,7 @@ fn zero_runs_surface_as_errors_everywhere() {
     assert_eq!(from_sweep, DqcError::ZeroRuns);
     let from_space = dqc::DesignSpace::new(config)
         .designs(&[Design::AsyncBuf])
-        .sweep()
-        .benchmark(PaperBenchmark::Tlim32)
-        .runs(0)
-        .run()
+        .evaluate(&circuit, &[0], 0, 0, 0)
         .unwrap_err();
     assert_eq!(from_space, DqcError::ZeroRuns);
 }

@@ -27,15 +27,15 @@ crates/obs/src/wall.rs
 "
 
 # HashMap: bookkeeping keyed for lookup only (the server's point index
-# and fusion memo, the daemon's one map, its connection registry, and
-# the quota ledger), the executor's qubit scratch table (drained in
-# deterministic gate order), and tests that key compilations,
-# fingerprints or replies for order-insensitive asserts.
+# and fusion memo, the daemon's connection registry, and the quota
+# ledger), and tests that key compilations, fingerprints or replies for
+# order-insensitive asserts. The engine itself has none: the executor's
+# entanglement supplies sit in a BTreeMap, so every fold over them runs
+# in key order.
 HASHMAP_ALLOW="
 crates/serve/src/server.rs
 crates/served/src/daemon.rs
 crates/served/src/quota.rs
-crates/core/src/executor.rs
 tests/serve_determinism.rs
 tests/served_wire.rs
 "
