@@ -6,20 +6,14 @@
 //! repro [TARGET...] [--runs N] [--seed S] [--format table|json] [--out DIR]
 //!       [--profile DIR]
 //! repro diff <a.json> <b.json> [--tol EPS]
-//!
-//! TARGET: table1 | table2 | fig3 | fig5 | fig6 | fig56 | fig7 | fig8
-//!       | topology-sweep | codesign
-//!       | ablate-cutoff | ablate-psucc | ablate-segment
-//!       | ablate-protocol | ablate-purification
-//!       | analyze
-//!       | ablations (all five) | all
-//!
-//! `fig56` prints Figures 5 and 6 from one shared sweep; `all` uses it
-//! in place of running `fig5` and `fig6` separately. `analyze` runs the
-//! static analyzer over the shipped corpus without executing anything.
-//! Every target runs on the default (`analytic`) simulation engine; the
-//! engine never changes a number, so there is no flag to pick one.
 //! ```
+//!
+//! `repro --help` lists every target, read from
+//! [`dqc_bench::target_names`], plus `ablations` (every `ablate-*`
+//! target) and `all`. `fig56` prints Figures 5 and 6 from one shared
+//! sweep; `all` uses it in place of running `fig5` and `fig6`
+//! separately. `analyze` runs the static analyzer over the shipped
+//! corpus without executing anything.
 //!
 //! Without arguments it runs everything with the paper's 50-run averages
 //! in table format. Each target builds one [`dqc_bench::Artifact`]: table
@@ -273,15 +267,14 @@ fn usage(message: &str) -> ExitCode {
     if !message.is_empty() {
         eprintln!("error: {message}");
     }
+    let targets: Vec<&str> = dqc_bench::target_names().collect();
     eprintln!(
         "usage: repro [TARGET...] [--runs N] [--seed S] [--format table|json] [--out DIR]\n\
          \x20             [--profile DIR]\n\
          \x20      repro diff <a.json> <b.json> [--tol EPS]\n\
-         targets: table1 table2 fig3 fig5 fig6 fig56 fig7 fig8\n\
-         \x20        topology-sweep codesign\n\
-         \x20        ablate-cutoff ablate-psucc ablate-segment\n\
-         \x20        ablate-protocol ablate-purification analyze\n\
-         \x20        ablations (all five ablations) | all (everything)"
+         targets: {}\n\
+         \x20        ablations (every ablate-* target) | all (everything)",
+        targets.join(" ")
     );
     if message.is_empty() {
         ExitCode::SUCCESS

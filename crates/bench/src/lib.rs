@@ -268,7 +268,7 @@ pub fn print_table2_from(data: &Table2Data) {
 /// Arrival histogram of successful generations, in links per `T_local`
 /// bucket, for the first `cycles` attempt cycles.
 pub fn fig3_data(pattern: GenerationPattern, cycles: usize, seed: u64) -> Vec<usize> {
-    let config = SystemConfig::default().service_config(pattern, true);
+    let config = SystemConfig::default().service_config(pattern);
     let horizon = config.attempt_cycle * cycles as i64;
     let mut service = EntanglementService::new(
         dqc_entanglement::ServiceConfig {

@@ -2,10 +2,9 @@
 //!
 //! The headline contribution of *Hardware-Software Co-design for
 //! Distributed Quantum Computing* is not any single buffering design but
-//! the *loop* that jointly tunes hardware knobs (EPR fidelity, κ, EPR
-//! cycle time, communication/buffer qubit counts, network topology)
-//! against software choices (buffering design, remote-gate protocol,
-//! partitioner). This crate turns that loop into an API:
+//! the *loop* that jointly tunes hardware provisioning (EPR fidelity,
+//! communication/buffer qubit counts, network topology) against the
+//! buffering design. This crate turns that loop into an API:
 //!
 //! * [`Codesign`] — a builder pairing a benchmark circuit with a typed
 //!   [`DesignSpace`], a [`SearchStrategy`] (exhaustive grid or seeded

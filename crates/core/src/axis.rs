@@ -1,17 +1,15 @@
 //! Typed axes of the hardware/software co-design space.
 //!
-//! Every tunable knob of the paper's co-design loop — hardware: EPR
-//! fidelity, κ, EPR cycle time, communication/buffer qubit counts,
-//! network topology; software: buffering [`Design`], remote-gate
-//! [`RemoteProtocol`], [`PartitionStrategy`] — is a first-class [`Axis`]
+//! Every knob the paper's co-design loop searches — hardware: EPR
+//! fidelity, communication/buffer qubit counts, network topology;
+//! software: the buffering [`Design`] — is a first-class [`Axis`]
 //! carrying *typed* candidate values. A point of the space is identified
 //! by a [`ScenarioKey`]: the benchmark plus one typed [`AxisValue`] per
-//! axis, replacing the stringly `(circuit, config, design)` triple the
-//! sweep layer used to key results by.
+//! axis.
 
-use crate::{Design, PartitionStrategy, RemoteProtocol};
+use crate::Design;
 use dqc_entanglement::TopologyFamily;
-use dqc_types::{AxisId, Json, JsonError, Tick};
+use dqc_types::{AxisId, Json, JsonError};
 use std::fmt;
 
 /// One axis of a design space: the knob's identity plus every candidate
@@ -32,14 +30,6 @@ use std::fmt;
 pub enum Axis {
     /// Initial fidelity of a freshly generated EPR pair.
     EprFidelity(Vec<f64>),
-    /// Idling decoherence rate κ per tick.
-    Kappa(Vec<f64>),
-    /// Latency of one heralded entanglement-generation attempt.
-    EprCycle(Vec<Tick>),
-    /// Communication qubits per node.
-    CommQubits(Vec<usize>),
-    /// Buffer qubits per node.
-    BufferQubits(Vec<usize>),
     /// Communication and buffer qubits per node, varied together (the
     /// paper's Fig. 7 convention).
     CommAndBuffer(Vec<usize>),
@@ -47,10 +37,6 @@ pub enum Axis {
     Topology(Vec<TopologyFamily>),
     /// Buffering/scheduling architecture design.
     Design(Vec<Design>),
-    /// Remote two-qubit gate protocol.
-    Protocol(Vec<RemoteProtocol>),
-    /// Qubit partitioner choice.
-    Partitioner(Vec<PartitionStrategy>),
 }
 
 impl Axis {
@@ -58,28 +44,19 @@ impl Axis {
     pub const fn id(&self) -> AxisId {
         match self {
             Axis::EprFidelity(_) => AxisId::EprFidelity,
-            Axis::Kappa(_) => AxisId::Kappa,
-            Axis::EprCycle(_) => AxisId::EprCycle,
-            Axis::CommQubits(_) => AxisId::CommQubits,
-            Axis::BufferQubits(_) => AxisId::BufferQubits,
             Axis::CommAndBuffer(_) => AxisId::CommAndBuffer,
             Axis::Topology(_) => AxisId::Topology,
             Axis::Design(_) => AxisId::Design,
-            Axis::Protocol(_) => AxisId::Protocol,
-            Axis::Partitioner(_) => AxisId::Partitioner,
         }
     }
 
     /// Number of candidate values on this axis.
     pub fn len(&self) -> usize {
         match self {
-            Axis::EprFidelity(v) | Axis::Kappa(v) => v.len(),
-            Axis::EprCycle(v) => v.len(),
-            Axis::CommQubits(v) | Axis::BufferQubits(v) | Axis::CommAndBuffer(v) => v.len(),
+            Axis::EprFidelity(v) => v.len(),
+            Axis::CommAndBuffer(v) => v.len(),
             Axis::Topology(v) => v.len(),
             Axis::Design(v) => v.len(),
-            Axis::Protocol(v) => v.len(),
-            Axis::Partitioner(v) => v.len(),
         }
     }
 
@@ -96,15 +73,9 @@ impl Axis {
     pub fn value(&self, i: usize) -> AxisValue {
         match self {
             Axis::EprFidelity(v) => AxisValue::EprFidelity(v[i]),
-            Axis::Kappa(v) => AxisValue::Kappa(v[i]),
-            Axis::EprCycle(v) => AxisValue::EprCycle(v[i]),
-            Axis::CommQubits(v) => AxisValue::CommQubits(v[i]),
-            Axis::BufferQubits(v) => AxisValue::BufferQubits(v[i]),
             Axis::CommAndBuffer(v) => AxisValue::CommAndBuffer(v[i]),
             Axis::Topology(v) => AxisValue::Topology(v[i]),
             Axis::Design(v) => AxisValue::Design(v[i]),
-            Axis::Protocol(v) => AxisValue::Protocol(v[i]),
-            Axis::Partitioner(v) => AxisValue::Partitioner(v[i]),
         }
     }
 }
@@ -114,24 +85,12 @@ impl Axis {
 pub enum AxisValue {
     /// Initial EPR-pair fidelity.
     EprFidelity(f64),
-    /// Idling decoherence rate κ per tick.
-    Kappa(f64),
-    /// Entanglement-attempt cycle latency.
-    EprCycle(Tick),
-    /// Communication qubits per node.
-    CommQubits(usize),
-    /// Buffer qubits per node.
-    BufferQubits(usize),
     /// Communication and buffer qubits per node, set together.
     CommAndBuffer(usize),
     /// Network topology family.
     Topology(TopologyFamily),
     /// Architecture design.
     Design(Design),
-    /// Remote-gate protocol.
-    Protocol(RemoteProtocol),
-    /// Partitioner choice.
-    Partitioner(PartitionStrategy),
 }
 
 impl AxisValue {
@@ -139,15 +98,9 @@ impl AxisValue {
     pub const fn id(&self) -> AxisId {
         match self {
             AxisValue::EprFidelity(_) => AxisId::EprFidelity,
-            AxisValue::Kappa(_) => AxisId::Kappa,
-            AxisValue::EprCycle(_) => AxisId::EprCycle,
-            AxisValue::CommQubits(_) => AxisId::CommQubits,
-            AxisValue::BufferQubits(_) => AxisId::BufferQubits,
             AxisValue::CommAndBuffer(_) => AxisId::CommAndBuffer,
             AxisValue::Topology(_) => AxisId::Topology,
             AxisValue::Design(_) => AxisId::Design,
-            AxisValue::Protocol(_) => AxisId::Protocol,
-            AxisValue::Partitioner(_) => AxisId::Partitioner,
         }
     }
 
@@ -159,20 +112,15 @@ impl AxisValue {
         }
     }
 
-    /// Serializes the coordinate as `{"axis": …, "value": …}` — floats
-    /// for the continuous knobs, integer ticks/counts for the discrete
-    /// ones, canonical names for the enumerated ones.
+    /// Serializes the coordinate as `{"axis": …, "value": …}` — a float
+    /// for the fidelity, an integer for the qubit count, canonical names
+    /// for the enumerated knobs.
     pub fn to_json(&self) -> Json {
         let value = match *self {
-            AxisValue::EprFidelity(f) | AxisValue::Kappa(f) => Json::float(f),
-            AxisValue::EprCycle(t) => Json::Int(t.ticks()),
-            AxisValue::CommQubits(n) | AxisValue::BufferQubits(n) | AxisValue::CommAndBuffer(n) => {
-                Json::from(n)
-            }
+            AxisValue::EprFidelity(f) => Json::float(f),
+            AxisValue::CommAndBuffer(n) => Json::from(n),
             AxisValue::Topology(t) => Json::from(t.to_string()),
             AxisValue::Design(d) => Json::from(d.name()),
-            AxisValue::Protocol(p) => Json::from(p.name()),
-            AxisValue::Partitioner(s) => Json::from(s.name()),
         };
         Json::object([("axis", self.id().to_json()), ("value", value)])
     }
@@ -185,13 +133,6 @@ impl AxisValue {
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
         let id = AxisId::from_json(json.field("axis")?)?;
         let value = json.field("value")?;
-        let float = || value.as_f64().ok_or_else(|| mistyped(id, "a number"));
-        let count = || {
-            value
-                .as_i64()
-                .and_then(|v| usize::try_from(v).ok())
-                .ok_or_else(|| mistyped(id, "a count"))
-        };
         let name = |kind: &'static str| {
             value
                 .as_str()
@@ -199,14 +140,15 @@ impl AxisValue {
                 .map(str::to_string)
         };
         Ok(match id {
-            AxisId::EprFidelity => AxisValue::EprFidelity(float()?),
-            AxisId::Kappa => AxisValue::Kappa(float()?),
-            AxisId::EprCycle => AxisValue::EprCycle(Tick::new(
-                value.as_i64().ok_or_else(|| mistyped(id, "ticks"))?,
-            )),
-            AxisId::CommQubits => AxisValue::CommQubits(count()?),
-            AxisId::BufferQubits => AxisValue::BufferQubits(count()?),
-            AxisId::CommAndBuffer => AxisValue::CommAndBuffer(count()?),
+            AxisId::EprFidelity => {
+                AxisValue::EprFidelity(value.as_f64().ok_or_else(|| mistyped(id, "a number"))?)
+            }
+            AxisId::CommAndBuffer => AxisValue::CommAndBuffer(
+                value
+                    .as_i64()
+                    .and_then(|v| usize::try_from(v).ok())
+                    .ok_or_else(|| mistyped(id, "a count"))?,
+            ),
             AxisId::Topology => AxisValue::Topology(
                 name("a topology label")?
                     .parse()
@@ -216,16 +158,6 @@ impl AxisValue {
                 name("a design name")?
                     .parse()
                     .map_err(|e| JsonError::schema(format!("axis `design`: {e}")))?,
-            ),
-            AxisId::Protocol => AxisValue::Protocol(
-                name("a protocol name")?
-                    .parse()
-                    .map_err(|e| JsonError::schema(format!("axis `protocol`: {e}")))?,
-            ),
-            AxisId::Partitioner => AxisValue::Partitioner(
-                name("a partitioner name")?
-                    .parse()
-                    .map_err(|e| JsonError::schema(format!("axis `partitioner`: {e}")))?,
             ),
         })
     }
@@ -240,15 +172,10 @@ impl fmt::Display for AxisValue {
     /// round-trip form).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            AxisValue::EprFidelity(v) | AxisValue::Kappa(v) => write!(f, "{v}"),
-            AxisValue::EprCycle(t) => write!(f, "{}", t.ticks()),
-            AxisValue::CommQubits(n) | AxisValue::BufferQubits(n) | AxisValue::CommAndBuffer(n) => {
-                write!(f, "{n}")
-            }
+            AxisValue::EprFidelity(v) => write!(f, "{v}"),
+            AxisValue::CommAndBuffer(n) => write!(f, "{n}"),
             AxisValue::Topology(t) => write!(f, "{t}"),
             AxisValue::Design(d) => f.write_str(d.name()),
-            AxisValue::Protocol(p) => f.write_str(p.name()),
-            AxisValue::Partitioner(s) => f.write_str(s.name()),
         }
     }
 }
@@ -271,7 +198,7 @@ impl fmt::Display for AxisValue {
 /// };
 /// assert_eq!(key.design(), Some(Design::AdaptBuf));
 /// assert_eq!(key.to_string(), "QAOA-r8-32[comm_and_buffer=10,design=adapt_buf]");
-/// assert!(key.get(AxisId::Kappa).is_none());
+/// assert!(key.get(AxisId::Topology).is_none());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioKey {
@@ -342,15 +269,9 @@ mod tests {
     fn sample_values() -> Vec<AxisValue> {
         vec![
             AxisValue::EprFidelity(0.97),
-            AxisValue::Kappa(2e-4),
-            AxisValue::EprCycle(Tick::new(100)),
-            AxisValue::CommQubits(8),
-            AxisValue::BufferQubits(12),
             AxisValue::CommAndBuffer(10),
             AxisValue::Topology(TopologyFamily::Grid2d { rows: 2, cols: 2 }),
             AxisValue::Design(Design::AdaptBuf),
-            AxisValue::Protocol(RemoteProtocol::StateTeleport),
-            AxisValue::Partitioner(PartitionStrategy::HopWeighted),
         ]
     }
 
@@ -413,13 +334,25 @@ mod tests {
         ]);
         let err = AxisValue::from_json(&unknown).unwrap_err();
         assert!(err.to_string().contains("warp_drive"), "{err}");
-        // The simulation engine is not a design-space axis.
-        let removed = Json::object([
-            ("axis", Json::from("backend")),
-            ("value", Json::from("auto")),
-        ]);
-        let err = AxisValue::from_json(&removed).unwrap_err();
-        assert!(matches!(err, JsonError::Schema { .. }), "{err}");
-        assert!(err.to_string().contains("unknown axis `backend`"), "{err}");
+        // Knobs no search varies are not design-space axes: the
+        // simulation engine, the split qubit counts, κ, the EPR cycle,
+        // the protocol and the partitioner.
+        for (axis, value) in [
+            ("backend", Json::from("auto")),
+            ("kappa", Json::float(2e-4)),
+            ("epr_cycle", Json::Int(100)),
+            ("comm_qubits", Json::from(8usize)),
+            ("buffer_qubits", Json::from(12usize)),
+            ("protocol", Json::from("state_teleport")),
+            ("partitioner", Json::from("hop_weighted")),
+        ] {
+            let removed = Json::object([("axis", Json::from(axis)), ("value", value)]);
+            let err = AxisValue::from_json(&removed).unwrap_err();
+            assert!(matches!(err, JsonError::Schema { .. }), "{err}");
+            assert!(
+                err.to_string().contains(&format!("unknown axis `{axis}`")),
+                "{err}"
+            );
+        }
     }
 }

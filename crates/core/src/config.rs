@@ -1,11 +1,8 @@
 //! System configuration (the paper's §IV-A and Table II).
 
-use dqc_entanglement::{
-    ConsumeOrder, CutoffPolicy, GenerationPattern, LinkParams, NetworkTopology, ServiceConfig,
-};
-use dqc_types::{Fnv64, Tick, UnknownName};
+use dqc_entanglement::{CutoffPolicy, GenerationPattern, NetworkTopology, ServiceConfig};
+use dqc_types::{Fnv64, Tick};
 use std::fmt;
-use std::str::FromStr;
 
 /// How a remote two-qubit gate is implemented (paper §II-C). The paper's
 /// evaluation assumes gate teleportation (following AutoComm) and leaves
@@ -23,10 +20,6 @@ pub enum RemoteProtocol {
 }
 
 impl RemoteProtocol {
-    /// Both protocols, telegate first.
-    pub const ALL: [RemoteProtocol; 2] =
-        [RemoteProtocol::GateTeleport, RemoteProtocol::StateTeleport];
-
     /// Bell pairs consumed per remote gate.
     pub const fn links_per_gate(self) -> usize {
         match self {
@@ -50,28 +43,7 @@ impl fmt::Display for RemoteProtocol {
     }
 }
 
-impl FromStr for RemoteProtocol {
-    type Err = UnknownName;
-
-    /// Parses the snake_case name ([`RemoteProtocol::name`] is the exact
-    /// inverse).
-    ///
-    /// ```
-    /// use dqc_core::RemoteProtocol;
-    ///
-    /// assert_eq!("gate_teleport".parse(), Ok(RemoteProtocol::GateTeleport));
-    /// assert!("smoke_signals".parse::<RemoteProtocol>().is_err());
-    /// ```
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        RemoteProtocol::ALL
-            .into_iter()
-            .find(|p| p.name() == s)
-            .ok_or_else(|| UnknownName::new("protocol", s))
-    }
-}
-
-/// Which qubit partitioner maps data qubits onto nodes at compile time —
-/// one of the software choices of the co-design space.
+/// Which qubit partitioner maps data qubits onto nodes at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PartitionStrategy {
     /// Pick automatically from the configuration: hop-distance-weighted
@@ -90,37 +62,13 @@ pub enum PartitionStrategy {
 }
 
 impl PartitionStrategy {
-    /// All strategies, in declaration order.
-    pub const ALL: [PartitionStrategy; 3] = [
-        PartitionStrategy::Auto,
-        PartitionStrategy::Unweighted,
-        PartitionStrategy::HopWeighted,
-    ];
-
-    /// The snake_case name used in labels and serialized results.
+    /// The snake_case name [`SystemConfig::fingerprint`] folds in.
     pub const fn name(self) -> &'static str {
         match self {
             PartitionStrategy::Auto => "auto",
             PartitionStrategy::Unweighted => "unweighted",
             PartitionStrategy::HopWeighted => "hop_weighted",
         }
-    }
-}
-
-impl fmt::Display for PartitionStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for PartitionStrategy {
-    type Err = UnknownName;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        PartitionStrategy::ALL
-            .into_iter()
-            .find(|p| p.name() == s)
-            .ok_or_else(|| UnknownName::new("partitioner", s))
     }
 }
 
@@ -225,8 +173,6 @@ pub struct SystemConfig {
     pub async_groups: usize,
     /// Buffer cutoff policy (§III-C).
     pub cutoff: CutoffPolicy,
-    /// Order in which buffered links are consumed.
-    pub consume_order: ConsumeOrder,
     /// Remote-gate implementation protocol.
     pub remote_protocol: RemoteProtocol,
     /// When true, every remote gate consumes *two* links and performs one
@@ -262,7 +208,6 @@ impl SystemConfig {
             kappa_per_tick: 2e-4,
             async_groups: 10,
             cutoff: CutoffPolicy::MaxAge(Tick::new(150)),
-            consume_order: ConsumeOrder::OldestFirst,
             remote_protocol: RemoteProtocol::GateTeleport,
             purify_links: false,
             partition_seed: 0xDAC5,
@@ -322,39 +267,12 @@ impl SystemConfig {
         config
     }
 
-    /// Returns a copy with the given idling decoherence rate κ per tick.
-    #[must_use]
-    pub fn with_kappa(&self, kappa_per_tick: f64) -> Self {
-        Self {
-            kappa_per_tick,
-            ..self.clone()
-        }
-    }
-
     /// Returns a copy with the given entanglement-attempt cycle latency.
     #[must_use]
     pub fn with_epr_cycle(&self, epr_cycle: Tick) -> Self {
         let mut config = self.clone();
         config.latencies.epr_cycle = epr_cycle;
         config
-    }
-
-    /// Returns a copy with the given remote-gate protocol.
-    #[must_use]
-    pub fn with_protocol(&self, remote_protocol: RemoteProtocol) -> Self {
-        Self {
-            remote_protocol,
-            ..self.clone()
-        }
-    }
-
-    /// Returns a copy with the given partitioner strategy.
-    #[must_use]
-    pub fn with_partitioner(&self, partitioner: PartitionStrategy) -> Self {
-        Self {
-            partitioner,
-            ..self.clone()
-        }
     }
 
     /// Returns an unchanged copy: [`Backend`] chooses nothing. Kept only
@@ -374,12 +292,12 @@ impl SystemConfig {
     /// *hardware point* identity the serving layer shards by.
     ///
     /// Every field that influences compilation or execution is folded in
-    /// (qubit counts, Table II latencies and fidelities, `psucc`, κ,
-    /// policies, protocol, partitioner, partition seed, and the complete
-    /// topology with per-edge overrides), so two configurations share a
-    /// fingerprint exactly when they are `==`, modulo the astronomically
-    /// unlikely FNV-1a collision. Unlike `Hash`-derived values, the
-    /// fingerprint never changes across runs, platforms, or toolchains.
+    /// (qubit counts, Table II latencies and fidelities, `psucc`, κ, the
+    /// cutoff policy, protocol, partitioner, partition seed, and the
+    /// complete topology), so two configurations share a fingerprint
+    /// exactly when they are `==`, modulo the astronomically unlikely
+    /// FNV-1a collision. Unlike `Hash`-derived values, the fingerprint
+    /// never changes across runs, platforms, or toolchains.
     ///
     /// # Examples
     ///
@@ -417,10 +335,6 @@ impl SystemConfig {
                 h.write_i64(age.ticks());
             }
         }
-        h.write_u8(match self.consume_order {
-            ConsumeOrder::OldestFirst => 0,
-            ConsumeOrder::FreshestFirst => 1,
-        });
         h.write_str(self.remote_protocol.name());
         h.write_bool(self.purify_links);
         h.write_u64(self.partition_seed);
@@ -484,16 +398,12 @@ impl SystemConfig {
         ((self.comm_qubits_per_node as f64 * self.success_probability).ceil() as usize).max(1)
     }
 
-    /// Builds the entanglement-service configuration for this system under
-    /// the given generation pattern and buffering mode.
-    pub fn service_config(&self, pattern: GenerationPattern, buffered: bool) -> ServiceConfig {
+    /// Builds the buffered entanglement-service configuration for this
+    /// system under the given generation pattern.
+    pub fn service_config(&self, pattern: GenerationPattern) -> ServiceConfig {
         ServiceConfig {
             num_comm_pairs: self.comm_qubits_per_node,
-            buffer_capacity: if buffered {
-                self.buffer_qubits_per_node
-            } else {
-                0
-            },
+            buffer_capacity: self.buffer_qubits_per_node,
             success_probability: self.success_probability,
             attempt_cycle: self.latencies.epr_cycle,
             initial_fidelity: self.fidelities.epr,
@@ -502,21 +412,6 @@ impl SystemConfig {
             kappa_per_tick: self.kappa_per_tick,
             pattern,
             cutoff: self.cutoff,
-            consume_order: self.consume_order,
-        }
-    }
-
-    /// Applies a topology edge's [`LinkParams`] overrides on top of a
-    /// service configuration; `None` fields inherit the system values.
-    pub(crate) fn apply_link_params(service: &mut ServiceConfig, params: &LinkParams) {
-        if let Some(f) = params.initial_fidelity {
-            service.initial_fidelity = f;
-        }
-        if let Some(kappa) = params.kappa_per_tick {
-            service.kappa_per_tick = kappa;
-        }
-        if let Some(cycle) = params.epr_cycle {
-            service.attempt_cycle = cycle;
         }
     }
 }
@@ -581,21 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn link_params_override_only_set_fields() {
-        let cfg = SystemConfig::default();
-        let mut sc = cfg.service_config(GenerationPattern::Synchronous, true);
-        SystemConfig::apply_link_params(&mut sc, &LinkParams::default());
-        assert_eq!(sc.initial_fidelity, cfg.fidelities.epr, "None inherits");
-        let params = LinkParams::default()
-            .with_initial_fidelity(0.93)
-            .with_epr_cycle(Tick::new(250));
-        SystemConfig::apply_link_params(&mut sc, &params);
-        assert_eq!(sc.initial_fidelity, 0.93);
-        assert_eq!(sc.attempt_cycle, Tick::new(250));
-        assert_eq!(sc.kappa_per_tick, cfg.kappa_per_tick, "unset field kept");
-    }
-
-    #[test]
     fn swap_latency_matches_teleport_hop() {
         let cfg = SystemConfig::default();
         assert_eq!(
@@ -606,36 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn protocol_and_partitioner_names_round_trip() {
-        for p in RemoteProtocol::ALL {
-            assert_eq!(p.to_string().parse::<RemoteProtocol>(), Ok(p));
-        }
-        for s in PartitionStrategy::ALL {
-            assert_eq!(s.to_string().parse::<PartitionStrategy>(), Ok(s));
-        }
-        assert!("smoke_signals".parse::<RemoteProtocol>().is_err());
-        assert!("coin_flip".parse::<PartitionStrategy>().is_err());
-        assert_eq!(PartitionStrategy::default(), PartitionStrategy::Auto);
-    }
-
-    #[test]
     fn typed_with_helpers_change_one_knob() {
         let base = SystemConfig::paper_two_node_32();
         assert_eq!(base.with_epr_fidelity(0.95).fidelities.epr, 0.95);
-        assert_eq!(base.with_kappa(1e-3).kappa_per_tick, 1e-3);
         assert_eq!(
             base.with_epr_cycle(Tick::new(250)).latencies.epr_cycle,
             Tick::new(250)
-        );
-        assert_eq!(
-            base.with_protocol(RemoteProtocol::StateTeleport)
-                .remote_protocol,
-            RemoteProtocol::StateTeleport
-        );
-        assert_eq!(
-            base.with_partitioner(PartitionStrategy::Unweighted)
-                .partitioner,
-            PartitionStrategy::Unweighted
         );
         // The engine name chooses nothing: the copy is the same point.
         assert_eq!(base.with_backend(Backend::Auto), base);
@@ -645,17 +501,18 @@ mod tests {
         );
         // Everything else is untouched.
         assert_eq!(base.with_epr_fidelity(0.95).latencies, base.latencies);
-        assert_eq!(base.with_kappa(1e-3).fidelities, base.fidelities);
+        assert_eq!(
+            base.with_epr_cycle(Tick::new(250)).fidelities,
+            base.fidelities
+        );
     }
 
     #[test]
     fn service_config_buffered_vs_not() {
         let cfg = SystemConfig::default();
-        let buffered = cfg.service_config(GenerationPattern::Synchronous, true);
+        let buffered = cfg.service_config(GenerationPattern::Synchronous);
         assert_eq!(buffered.buffer_capacity, 10);
-        let bare = cfg.service_config(GenerationPattern::Synchronous, false);
-        assert_eq!(bare.buffer_capacity, 0);
-        assert_eq!(bare.num_comm_pairs, 10);
+        assert_eq!(buffered.num_comm_pairs, 10);
         assert_eq!(buffered.swap_latency, Tick::SWAP);
     }
 }

@@ -40,15 +40,6 @@ pub enum DqcError {
         /// Name of the repeated axis.
         axis: &'static str,
     },
-    /// A design space declares two axes that set the same underlying
-    /// knob (e.g. `comm_and_buffer` together with `comm_qubits`), so one
-    /// coordinate would silently overwrite the other.
-    ConflictingAxes {
-        /// Name of the first conflicting axis, in declaration order.
-        first: &'static str,
-        /// Name of the second conflicting axis.
-        second: &'static str,
-    },
     /// A design-point index does not exist in the space being evaluated.
     PointOutOfRange {
         /// The requested flat point index.
@@ -96,13 +87,6 @@ impl fmt::Display for DqcError {
             }
             DqcError::DuplicateAxis { axis } => {
                 write!(f, "design space declares the `{axis}` axis more than once")
-            }
-            DqcError::ConflictingAxes { first, second } => {
-                write!(
-                    f,
-                    "design space axes `{first}` and `{second}` set the same knob; \
-                     one coordinate would overwrite the other"
-                )
             }
             DqcError::PointOutOfRange { index, len } => {
                 write!(
@@ -215,9 +199,9 @@ mod tests {
         assert!(DqcError::DisconnectedTopology
             .to_string()
             .contains("disconnected"));
-        assert!(DqcError::DuplicateAxis { axis: "kappa" }
+        assert!(DqcError::DuplicateAxis { axis: "topology" }
             .to_string()
-            .contains("kappa"));
+            .contains("topology"));
         let e = DqcError::PointOutOfRange { index: 9, len: 4 };
         assert!(e.to_string().contains('9') && e.to_string().contains('4'));
     }

@@ -172,8 +172,8 @@ fn take_link(supply: &mut Supply, t: Tick) -> Result<(Tick, f64), DqcError> {
 /// link. Otherwise the routed swap chain is assembled: one link per route
 /// edge, each requested at `t`; the chain is spliced once the last link is
 /// granted, with each of the `hops − 1` entanglement swaps adding one
-/// Bell-measurement round of latency. Every link decays (at its edge's κ)
-/// from its grant until the pair is delivered — waiting for the slowest
+/// Bell-measurement round of latency. Every link decays (at the system's
+/// κ) from its grant until the pair is delivered — waiting for the slowest
 /// link *and* sitting through the swap rounds — and the end-to-end
 /// fidelity is the Werner swap composition of the decayed per-hop
 /// fidelities.
@@ -194,22 +194,20 @@ fn take_routed(
         return take_link(services.supply_for(pair), t);
     }
     let swaps = route.swaps();
-    let edges: Vec<(NodeId, NodeId)> = route.edges().collect();
-    let mut grants = Vec::with_capacity(edges.len());
-    for &edge in &edges {
-        grants.push(take_link(services.supply_for(edge), t)?);
-    }
+    let grants = route
+        .edges()
+        .map(|edge| take_link(services.supply_for(edge), t))
+        .collect::<Result<Vec<_>, _>>()?;
     let assembled = grants
         .iter()
         .map(|&(granted, _)| granted)
         .max()
         .expect("multi-hop route has edges");
     let ready = assembled + services.config.entanglement_swap_latency() * swaps as i64;
-    let fidelities: Vec<f64> = edges
+    let kappa = services.config.kappa_per_tick;
+    let fidelities: Vec<f64> = grants
         .iter()
-        .zip(&grants)
-        .map(|(&edge, &(granted, fidelity))| {
-            let kappa = services.kappa_for(edge);
+        .map(|&(granted, fidelity)| {
             let wait = (ready - granted).ticks() as f64;
             dqc_sim::werner_fidelity_after(fidelity.clamp(0.25, 1.0), kappa * wait)
         })
@@ -412,35 +410,22 @@ impl<'a> ServicePool<'a> {
                 Some(topology) => topology.degree(pair.0).max(topology.degree(pair.1)).max(1),
             };
             let pairs = (config.comm_qubits_per_node / links_per_node).max(1);
-            let link_params = config
-                .topology
-                .as_ref()
-                .and_then(|t| t.link_params(pair.0, pair.1));
             let pair_salt = (pair.0.index() as u64) << 32 | ((pair.1.index() as u64) << 16) | 0xD0C;
             if design.uses_buffer() {
                 let pattern = design.generation_pattern(config.async_groups);
-                let mut service_config = config.service_config(pattern, true);
+                let mut service_config = config.service_config(pattern);
                 service_config.num_comm_pairs = pairs;
-                if let Some(params) = link_params {
-                    SystemConfig::apply_link_params(&mut service_config, params);
-                }
                 let mut service = EntanglementService::new(service_config, seed ^ pair_salt);
                 if design.preinitializes() {
                     service.preinitialize(config.buffer_qubits_per_node);
                 }
                 Supply::Background(service)
             } else {
-                let cycle = link_params
-                    .and_then(|p| p.epr_cycle)
-                    .unwrap_or(config.latencies.epr_cycle);
-                let initial_fidelity = link_params
-                    .and_then(|p| p.initial_fidelity)
-                    .unwrap_or(config.fidelities.epr);
                 Supply::OnDemand(OnDemandGenerator {
                     pairs,
                     success_probability: config.success_probability,
-                    cycle,
-                    initial_fidelity,
+                    cycle: config.latencies.epr_cycle,
+                    initial_fidelity: config.fidelities.epr,
                     busy_until: Tick::ZERO,
                     stats: dqc_entanglement::ServiceStats::default(),
                     rng: <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(
@@ -449,16 +434,6 @@ impl<'a> ServicePool<'a> {
                 })
             }
         })
-    }
-
-    /// The idling decoherence rate governing links held on `edge`.
-    fn kappa_for(&self, edge: (NodeId, NodeId)) -> f64 {
-        self.config
-            .topology
-            .as_ref()
-            .and_then(|t| t.link_params(edge.0, edge.1))
-            .and_then(|p| p.kappa_per_tick)
-            .unwrap_or(self.config.kappa_per_tick)
     }
 
     /// Buffered links consumable for an end-to-end pair at `t_probe` —
@@ -982,8 +957,7 @@ mod tests {
 
     #[test]
     fn all_to_all_topology_is_bit_for_bit_default() {
-        // The explicit complete graph (with inherited link parameters)
-        // must reproduce the implicit default exactly, for every design
+        // The explicit complete graph must reproduce the implicit default exactly, for every design
         // and both node counts.
         use dqc_entanglement::NetworkTopology;
         let c = PaperBenchmark::QaoaR8_32.circuit();
@@ -1050,25 +1024,6 @@ mod tests {
         let c = PaperBenchmark::Tlim32.circuit();
         let err = CompiledCircuit::compile(&c, &cfg).unwrap_err();
         assert_eq!(err, DqcError::DisconnectedTopology);
-    }
-
-    #[test]
-    fn degraded_link_params_lower_fidelity() {
-        use dqc_entanglement::{LinkParams, NetworkTopology};
-        let c = PaperBenchmark::QaoaR4_32.circuit();
-        let clean = config().with_topology(NetworkTopology::all_to_all(2));
-        let noisy = config().with_topology(
-            NetworkTopology::all_to_all(2)
-                .with_uniform_link_params(LinkParams::default().with_initial_fidelity(0.93)),
-        );
-        let r_clean = evaluate_many(&c, &clean, Design::AsyncBuf, 5, 0).unwrap();
-        let r_noisy = evaluate_many(&c, &noisy, Design::AsyncBuf, 5, 0).unwrap();
-        assert!(
-            r_noisy.mean_fidelity < r_clean.mean_fidelity,
-            "per-edge fidelity override must bite: {} vs {}",
-            r_noisy.mean_fidelity,
-            r_clean.mean_fidelity
-        );
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! * [`Sweep`] — a cartesian {benchmark × config × design} grid executed
 //!   by a thread-based parallel runner with deterministic per-cell seeding
 //!   and ordered collection.
-//! * [`DesignSpace`] — the typed co-design layer: every tunable knob
-//!   (hardware: EPR fidelity, κ, EPR cycle, comm/buffer qubits, topology;
-//!   software: design, protocol, partitioner) is a first-class [`Axis`]
-//!   with typed values, a scenario is a structured [`ScenarioKey`], and
+//! * [`DesignSpace`] — the typed co-design layer: every searched knob
+//!   (hardware: EPR fidelity, comm/buffer qubits, topology; software: the
+//!   design) is a first-class [`Axis`] with typed values, a scenario is a
+//!   structured [`ScenarioKey`], and
 //!   [`DesignSpace::evaluate`] runs a list of points on one circuit with
 //!   one compilation per realized configuration (design-axis neighbours
 //!   never recompile). `Sweep` is the string-labeled front end over the

@@ -30,13 +30,9 @@
 //! ```
 
 use crate::grid::GridPlan;
-use crate::{
-    AveragedReport, Axis, AxisValue, Design, DqcError, PartitionStrategy, RemoteProtocol,
-    SystemConfig,
-};
+use crate::{AveragedReport, Axis, AxisValue, Design, DqcError, SystemConfig};
 use dqc_circuit::Circuit;
 use dqc_entanglement::TopologyFamily;
-use dqc_types::{AxisId, Tick};
 
 /// A typed hardware/software design space: a base configuration plus the
 /// axes being searched over.
@@ -83,8 +79,7 @@ impl DesignSpace {
     }
 
     /// Adds one typed axis.
-    #[must_use]
-    pub fn axis(mut self, axis: Axis) -> Self {
+    fn axis(mut self, axis: Axis) -> Self {
         self.axes.push(axis);
         self
     }
@@ -93,30 +88,6 @@ impl DesignSpace {
     #[must_use]
     pub fn epr_fidelities(self, values: &[f64]) -> Self {
         self.axis(Axis::EprFidelity(values.to_vec()))
-    }
-
-    /// Adds a κ-per-tick axis.
-    #[must_use]
-    pub fn kappas(self, values: &[f64]) -> Self {
-        self.axis(Axis::Kappa(values.to_vec()))
-    }
-
-    /// Adds an EPR-attempt-cycle latency axis.
-    #[must_use]
-    pub fn epr_cycles(self, values: &[Tick]) -> Self {
-        self.axis(Axis::EprCycle(values.to_vec()))
-    }
-
-    /// Adds a communication-qubits-per-node axis.
-    #[must_use]
-    pub fn comm_qubits(self, values: &[usize]) -> Self {
-        self.axis(Axis::CommQubits(values.to_vec()))
-    }
-
-    /// Adds a buffer-qubits-per-node axis.
-    #[must_use]
-    pub fn buffer_qubits(self, values: &[usize]) -> Self {
-        self.axis(Axis::BufferQubits(values.to_vec()))
     }
 
     /// Adds a linked communication+buffer axis (both counts set to the
@@ -138,18 +109,6 @@ impl DesignSpace {
         self.axis(Axis::Design(values.to_vec()))
     }
 
-    /// Adds a remote-gate-protocol axis.
-    #[must_use]
-    pub fn protocols(self, values: &[RemoteProtocol]) -> Self {
-        self.axis(Axis::Protocol(values.to_vec()))
-    }
-
-    /// Adds a partitioner axis.
-    #[must_use]
-    pub fn partitioners(self, values: &[PartitionStrategy]) -> Self {
-        self.axis(Axis::Partitioner(values.to_vec()))
-    }
-
     /// Number of points: the product of the axis lengths (1 for an
     /// axis-free space, 0 when any axis is empty).
     pub fn len(&self) -> usize {
@@ -161,40 +120,24 @@ impl DesignSpace {
         self.len() == 0
     }
 
-    /// Checks the declaration for empty axes, duplicate axis ids, and
-    /// axes that set the same underlying knob (the linked
-    /// `comm_and_buffer` axis conflicts with `comm_qubits` and
-    /// `buffer_qubits` — combining them would let one coordinate
-    /// silently overwrite the other, leaving scenario keys that
-    /// misdescribe the realized configuration).
+    /// Checks the declaration for empty axes and duplicate axis ids (a
+    /// repeated axis would give a point two coordinates for one knob).
     ///
     /// # Errors
     ///
-    /// [`DqcError::EmptySweep`] naming the empty axis,
-    /// [`DqcError::DuplicateAxis`] naming the repeated one, or
-    /// [`DqcError::ConflictingAxes`] naming the overlapping pair.
+    /// [`DqcError::EmptySweep`] naming the empty axis, or
+    /// [`DqcError::DuplicateAxis`] naming the repeated one.
     pub fn validate(&self) -> Result<(), DqcError> {
-        let conflicts = |a: AxisId, b: AxisId| {
-            a == AxisId::CommAndBuffer && matches!(b, AxisId::CommQubits | AxisId::BufferQubits)
-        };
         for (i, axis) in self.axes.iter().enumerate() {
             if axis.is_empty() {
                 return Err(DqcError::EmptySweep {
                     axis: axis.id().name(),
                 });
             }
-            for prior in &self.axes[..i] {
-                if prior.id() == axis.id() {
-                    return Err(DqcError::DuplicateAxis {
-                        axis: axis.id().name(),
-                    });
-                }
-                if conflicts(prior.id(), axis.id()) || conflicts(axis.id(), prior.id()) {
-                    return Err(DqcError::ConflictingAxes {
-                        first: prior.id().name(),
-                        second: axis.id().name(),
-                    });
-                }
+            if self.axes[..i].iter().any(|prior| prior.id() == axis.id()) {
+                return Err(DqcError::DuplicateAxis {
+                    axis: axis.id().name(),
+                });
             }
         }
         Ok(())
@@ -235,18 +178,12 @@ impl DesignSpace {
         for value in &point.values {
             match *value {
                 AxisValue::EprFidelity(f) => config.fidelities.epr = f,
-                AxisValue::Kappa(k) => config.kappa_per_tick = k,
-                AxisValue::EprCycle(t) => config.latencies.epr_cycle = t,
-                AxisValue::CommQubits(n) => config.comm_qubits_per_node = n,
-                AxisValue::BufferQubits(n) => config.buffer_qubits_per_node = n,
                 AxisValue::CommAndBuffer(n) => {
                     config.comm_qubits_per_node = n;
                     config.buffer_qubits_per_node = n;
                 }
                 AxisValue::Topology(family) => config = config.with_topology(family.build()),
                 AxisValue::Design(d) => design = d,
-                AxisValue::Protocol(p) => config.remote_protocol = p,
-                AxisValue::Partitioner(s) => config.partitioner = s,
             }
         }
         Scenario { config, design }
@@ -260,8 +197,7 @@ impl DesignSpace {
     /// Returns one report per index, in `indices` order, and the number
     /// of compilations: one per distinct realized [`SystemConfig`]. Points
     /// that differ only in the design axis (a pure runtime choice) share
-    /// one compilation; protocol and partitioner values are part of the
-    /// configuration the circuit is compiled for, so they do not share.
+    /// one compilation.
     ///
     /// # Errors
     ///
@@ -355,25 +291,14 @@ mod tests {
     fn realize_applies_every_axis_kind() {
         let space = DesignSpace::new(base())
             .epr_fidelities(&[0.95])
-            .kappas(&[1e-3])
-            .epr_cycles(&[Tick::new(200)])
             .comm_and_buffer(&[7])
             .topologies(&[TopologyFamily::Chain { nodes: 4 }])
-            .designs(&[Design::SyncBuf])
-            .protocols(&[RemoteProtocol::StateTeleport])
-            .partitioners(&[PartitionStrategy::Unweighted]);
+            .designs(&[Design::SyncBuf]);
         let scenario = space.realize(&space.point(0).unwrap());
         assert_eq!(scenario.config.fidelities.epr, 0.95);
-        assert_eq!(scenario.config.kappa_per_tick, 1e-3);
-        assert_eq!(scenario.config.latencies.epr_cycle, Tick::new(200));
         assert_eq!(scenario.config.comm_qubits_per_node, 7);
         assert_eq!(scenario.config.buffer_qubits_per_node, 7);
         assert_eq!(scenario.config.num_nodes, 4);
-        assert_eq!(
-            scenario.config.remote_protocol,
-            RemoteProtocol::StateTeleport
-        );
-        assert_eq!(scenario.config.partitioner, PartitionStrategy::Unweighted);
         assert_eq!(scenario.design, Design::SyncBuf);
     }
 
@@ -385,38 +310,14 @@ mod tests {
             DqcError::EmptySweep { axis: "design" }
         );
         let dup = DesignSpace::new(base())
-            .comm_qubits(&[5])
-            .comm_qubits(&[10]);
+            .comm_and_buffer(&[5])
+            .comm_and_buffer(&[10]);
         assert_eq!(
             dup.validate().unwrap_err(),
             DqcError::DuplicateAxis {
-                axis: "comm_qubits"
+                axis: "comm_and_buffer"
             }
         );
-        // The linked comm+buffer axis overlaps either split axis: one
-        // coordinate would silently overwrite the other at realize time.
-        for conflicted in [
-            DesignSpace::new(base())
-                .comm_qubits(&[4, 8])
-                .comm_and_buffer(&[10]),
-            DesignSpace::new(base())
-                .comm_and_buffer(&[10])
-                .buffer_qubits(&[4]),
-        ] {
-            assert!(
-                matches!(
-                    conflicted.validate().unwrap_err(),
-                    DqcError::ConflictingAxes { .. }
-                ),
-                "{conflicted:?}"
-            );
-        }
-        // The split axes together are fine — they set different knobs.
-        DesignSpace::new(base())
-            .comm_qubits(&[4, 8])
-            .buffer_qubits(&[4, 8])
-            .validate()
-            .unwrap();
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //!   `F(t) = F₀·e^{−2κt} + (1 − e^{−2κt})/4`.
 //! * [`GenerationPattern`] — synchronous (bursty) vs asynchronous
 //!   (staggered sub-group) attempt scheduling, the paper's Fig. 3.
-//! * [`CutoffPolicy`] / [`ConsumeOrder`] — buffer management knobs.
+//! * [`CutoffPolicy`] — when buffered links are discarded (links are
+//!   always consumed oldest first).
 //! * [`EntanglementService`] — the full service: communication-qubit pairs
 //!   attempting every `T_EG`, successes swapped into buffer qubits (or
 //!   pinning their pair when no buffer exists — the `original` design),
 //!   pre-initialization for `init_buf`, and consumption by remote gates.
 //! * [`NetworkTopology`] / [`RoutingTable`] — the inter-node device graph
 //!   (chain, ring, grid, star, heavy-hex, all-to-all, or arbitrary edge
-//!   lists with per-edge [`LinkParams`]) and deterministic shortest-path
-//!   routing with [`swap_chain_fidelity`] composition for multi-hop
-//!   entanglement.
+//!   lists, every link with the system-wide parameters) and deterministic
+//!   shortest-path routing with [`swap_chain_fidelity`] composition for
+//!   multi-hop entanglement.
 //!
 //! # Examples
 //!
@@ -43,7 +44,7 @@ mod service;
 mod topology;
 
 pub use link::EntangledLink;
-pub use policy::{ConsumeOrder, CutoffPolicy, GenerationPattern};
+pub use policy::{CutoffPolicy, GenerationPattern};
 pub use routing::{swap_chain_fidelity, Route, RoutingTable};
 pub use service::{EntanglementService, ServiceConfig, ServiceStats, TakenLink};
-pub use topology::{LinkParams, NetworkTopology, TopologyFamily};
+pub use topology::{NetworkTopology, TopologyFamily};

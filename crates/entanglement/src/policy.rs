@@ -49,23 +49,16 @@ pub enum CutoffPolicy {
 }
 
 impl CutoffPolicy {
-    /// Returns true when a link of the given age must be discarded.
-    pub fn expires(&self, age: Tick) -> bool {
+    /// The tick at which a link heralded at `created_at` is discarded:
+    /// the first tick at which its age exceeds the cutoff, so a link
+    /// exactly at the cutoff age is still consumable. `None` under
+    /// [`CutoffPolicy::Keep`].
+    pub fn discard_at(&self, created_at: Tick) -> Option<Tick> {
         match *self {
-            CutoffPolicy::Keep => false,
-            CutoffPolicy::MaxAge(max) => age > max,
+            CutoffPolicy::Keep => None,
+            CutoffPolicy::MaxAge(max) => Some(created_at + max + Tick::new(1)),
         }
     }
-}
-
-/// Order in which buffered links are consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConsumeOrder {
-    /// Oldest link first (drains the queue, minimizes cutoff waste).
-    #[default]
-    OldestFirst,
-    /// Freshest link first (maximizes consumed fidelity, risks waste).
-    FreshestFirst,
 }
 
 #[cfg(test)]
@@ -99,14 +92,18 @@ mod tests {
 
     #[test]
     fn cutoff_keep_never_expires() {
-        assert!(!CutoffPolicy::Keep.expires(Tick::new(1_000_000)));
+        assert_eq!(CutoffPolicy::Keep.discard_at(Tick::new(1_000_000)), None);
     }
 
     #[test]
     fn cutoff_max_age_boundary() {
         let p = CutoffPolicy::MaxAge(Tick::new(100));
-        assert!(!p.expires(Tick::new(100)), "exactly at cutoff survives");
-        assert!(p.expires(Tick::new(101)));
+        // Age 100 (tick 140) survives; age 101 is the first discarded.
+        assert_eq!(
+            p.discard_at(Tick::new(40)),
+            Some(Tick::new(141)),
+            "exactly at cutoff survives"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The entanglement-generation service: communication-qubit pairs
 //! attempting heralded generation, plus the buffer pool.
 
-use crate::{ConsumeOrder, CutoffPolicy, EntangledLink, GenerationPattern};
+use crate::{CutoffPolicy, EntangledLink, GenerationPattern};
 use dqc_types::Tick;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -42,8 +42,6 @@ pub struct ServiceConfig {
     pub pattern: GenerationPattern,
     /// Buffer cutoff policy.
     pub cutoff: CutoffPolicy,
-    /// Consumption order among available links.
-    pub consume_order: ConsumeOrder,
 }
 
 impl Default for ServiceConfig {
@@ -59,7 +57,6 @@ impl Default for ServiceConfig {
             kappa_per_tick: 2e-4,
             pattern: GenerationPattern::Asynchronous { groups: 10 },
             cutoff: CutoffPolicy::Keep,
-            consume_order: ConsumeOrder::OldestFirst,
         }
     }
 }
@@ -268,8 +265,8 @@ impl EntanglementService {
         buffered + held
     }
 
-    /// Advances to `t` and consumes one link if available, preferring the
-    /// configured [`ConsumeOrder`].
+    /// Advances to `t` and consumes the oldest available link, if any
+    /// (draining the queue in order minimizes cutoff waste).
     pub fn try_take(&mut self, t: Tick) -> Option<TakenLink> {
         self.advance_to(t);
         // Candidates: (created_at, source) with source = buffer index or
@@ -285,11 +282,7 @@ impl EntanglementService {
                 candidates.push((link.created_at(), true, i));
             }
         }
-        let chosen = match self.config.consume_order {
-            ConsumeOrder::OldestFirst => candidates.iter().min_by_key(|c| (c.0, c.1, c.2)),
-            ConsumeOrder::FreshestFirst => candidates.iter().max_by_key(|c| (c.0, !c.1, c.2)),
-        }?;
-        let &(_, from_pair, idx) = chosen;
+        let (_, from_pair, idx) = candidates.into_iter().min()?;
         let link = if from_pair {
             let PairState::Holding(link) = self.pairs[idx] else {
                 unreachable!("candidate source checked above")
@@ -340,21 +333,15 @@ impl EntanglementService {
             match *p {
                 PairState::Attempting(done) => consider(done, EventKind::Completion(i)),
                 PairState::Holding(link) => {
-                    if let CutoffPolicy::MaxAge(max) = self.config.cutoff {
-                        consider(
-                            link.created_at() + max + Tick::new(1),
-                            EventKind::HeldExpiry(i),
-                        );
+                    if let Some(at) = self.config.cutoff.discard_at(link.created_at()) {
+                        consider(at, EventKind::HeldExpiry(i));
                     }
                 }
             }
         }
-        if let CutoffPolicy::MaxAge(max) = self.config.cutoff {
-            for (i, b) in self.buffer.iter().enumerate() {
-                consider(
-                    b.link.created_at() + max + Tick::new(1),
-                    EventKind::BufferExpiry(i),
-                );
+        for (i, b) in self.buffer.iter().enumerate() {
+            if let Some(at) = self.config.cutoff.discard_at(b.link.created_at()) {
+                consider(at, EventKind::BufferExpiry(i));
             }
         }
         // Buffered links still being swapped in become available later;
@@ -652,11 +639,7 @@ mod tests {
 
     #[test]
     fn oldest_first_ordering() {
-        let cfg = ServiceConfig {
-            consume_order: ConsumeOrder::OldestFirst,
-            ..Default::default()
-        };
-        let mut svc = EntanglementService::new(cfg, 11);
+        let mut svc = EntanglementService::new(ServiceConfig::default(), 11);
         let t1 = svc.time_of_next_available(Tick::ZERO);
         let t2 = svc.time_of_next_available(t1 + Tick::new(500));
         let taken = svc.try_take(t2).unwrap();

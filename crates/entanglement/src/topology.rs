@@ -1,67 +1,13 @@
 //! The device network: which node pairs share a physical entanglement
-//! link, and with what hardware parameters.
+//! link.
 
-use dqc_types::{Fnv64, NodeId, Tick, UnknownName};
-use std::collections::BTreeMap;
+use dqc_types::{Fnv64, NodeId, UnknownName};
+use std::collections::BTreeSet;
 use std::fmt;
 
-/// Per-edge hardware overrides for one physical entanglement link.
-///
-/// Every field is optional; `None` inherits the system-wide value from
-/// the `SystemConfig` consuming the topology (Table II defaults). This
-/// keeps a topology reusable across configurations while still allowing
-/// heterogeneous networks — e.g. one long, noisy fiber edge inside an
-/// otherwise clean lattice.
-///
-/// # Examples
-///
-/// ```
-/// use dqc_entanglement::LinkParams;
-///
-/// // Inherit everything from the system configuration:
-/// let inherit = LinkParams::default();
-/// assert!(inherit.initial_fidelity.is_none());
-///
-/// // A degraded long-haul edge:
-/// let noisy = LinkParams::default().with_initial_fidelity(0.93);
-/// assert_eq!(noisy.initial_fidelity, Some(0.93));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LinkParams {
-    /// Werner fidelity of a freshly heralded pair on this edge.
-    pub initial_fidelity: Option<f64>,
-    /// Idling decoherence rate κ per tick for links held on this edge.
-    pub kappa_per_tick: Option<f64>,
-    /// Duration of one heralded generation attempt cycle on this edge.
-    pub epr_cycle: Option<Tick>,
-}
-
-impl LinkParams {
-    /// Overrides the fresh-link fidelity.
-    #[must_use]
-    pub fn with_initial_fidelity(mut self, f: f64) -> Self {
-        self.initial_fidelity = Some(f);
-        self
-    }
-
-    /// Overrides the idling decoherence rate.
-    #[must_use]
-    pub fn with_kappa_per_tick(mut self, kappa: f64) -> Self {
-        self.kappa_per_tick = Some(kappa);
-        self
-    }
-
-    /// Overrides the attempt-cycle duration.
-    #[must_use]
-    pub fn with_epr_cycle(mut self, cycle: Tick) -> Self {
-        self.epr_cycle = Some(cycle);
-        self
-    }
-}
-
 /// The inter-node network of a distributed QPU: an undirected device
-/// graph whose edges are physical entanglement links with per-edge
-/// [`LinkParams`].
+/// graph whose edges are physical entanglement links. Every link has the
+/// system-wide EPR fidelity, κ and attempt cycle.
 ///
 /// The paper's two-node system is the complete graph on two vertices;
 /// larger systems expose the co-design lever the paper abstracts away —
@@ -69,7 +15,7 @@ impl LinkParams {
 /// chains, paying fidelity and latency per hop (see
 /// [`RoutingTable`](crate::RoutingTable)).
 ///
-/// Edges are stored normalized (`a < b`) in a sorted map, so equality,
+/// Edges are stored normalized (`a < b`) in a sorted set, so equality,
 /// iteration order, and everything derived from them are deterministic.
 ///
 /// # Examples
@@ -91,7 +37,7 @@ impl LinkParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkTopology {
     num_nodes: usize,
-    edges: BTreeMap<(u16, u16), LinkParams>,
+    edges: BTreeSet<(u16, u16)>,
 }
 
 impl NetworkTopology {
@@ -110,8 +56,7 @@ impl NetworkTopology {
         }
     }
 
-    /// Builds a topology from an explicit edge list with default
-    /// (inherited) link parameters on every edge. Duplicate edges are
+    /// Builds a topology from an explicit edge list. Duplicate edges are
     /// merged.
     ///
     /// # Panics
@@ -124,15 +69,11 @@ impl NetworkTopology {
             num_nodes <= u16::MAX as usize + 1,
             "node ids are u16: {num_nodes} nodes do not fit"
         );
-        let mut map = BTreeMap::new();
-        for &(a, b) in edges {
-            let k = Self::key(num_nodes, NodeId::new(a), NodeId::new(b));
-            map.insert(k, LinkParams::default());
-        }
-        Self {
-            num_nodes,
-            edges: map,
-        }
+        let edges = edges
+            .iter()
+            .map(|&(a, b)| Self::key(num_nodes, NodeId::new(a), NodeId::new(b)))
+            .collect();
+        Self { num_nodes, edges }
     }
 
     /// The complete graph: every node pair shares a direct link (the
@@ -235,31 +176,6 @@ impl NetworkTopology {
         Self::from_edges(corners + base.len(), &edges)
     }
 
-    /// Applies `params` to every edge.
-    #[must_use]
-    pub fn with_uniform_link_params(mut self, params: LinkParams) -> Self {
-        for p in self.edges.values_mut() {
-            *p = params;
-        }
-        self
-    }
-
-    /// Sets the parameters of one existing edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the edge does not exist.
-    #[must_use]
-    pub fn with_link_params(mut self, a: NodeId, b: NodeId, params: LinkParams) -> Self {
-        let k = Self::key(self.num_nodes, a, b);
-        let slot = self
-            .edges
-            .get_mut(&k)
-            .unwrap_or_else(|| panic!("no edge between {a} and {b}"));
-        *slot = params;
-        self
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -276,55 +192,23 @@ impl NetworkTopology {
             return false;
         }
         let (x, y) = (a.index().min(b.index()), a.index().max(b.index()));
-        self.edges.contains_key(&(x, y))
+        self.edges.contains(&(x, y))
     }
 
-    /// The parameters of the `(a, b)` link, if present.
-    pub fn link_params(&self, a: NodeId, b: NodeId) -> Option<&LinkParams> {
-        if a == b {
-            return None;
-        }
-        let (x, y) = (a.index().min(b.index()), a.index().max(b.index()));
-        self.edges.get(&(x, y))
-    }
-
-    /// All edges with their parameters, in normalized sorted order.
-    pub fn edges(&self) -> impl Iterator<Item = ((NodeId, NodeId), &LinkParams)> {
-        self.edges
-            .iter()
-            .map(|(&(a, b), p)| ((NodeId::new(a), NodeId::new(b)), p))
-    }
-
-    /// Folds the topology's full identity — node count, edge set, and
-    /// every per-edge parameter override — into `hasher`.
+    /// Folds the topology's full identity — node count and edge set —
+    /// into `hasher`.
     ///
-    /// Edges are stored in a sorted map, so the encoding (and therefore
+    /// Edges are stored in a sorted set, so the encoding (and therefore
     /// the resulting fingerprint) is deterministic: two equal topologies
     /// always fold identically, regardless of construction order. This is
     /// the topology's contribution to `SystemConfig`'s stable fingerprint
     /// in `dqc-core`, which the serving layer shards hardware points by.
     pub fn fold_fingerprint(&self, hasher: &mut Fnv64) {
-        let opt_f64 = |h: &mut Fnv64, v: Option<f64>| match v {
-            Some(x) => {
-                h.write_u8(1);
-                h.write_f64(x);
-            }
-            None => h.write_u8(0),
-        };
         hasher.write_usize(self.num_nodes);
         hasher.write_usize(self.edges.len());
-        for (&(a, b), params) in &self.edges {
+        for &(a, b) in &self.edges {
             hasher.write_u32(u32::from(a));
             hasher.write_u32(u32::from(b));
-            opt_f64(hasher, params.initial_fidelity);
-            opt_f64(hasher, params.kappa_per_tick);
-            match params.epr_cycle {
-                Some(t) => {
-                    hasher.write_u8(1);
-                    hasher.write_i64(t.ticks());
-                }
-                None => hasher.write_u8(0),
-            }
         }
     }
 
@@ -333,7 +217,7 @@ impl NetworkTopology {
         let n = node.index();
         let mut out: Vec<NodeId> = self
             .edges
-            .keys()
+            .iter()
             .filter_map(|&(a, b)| {
                 if a == n {
                     Some(NodeId::new(b))
@@ -352,7 +236,7 @@ impl NetworkTopology {
     pub fn degree(&self, node: NodeId) -> usize {
         let n = node.index();
         self.edges
-            .keys()
+            .iter()
             .filter(|&&(a, b)| a == n || b == n)
             .count()
     }
@@ -450,8 +334,7 @@ pub enum TopologyFamily {
 }
 
 impl TopologyFamily {
-    /// Builds the concrete device graph with default (inherited) link
-    /// parameters on every edge.
+    /// Builds the concrete device graph.
     ///
     /// # Panics
     ///
@@ -586,18 +469,6 @@ mod tests {
         assert!(t.has_edge(n(1), n(0)));
         assert!(!t.has_edge(n(0), n(2)));
         assert!(!t.has_edge(n(1), n(1)));
-    }
-
-    #[test]
-    fn link_params_round_trip() {
-        let params = LinkParams::default()
-            .with_initial_fidelity(0.95)
-            .with_epr_cycle(Tick::new(200));
-        let t = NetworkTopology::chain(3).with_link_params(n(1), n(2), params);
-        assert_eq!(t.link_params(n(2), n(1)), Some(&params));
-        assert_eq!(t.link_params(n(0), n(1)), Some(&LinkParams::default()));
-        let uniform = NetworkTopology::chain(3).with_uniform_link_params(params);
-        assert!(uniform.edges().all(|(_, p)| *p == params));
     }
 
     #[test]

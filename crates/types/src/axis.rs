@@ -1,12 +1,11 @@
 //! Identities of the co-design search axes.
 //!
-//! The paper's co-design loop jointly trades hardware knobs (EPR fidelity,
-//! κ, EPR cycle time, communication/buffer qubit counts, network topology)
-//! against software choices (buffering design, remote-gate protocol,
-//! partitioner). [`AxisId`] names each tunable knob once, at the bottom of
-//! the crate graph, so every layer — the typed axis values in `dqc-core`,
-//! the search engine in `dqc-codesign`, and the JSON results pipeline —
-//! agrees on the same identities and spellings.
+//! The paper's co-design loop trades hardware provisioning (EPR fidelity,
+//! communication/buffer qubit counts, network topology) against the
+//! buffering design. [`AxisId`] names each searched knob once, at the
+//! bottom of the crate graph, so every layer — the typed axis values in
+//! `dqc-core`, the search engine in `dqc-codesign`, and the JSON results
+//! pipeline — agrees on the same identities and spellings.
 
 use crate::{Json, JsonError};
 use std::error::Error;
@@ -14,7 +13,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Error returned when parsing a name that belongs to no known variant of
-/// an enumeration (a design, a protocol, an axis, a topology family, …).
+/// an enumeration (a design, an axis, a topology family, …).
 ///
 /// Shared by the `FromStr` implementations across the workspace so every
 /// "unknown name" failure renders the same way.
@@ -44,15 +43,13 @@ impl fmt::Display for UnknownName {
 
 impl Error for UnknownName {}
 
-/// Identity of one tunable knob of the hardware/software design space.
+/// Identity of one searched knob of the hardware/software design space.
 ///
-/// Hardware axes describe the machine being provisioned; software axes
-/// describe choices the stack makes on a fixed machine. Of the software
-/// axes, only the design is a pure runtime choice: protocol and
-/// partitioner feed the compiler, so the evaluation engine shares one
-/// compilation per circuit × realized configuration, across design-axis
-/// values only. The simulation engine is no axis: it never changes an
-/// answer, only how fast one is computed.
+/// The three hardware axes describe the machine being provisioned; the
+/// design is the one software axis, a pure runtime choice, so the
+/// evaluation engine shares one compilation per circuit × realized
+/// configuration across design-axis values. The simulation engine is no
+/// axis: it never changes an answer, only how fast one is computed.
 ///
 /// # Examples
 ///
@@ -61,21 +58,12 @@ impl Error for UnknownName {}
 ///
 /// assert_eq!(AxisId::EprFidelity.name(), "epr_fidelity");
 /// assert_eq!("design".parse::<AxisId>(), Ok(AxisId::Design));
-/// assert!(AxisId::Design.is_software());
-/// assert!(!AxisId::Kappa.is_software());
+/// assert!("kappa".parse::<AxisId>().is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AxisId {
     /// Initial fidelity of a freshly generated EPR pair (hardware).
     EprFidelity,
-    /// Idling decoherence rate κ per tick (hardware).
-    Kappa,
-    /// Latency of one heralded entanglement-generation attempt (hardware).
-    EprCycle,
-    /// Communication qubits per node (hardware).
-    CommQubits,
-    /// Buffer qubits per node (hardware).
-    BufferQubits,
     /// Communication and buffer qubits per node, varied together — the
     /// paper's Fig. 7 convention (hardware).
     CommAndBuffer,
@@ -83,50 +71,25 @@ pub enum AxisId {
     Topology,
     /// Buffering/scheduling architecture design (software).
     Design,
-    /// Remote two-qubit gate protocol (software).
-    Protocol,
-    /// Qubit partitioner choice (software).
-    Partitioner,
 }
 
 impl AxisId {
     /// Every axis, hardware first, in canonical presentation order.
-    pub const ALL: [AxisId; 10] = [
+    pub const ALL: [AxisId; 4] = [
         AxisId::EprFidelity,
-        AxisId::Kappa,
-        AxisId::EprCycle,
-        AxisId::CommQubits,
-        AxisId::BufferQubits,
         AxisId::CommAndBuffer,
         AxisId::Topology,
         AxisId::Design,
-        AxisId::Protocol,
-        AxisId::Partitioner,
     ];
 
     /// The snake_case name used in labels, JSON, and the CLI.
     pub const fn name(self) -> &'static str {
         match self {
             AxisId::EprFidelity => "epr_fidelity",
-            AxisId::Kappa => "kappa",
-            AxisId::EprCycle => "epr_cycle",
-            AxisId::CommQubits => "comm_qubits",
-            AxisId::BufferQubits => "buffer_qubits",
             AxisId::CommAndBuffer => "comm_and_buffer",
             AxisId::Topology => "topology",
             AxisId::Design => "design",
-            AxisId::Protocol => "protocol",
-            AxisId::Partitioner => "partitioner",
         }
-    }
-
-    /// Whether this axis is a software choice (design, protocol,
-    /// partitioner) rather than a hardware knob.
-    pub const fn is_software(self) -> bool {
-        matches!(
-            self,
-            AxisId::Design | AxisId::Protocol | AxisId::Partitioner
-        )
     }
 
     /// Serializes the identity as its canonical name.
@@ -187,18 +150,6 @@ mod tests {
         }
         assert!(AxisId::from_json(&Json::Int(3)).is_err());
         assert!(AxisId::from_json(&Json::from("nope")).is_err());
-    }
-
-    #[test]
-    fn software_split_matches_the_paper() {
-        let software: Vec<AxisId> = AxisId::ALL
-            .into_iter()
-            .filter(|id| id.is_software())
-            .collect();
-        assert_eq!(
-            software,
-            vec![AxisId::Design, AxisId::Protocol, AxisId::Partitioner]
-        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! the typed co-design layer ([`DesignSpace`], [`ScenarioKey`],
 //! [`Codesign`], [`CostModel`]), and the
 //! network-topology types ([`NetworkTopology`], [`TopologyFamily`],
-//! [`RoutingTable`], [`LinkParams`]), and the serving layer
+//! [`RoutingTable`]), and the serving layer
 //! ([`Server`], [`ServeBuilder`], [`ServeConfig`], [`EvalRequest`],
 //! [`ServeStats`], plus the network daemon's
 //! [`Served`], [`ServedClient`], [`Submission`], and the static
@@ -98,7 +98,7 @@ pub use dqc_core::{
     AveragedReport, Axis, AxisValue, CompiledCircuit, Design, DesignSpace, DqcError,
     ExecutionReport, Experiment, ScenarioKey, Sweep, SweepCell, SweepResult, SystemConfig,
 };
-pub use dqc_entanglement::{LinkParams, NetworkTopology, Route, RoutingTable, TopologyFamily};
+pub use dqc_entanglement::{NetworkTopology, Route, RoutingTable, TopologyFamily};
 pub use dqc_serve::{
     EvalOutput, EvalRequest, EvalResponse, QuotaConfig, RateLimit, ServeBuilder, ServeConfig,
     ServeError, ServeStats, Server,

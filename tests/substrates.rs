@@ -3,9 +3,7 @@
 //! configurations, and the teleportation fidelity law.
 
 use dqc::core::{OperationFidelities, RemoteFidelityTable};
-use dqc::entanglement::{
-    ConsumeOrder, CutoffPolicy, EntanglementService, GenerationPattern, ServiceConfig,
-};
+use dqc::entanglement::{CutoffPolicy, EntanglementService, GenerationPattern, ServiceConfig};
 use dqc::partition::{partition_circuit, QubitMap};
 use dqc::sim::{teleported_cnot_fidelity, TeleportNoise};
 use dqc::types::Tick;
@@ -108,11 +106,6 @@ fn service_conservation_under_random_configurations() {
                 }
             },
             cutoff: cutoff.map_or(CutoffPolicy::Keep, |t| CutoffPolicy::MaxAge(Tick::new(t))),
-            consume_order: if seed % 2 == 0 {
-                ConsumeOrder::OldestFirst
-            } else {
-                ConsumeOrder::FreshestFirst
-            },
             ..ServiceConfig::default()
         };
         let mut svc = EntanglementService::new(config, seed);

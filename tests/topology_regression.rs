@@ -1,8 +1,8 @@
 //! Topology-layer guarantees, tested end to end through the facade:
 //!
-//! 1. **Default regression** — an explicit all-to-all topology (with
-//!    inherited link parameters) is bit-for-bit identical to the default
-//!    (no topology), for every design, across `Experiment` and `Sweep`.
+//! 1. **Default regression** — an explicit all-to-all topology is
+//!    bit-for-bit identical to the default (no topology), for every
+//!    design, across `Experiment` and `Sweep`.
 //! 2. **Routing math** — the Werner swap-composition law used by the
 //!    executor matches a direct density-matrix simulation of the swap
 //!    protocol for 2- and 3-hop chains.
