@@ -225,7 +225,7 @@ impl Artifact {
     /// Serializes the envelope plus payload.
     pub fn to_json(&self) -> Json {
         Json::object([
-            ("schema_version", Json::Int(i64::from(SCHEMA_VERSION))),
+            ("schema_version", Json::from(i64::from(SCHEMA_VERSION))),
             ("target", Json::from(self.target.as_str())),
             ("runs", Json::from(self.runs)),
             ("seed", Json::uint(self.seed)),

@@ -68,7 +68,7 @@ impl Table1Row {
     pub fn to_json(&self) -> Json {
         Json::object([
             ("name", Json::from(self.name.as_str())),
-            ("qubits", Json::Int(i64::from(self.qubits))),
+            ("qubits", Json::from(i64::from(self.qubits))),
             ("local_2q", Json::from(self.local_2q)),
             ("remote_2q", Json::from(self.remote_2q)),
             ("one_q", Json::from(self.one_q)),
@@ -938,9 +938,10 @@ pub fn print_segment_ablation_from(result: &SweepResult, runs: usize) {
 /// six circuits of very different compile cost and remote-gate pressure,
 /// all fitting the paper's 32-data-qubit two-node machine.
 ///
-/// The `serve_wire` benchmark's warm traffic, the serving and wire
-/// determinism tests, and the `analyze` target all draw from this
-/// portfolio, so they describe the same traffic mix. Circuits come
+/// The `serve_wire` benchmark's warm traffic and the serving and wire
+/// determinism tests all draw from this portfolio, so they describe the
+/// same traffic mix. (The `analyze` target audits [`PaperBenchmark::ALL`]
+/// and the default serving configuration instead.) Circuits come
 /// wrapped in [`Arc`](std::sync::Arc): a load generator submits each one
 /// many times without copying it.
 pub fn serve_portfolio() -> Vec<(String, std::sync::Arc<Circuit>)> {

@@ -225,8 +225,8 @@ impl Gate {
     ///
     /// Returns `None` for unknown mnemonics and for parameter mismatches
     /// (an angle on a discrete gate, or a rotation without one) — the
-    /// structured-JSON circuit decoder and the QASM importer both lean on
-    /// that strictness to reject malformed input instead of guessing.
+    /// QASM importer leans on that strictness to reject malformed input
+    /// instead of guessing.
     ///
     /// # Examples
     ///

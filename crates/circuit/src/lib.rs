@@ -11,9 +11,8 @@
 //! * [`commutes`] — conservative commutation rules that power the paper's
 //!   ASAP/ALAP segment-variant generation (§III-D).
 //! * [`to_qasm`] / [`from_qasm`] — OpenQASM 2.0 interchange, exact
-//!   inverses (fingerprint-preserving), plus structured JSON interchange
-//!   via [`Circuit::to_json`] / [`Circuit::from_json`] and ASCII
-//!   rendering via [`render`].
+//!   inverses (fingerprint-preserving) and the one circuit encoding the
+//!   `dqc-served` wire carries, plus ASCII rendering via [`render`].
 //!
 //! # Examples
 //!
@@ -36,7 +35,6 @@ mod commute;
 mod counts;
 mod error;
 mod gate;
-mod json;
 mod op;
 mod qasm;
 mod qasm_parse;

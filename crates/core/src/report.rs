@@ -72,10 +72,10 @@ impl ExecutionReport {
     pub fn to_json(&self) -> Json {
         Json::object([
             ("design", Json::from(self.design.name())),
-            ("makespan_ticks", Json::Int(self.makespan.ticks())),
+            ("makespan_ticks", Json::from(self.makespan.ticks())),
             (
                 "ideal_makespan_ticks",
-                Json::Int(self.ideal_makespan.ticks()),
+                Json::from(self.ideal_makespan.ticks()),
             ),
             ("fidelity", Json::float(self.fidelity.value())),
             ("local_fidelity", Json::float(self.local_fidelity.value())),

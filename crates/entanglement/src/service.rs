@@ -93,7 +93,7 @@ impl ServiceStats {
             ("preinitialized", Json::uint(self.preinitialized)),
             (
                 "total_consumed_age_ticks",
-                Json::Int(self.total_consumed_age.ticks()),
+                Json::from(self.total_consumed_age.ticks()),
             ),
             ("peak_buffered", Json::from(self.peak_buffered)),
         ])

@@ -53,7 +53,7 @@ impl Capture {
     /// [`CAPTURE_SCHEMA_VERSION`].
     pub fn to_json(&self) -> Json {
         Json::object([
-            ("schema_version", Json::Int(CAPTURE_SCHEMA_VERSION)),
+            ("schema_version", Json::from(CAPTURE_SCHEMA_VERSION)),
             ("producer", Json::Str(self.producer.clone())),
             ("clock", Json::Str(self.clock.clone())),
             (

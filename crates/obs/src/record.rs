@@ -61,8 +61,10 @@ impl AttrValue {
 
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         match json {
-            Json::Int(v) if *v >= 0 => Ok(AttrValue::U64(*v as u64)),
-            Json::Int(v) => Ok(AttrValue::F64(*v as f64)),
+            Json::Int(v) => Ok(match u64::try_from(*v) {
+                Ok(u) => AttrValue::U64(u),
+                Err(_) => AttrValue::F64(*v as f64),
+            }),
             Json::Float(v) => Ok(AttrValue::F64(*v)),
             Json::Str(s) => Ok(AttrValue::Str(s.clone())),
             other => Err(JsonError::schema(format!(

@@ -136,8 +136,8 @@ mod tests {
     #[test]
     fn several_frames_stream_back_to_back() {
         let mut wire = Vec::new();
-        for i in 0..5 {
-            write_frame(&mut wire, &Json::object([("i", Json::Int(i))])).unwrap();
+        for i in 0..5i64 {
+            write_frame(&mut wire, &Json::object([("i", Json::from(i))])).unwrap();
         }
         let mut cursor = wire.as_slice();
         for i in 0..5 {

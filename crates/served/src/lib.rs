@@ -11,9 +11,10 @@
 //!   `std` sockets and threads, like the layer underneath.
 //! * **Vocabulary** ([`protocol`]) — a versioned handshake
 //!   (`hello`/`welcome`), tagged pipelined submissions, typed errors,
-//!   and live `metrics` and `trace` commands. Circuits travel either as structured
-//!   JSON or as OpenQASM 2.0 text; both decode to fingerprint-identical
-//!   [`Circuit`](dqc_circuit::Circuit)s, so wire traffic shares the
+//!   and live `metrics` and `trace` commands. A submission holds an
+//!   in-memory circuit or QASM text, sent as OpenQASM 2.0 text either
+//!   way; it parses to a fingerprint-identical
+//!   [`Circuit`](dqc_circuit::Circuit), so wire traffic shares the
 //!   in-process compile caches.
 //! * **Multi-tenancy** ([`quota`]) — per-client in-flight caps and
 //!   token-bucket rate limits keyed by the `hello` identity, layered on
@@ -30,7 +31,7 @@
 //! the request (circuit, point, design, runs, base seed), so replies are
 //! byte-identical to direct in-process evaluation — the workspace's
 //! integration tests pin exactly that, at multiple concurrent
-//! connections, for both circuit formats.
+//! connections, for in-memory circuits and QASM text alike.
 //!
 //! # Examples
 //!

@@ -23,9 +23,7 @@
 //! with its diagnostic codes.
 //!
 //! Without `--point`, two shards are registered: `paper` (the paper's
-//! two-node 32-qubit point) and `paper64` (its 64-qubit sibling). Every
-//! point runs on the default (`analytic`) simulation engine: the engine
-//! never changes a reply, so there is no flag to pick one.
+//! two-node 32-qubit point) and `paper64` (its 64-qubit sibling).
 
 use dqc_core::SystemConfig;
 use dqc_serve::{RateLimit, ServeConfig};

@@ -10,12 +10,13 @@
 //! | `trace` (tagged) | tagged `trace` (recent spans and events, plus the metrics) |
 //! | `bye` | `bye`, then close |
 //!
-//! Circuits travel in either of two formats under `submit.circuit`:
-//! structured JSON (`{"format": "json", "circuit": {...}}`, the layout
-//! of [`Circuit::to_json`]) or OpenQASM 2.0 text (`{"format": "qasm",
-//! "source": "..."}`, fed through [`from_qasm`]). Both preserve the
-//! circuit's [`fingerprint`](Circuit::fingerprint), so wire submissions
-//! hit the same warm compile caches as in-process requests.
+//! A client hands [`Submission`] an in-memory circuit or QASM text, and
+//! either one is sent as QASM: `submit.circuit` is an OpenQASM 2.0
+//! program string ([`to_qasm`] renders an in-memory circuit when the
+//! frame is built). The daemon parses it with [`from_qasm`] after quota
+//! admission. The round trip preserves the circuit's
+//! [`fingerprint`](Circuit::fingerprint), so wire submissions hit the
+//! same warm compile caches as in-process requests.
 //!
 //! Errors are typed end-to-end: [`WireError`] carries the admission
 //! backpressure signals (`overloaded` straight from
@@ -24,7 +25,7 @@
 //! `bad_request` with the QASM parse line, forwarded verbatim from
 //! [`ParseQasmError`](dqc_circuit::ParseQasmError).
 
-use dqc_circuit::{from_qasm, Circuit};
+use dqc_circuit::{from_qasm, to_qasm, Circuit};
 use dqc_core::{Design, ExecutionReport};
 use dqc_obs::{Capture, MetricsSnapshot, TraceId};
 use dqc_serve::{EvalRequest, ServeConfig, ServeError};
@@ -60,7 +61,11 @@ use std::sync::Arc;
 /// v6: the `stats` command and its reply are gone. The `metrics` reply
 /// carries every counter they rolled up, and each request's latency
 /// rides on its `result`.
-pub const PROTOCOL_VERSION: i64 = 6;
+///
+/// v7: one circuit encoding. `submit.circuit` is the OpenQASM 2.0
+/// program string; the structured-JSON layout and the `format` member
+/// are gone.
+pub const PROTOCOL_VERSION: i64 = 7;
 
 /// The server identity string sent in `welcome`.
 pub const SERVER_NAME: &str = concat!("dqc-served/", env!("CARGO_PKG_VERSION"));
@@ -346,62 +351,19 @@ impl Error for WireError {}
 
 // -------------------------------------------------------- submissions
 
-/// How a submitted circuit travels on the wire.
-///
-/// Both forms decode to the *same* [`Circuit`] — fingerprint included —
-/// so the choice is purely about the client: structured JSON for
-/// programmatic callers, QASM text for anything that already speaks
-/// OpenQASM 2.0.
+/// A submission's circuit as the client holds it. Either form is sent
+/// as OpenQASM 2.0 text, and the daemon always receives
+/// [`CircuitPayload::Qasm`].
 #[derive(Debug, Clone)]
 pub enum CircuitPayload {
-    /// A structured circuit in the [`Circuit::to_json`] layout.
-    Structured(Arc<Circuit>),
+    /// An in-memory circuit, rendered with [`to_qasm`] when its frame is
+    /// built.
+    Circuit(Arc<Circuit>),
     /// OpenQASM 2.0 source text, parsed server-side by [`from_qasm`].
     Qasm(String),
 }
 
 impl CircuitPayload {
-    /// Serializes the payload as the wire's `circuit` object.
-    pub fn to_json(&self) -> Json {
-        match self {
-            CircuitPayload::Structured(circuit) => Json::object([
-                ("format", Json::from("json")),
-                ("circuit", circuit.to_json()),
-            ]),
-            CircuitPayload::Qasm(source) => Json::object([
-                ("format", Json::from("qasm")),
-                ("source", Json::from(source.as_str())),
-            ]),
-        }
-    }
-
-    /// Reads a payload back from the wire's `circuit` object.
-    ///
-    /// Structured circuits are validated here (so a malformed gate list
-    /// is a [`WireError::BadRequest`] immediately); QASM text is kept
-    /// verbatim and parsed at [`realize`](CircuitPayload::realize).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::BadRequest`] naming the offending field or op.
-    pub fn from_json(json: &Json) -> Result<Self, WireError> {
-        let format = json.str_field("format").map_err(bad_request)?;
-        match format {
-            "json" => {
-                let circuit = Circuit::from_json(json.field("circuit").map_err(bad_request)?)
-                    .map_err(bad_request)?;
-                Ok(CircuitPayload::Structured(Arc::new(circuit)))
-            }
-            "qasm" => Ok(CircuitPayload::Qasm(
-                json.str_field("source").map_err(bad_request)?.to_string(),
-            )),
-            other => Err(WireError::BadRequest {
-                message: format!("unknown circuit format `{other}` (expected `json` or `qasm`)"),
-                line: None,
-            }),
-        }
-    }
-
     /// Produces the executable circuit, parsing QASM if necessary.
     ///
     /// # Errors
@@ -410,7 +372,7 @@ impl CircuitPayload {
     /// for parse failures.
     pub fn realize(&self) -> Result<Arc<Circuit>, WireError> {
         match self {
-            CircuitPayload::Structured(circuit) => Ok(Arc::clone(circuit)),
+            CircuitPayload::Circuit(circuit) => Ok(Arc::clone(circuit)),
             CircuitPayload::Qasm(source) => match from_qasm(source) {
                 Ok(circuit) => Ok(Arc::new(circuit)),
                 Err(e) => Err(WireError::BadRequest {
@@ -430,7 +392,7 @@ fn bad_request(e: impl fmt::Display) -> WireError {
 }
 
 /// One wire-level evaluation request: everything an
-/// [`EvalRequest`] holds, with the circuit still in its travel format.
+/// [`EvalRequest`] holds, with the circuit in memory or as QASM text.
 #[derive(Debug, Clone)]
 pub struct Submission {
     /// Caller-chosen circuit label, echoed on the reply.
@@ -443,12 +405,13 @@ pub struct Submission {
     pub runs: usize,
     /// First seed; run `i` uses `base_seed + i`.
     pub base_seed: u64,
-    /// The circuit, structured or as QASM text.
+    /// The circuit, in memory or as QASM text.
     pub circuit: CircuitPayload,
 }
 
 impl Submission {
-    /// Builds a structured-circuit submission with one run at seed 0.
+    /// Builds a submission of an in-memory circuit, with one run at seed
+    /// 0. Its frame carries the circuit as QASM text.
     pub fn structured(
         label: impl Into<String>,
         circuit: Arc<Circuit>,
@@ -461,7 +424,7 @@ impl Submission {
             design,
             runs: 1,
             base_seed: 0,
-            circuit: CircuitPayload::Structured(circuit),
+            circuit: CircuitPayload::Circuit(circuit),
         }
     }
 
@@ -482,9 +445,9 @@ impl Submission {
         }
     }
 
-    /// Lifts an in-process [`EvalRequest`] onto the wire (structured
-    /// form, sharing the circuit `Arc`). This is what lets one request
-    /// list drive both the in-process server and the daemon.
+    /// Lifts an in-process [`EvalRequest`] onto the wire, sharing the
+    /// circuit `Arc`. This is what lets one request list drive both the
+    /// in-process server and the daemon.
     pub fn from_request(request: &EvalRequest) -> Self {
         Self {
             label: request.circuit_label.clone(),
@@ -492,7 +455,7 @@ impl Submission {
             design: request.design,
             runs: request.runs,
             base_seed: request.base_seed,
-            circuit: CircuitPayload::Structured(Arc::clone(&request.circuit)),
+            circuit: CircuitPayload::Circuit(Arc::clone(&request.circuit)),
         }
     }
 
@@ -514,8 +477,8 @@ impl Submission {
     ///
     /// # Errors
     ///
-    /// [`WireError::BadRequest`] if the circuit payload does not parse
-    /// (QASM line attached) or `runs` is zero.
+    /// [`WireError::BadRequest`] if `runs` is zero or the QASM text does
+    /// not parse (its line attached).
     pub fn to_eval_request(&self) -> Result<EvalRequest, WireError> {
         if self.runs == 0 {
             return Err(WireError::BadRequest {
@@ -538,13 +501,18 @@ impl Submission {
 pub fn hello_frame(client: &str) -> Json {
     Json::object([
         ("type", Json::from("hello")),
-        ("protocol", Json::Int(PROTOCOL_VERSION)),
+        ("protocol", Json::from(PROTOCOL_VERSION)),
         ("client", Json::from(client)),
     ])
 }
 
-/// Builds a tagged `submit` frame.
+/// Builds a tagged `submit` frame. An in-memory circuit is rendered as
+/// QASM text here.
 pub fn submit_frame(tag: u64, submission: &Submission) -> Json {
+    let circuit = match &submission.circuit {
+        CircuitPayload::Circuit(circuit) => to_qasm(circuit),
+        CircuitPayload::Qasm(source) => source.clone(),
+    };
     Json::object([
         ("type", Json::from("submit")),
         ("tag", Json::uint(tag)),
@@ -553,7 +521,7 @@ pub fn submit_frame(tag: u64, submission: &Submission) -> Json {
         ("design", Json::from(submission.design.name())),
         ("runs", Json::from(submission.runs)),
         ("base_seed", Json::uint(submission.base_seed)),
-        ("circuit", submission.circuit.to_json()),
+        ("circuit", Json::Str(circuit)),
     ])
 }
 
@@ -645,7 +613,9 @@ pub fn parse_client_frame(json: &Json) -> Result<ClientFrame, WireError> {
                 design,
                 runs: json.usize_field("runs").map_err(bad_request)?,
                 base_seed: json.u64_field("base_seed").map_err(bad_request)?,
-                circuit: CircuitPayload::from_json(json.field("circuit").map_err(bad_request)?)?,
+                circuit: CircuitPayload::Qasm(
+                    json.str_field("circuit").map_err(bad_request)?.to_string(),
+                ),
             };
             Ok(ClientFrame::Submit { tag, submission })
         }
@@ -693,7 +663,7 @@ impl Welcome {
     pub fn to_json(&self) -> Json {
         Json::object([
             ("type", Json::from("welcome")),
-            ("protocol", Json::Int(self.protocol)),
+            ("protocol", Json::from(self.protocol)),
             ("server", Json::from(self.server.as_str())),
             (
                 "points",
@@ -880,11 +850,7 @@ pub fn parse_server_frame(json: &Json) -> Result<ServerFrame, JsonError> {
                     .ok_or_else(|| JsonError::schema("field `cache_hit`: expected a bool"))?,
                 latency_ms: json.f64_field("latency_ms")?,
                 trace_id: optional_trace_id(json)?,
-                reports: json
-                    .array_field("reports")?
-                    .iter()
-                    .map(ExecutionReport::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
+                reports: reports_from_json(json.array_field("reports")?)?,
             },
         },
         "error" => ServerFrame::Error {
@@ -910,6 +876,18 @@ pub fn parse_server_frame(json: &Json) -> Result<ServerFrame, JsonError> {
         "bye" => ServerFrame::Bye,
         other => return Err(JsonError::schema(format!("unknown frame type `{other}`"))),
     })
+}
+
+/// Decodes a reply's reports into a vector of exactly their number. A
+/// `collect` through `Result` starts at capacity 4, so a client that
+/// keeps its replies would hold twice the report memory of a two-run
+/// request.
+fn reports_from_json(items: &[Json]) -> Result<Vec<ExecutionReport>, JsonError> {
+    let mut reports = Vec::with_capacity(items.len());
+    for item in items {
+        reports.push(ExecutionReport::from_json(item)?);
+    }
+    Ok(reports)
 }
 
 /// Reads the optional v3 `trace_id` field: absent or `null` means none
@@ -947,6 +925,12 @@ mod tests {
                 .runs(4)
                 .base_seed(99);
         let frame = submit_frame(7, &submission);
+        // The in-memory circuit travels as its QASM text.
+        let qasm = dqc_circuit::to_qasm(&circuit);
+        assert_eq!(
+            frame.get("circuit").and_then(Json::as_str),
+            Some(qasm.as_str())
+        );
         let reparsed = Json::parse(&frame.to_compact_string()).unwrap();
         match parse_client_frame(&reparsed).unwrap() {
             ClientFrame::Submit { tag, submission } => {

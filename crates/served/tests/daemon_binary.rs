@@ -36,6 +36,9 @@ fn report_json(reports: &[ExecutionReport]) -> Vec<String> {
         .collect()
 }
 
+/// Each circuit, submitted in memory (`Submission::structured`, the
+/// `json` of the name) and as QASM text, gets the reports of direct
+/// evaluation from the binary under both launch configurations.
 #[test]
 fn daemon_binary_serves_json_and_qasm_identically_to_direct_evaluation() {
     let shipped = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/served.json");
@@ -104,8 +107,9 @@ fn daemon_binary_serves_json_and_qasm_identically_to_direct_evaluation() {
         assert_eq!(client.welcome().points, ["paper", "paper64"]);
         assert_eq!(client.welcome().config, resolved, "{flags:?}");
 
-        // Every circuit travels twice, as structured JSON and as QASM text,
-        // pipelined on one connection; each tag maps to direct evaluation.
+        // Every circuit is submitted twice, in memory and as QASM text
+        // (both sent as QASM), pipelined on one connection; each tag maps
+        // to direct evaluation.
         let mut expected = BTreeMap::new();
         for (seed, (label, circuit, design)) in (0u64..).zip(circuits) {
             let direct = report_json(

@@ -34,15 +34,17 @@ use std::fmt;
 /// lookup ([`Json::get`]) is linear, which is fine at report sizes.
 /// Integers and floats are kept distinct so counters round-trip exactly:
 /// the parser yields [`Json::Int`] for literals without a fraction or
-/// exponent that fit `i64`, and [`Json::Float`] otherwise.
+/// exponent in `i64::MIN..=u64::MAX`, and [`Json::Float`] otherwise, so
+/// every `i64` and every `u64` survives write → parse unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer literal (no fraction or exponent, fits `i64`).
-    Int(i64),
+    /// An integer literal (no fraction or exponent) in
+    /// `i64::MIN..=u64::MAX`.
+    Int(i128),
     /// Any other finite number.
     Float(f64),
     /// A string.
@@ -108,11 +110,10 @@ impl Json {
         }
     }
 
-    /// Wraps an unsigned counter, preserving exactness: values that fit
-    /// `i64` become [`Json::Int`], larger ones fall back to a float.
+    /// Wraps an unsigned counter exactly, across the whole `u64` range.
     #[inline]
     pub fn uint(value: u64) -> Json {
-        i64::try_from(value).map_or(Json::Float(value as f64), Json::Int)
+        Json::Int(value.into())
     }
 
     /// Builds an object from `(key, value)` pairs in the given order.
@@ -128,7 +129,7 @@ impl From<bool> for Json {
 }
 impl From<i64> for Json {
     fn from(v: i64) -> Self {
-        Json::Int(v)
+        Json::Int(v.into())
     }
 }
 impl From<usize> for Json {
@@ -179,15 +180,19 @@ impl Json {
 
     /// Integer view (floats with integral values do not coerce).
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
-            _ => None,
-        }
+        self.as_int()
     }
 
     /// Unsigned view of an integer.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|i| u64::try_from(i).ok())
+        self.as_int()
+    }
+
+    fn as_int<T: TryFrom<i128>>(&self) -> Option<T> {
+        match self {
+            Json::Int(i) => T::try_from(*i).ok(),
+            _ => None,
+        }
     }
 
     /// String view.
@@ -270,39 +275,21 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError::Schema`] when missing or not an integer.
+    /// [`JsonError::Schema`] when missing, not an integer, or outside
+    /// `i64`.
     pub fn i64_field(&self, key: &str) -> Result<i64, JsonError> {
-        let v = self.field(key)?;
-        v.as_i64().ok_or_else(|| {
-            JsonError::schema(format!(
-                "field `{key}`: expected integer, got {}",
-                v.type_name()
-            ))
-        })
+        self.int_field(key, "integer")
     }
 
-    /// Required unsigned-integer member. Accepts the integral-float
-    /// fallback that [`Json::uint`] (and the parser, for literals above
-    /// `i64::MAX`) produce for very large counters, so `uint` → `u64_field`
-    /// round-trips across the whole `u64` range.
+    /// Required unsigned-integer member, exact across the whole `u64`
+    /// range that [`Json::uint`] writes.
     ///
     /// # Errors
     ///
-    /// [`JsonError::Schema`] when missing, non-numeric, negative, or not
-    /// an integral value in `u64` range.
+    /// [`JsonError::Schema`] when missing, not an integer, or outside
+    /// `u64`.
     pub fn u64_field(&self, key: &str) -> Result<u64, JsonError> {
-        let err = |got: &dyn fmt::Display| {
-            JsonError::schema(format!(
-                "field `{key}`: expected unsigned integer, got {got}"
-            ))
-        };
-        match self.field(key)? {
-            Json::Int(i) => u64::try_from(*i).map_err(|_| err(i)),
-            Json::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f <= u64::MAX as f64 => {
-                Ok(*f as u64)
-            }
-            v => Err(err(&v.type_name())),
-        }
+        self.int_field(key, "unsigned integer")
     }
 
     /// Required `usize` member.
@@ -311,9 +298,20 @@ impl Json {
     ///
     /// [`JsonError::Schema`] when missing, not an integer, or out of range.
     pub fn usize_field(&self, key: &str) -> Result<usize, JsonError> {
-        let i = self.i64_field(key)?;
-        usize::try_from(i)
-            .map_err(|_| JsonError::schema(format!("field `{key}`: expected usize, got {i}")))
+        self.int_field(key, "usize")
+    }
+
+    fn int_field<T: TryFrom<i128>>(&self, key: &str, expected: &str) -> Result<T, JsonError> {
+        let got = match self.field(key)? {
+            Json::Int(i) => match T::try_from(*i) {
+                Ok(value) => return Ok(value),
+                Err(_) => i.to_string(),
+            },
+            v => v.type_name().to_string(),
+        };
+        Err(JsonError::schema(format!(
+            "field `{key}`: expected {expected}, got {got}"
+        )))
     }
 
     /// Required string member.
@@ -711,8 +709,10 @@ impl<'a> Parser<'a> {
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
+            if let Ok(i) = text.parse::<i128>() {
+                if (i128::from(i64::MIN)..=i128::from(u64::MAX)).contains(&i) {
+                    return Ok(Json::Int(i));
+                }
             }
         }
         match text.parse::<f64>() {
@@ -880,8 +880,15 @@ mod tests {
 
     #[test]
     fn huge_integer_literals_degrade_to_float() {
-        let v = Json::parse("99999999999999999999").unwrap();
-        assert!(matches!(v, Json::Float(_)));
+        // Just past `u64::MAX` and just below `i64::MIN`, too.
+        for text in [
+            "99999999999999999999",
+            "18446744073709551616",
+            "-9223372036854775809",
+        ] {
+            let v = Json::parse(text).unwrap();
+            assert!(matches!(v, Json::Float(_)), "{text}");
+        }
     }
 
     #[test]
@@ -1049,28 +1056,43 @@ mod tests {
     #[test]
     fn uint_preserves_exactness_where_possible() {
         assert_eq!(Json::uint(42), Json::Int(42));
-        assert!(matches!(Json::uint(u64::MAX), Json::Float(_)));
+        assert_eq!(Json::uint(u64::MAX), Json::Int(u64::MAX.into()));
+        assert_eq!(
+            Json::uint(u64::MAX).to_compact_string(),
+            u64::MAX.to_string()
+        );
     }
 
     #[test]
     fn u64_field_round_trips_the_full_range() {
-        // Values above i64::MAX degrade to a float on write (f64
-        // precision) but must still read back as unsigned, including
-        // through actual document text.
-        for v in [0u64, 42, i64::MAX as u64, 1 << 60, u64::MAX] {
+        // Every value reads back exactly, including through actual
+        // document text: a seed or tag of `u64::MAX - 1` must not come
+        // back as its nearest float.
+        let i64_max = i64::MAX as u64;
+        for v in [
+            0,
+            42,
+            i64_max,
+            i64_max + 1,
+            u64::MAX - 5,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
             let doc = Json::object([("v", Json::uint(v))]);
             let reparsed = Json::parse(&doc.to_compact_string()).unwrap();
-            let back = reparsed.u64_field("v").unwrap();
-            let expected = if v <= i64::MAX as u64 {
-                v
-            } else {
-                v as f64 as u64
-            };
-            assert_eq!(back, expected, "{v}");
+            assert_eq!(reparsed.u64_field("v").unwrap(), v, "{v}");
+            assert_eq!(reparsed.get("v").and_then(Json::as_u64), Some(v), "{v}");
         }
-        let bad = Json::parse(r#"{"v": -1, "w": 1.5, "x": "9"}"#).unwrap();
-        assert!(bad.u64_field("v").is_err());
-        assert!(bad.u64_field("w").is_err());
-        assert!(bad.u64_field("x").is_err());
+        // Integers outside i64 read as u64 but never as i64, and the
+        // signed extreme reads as i64 but never as u64.
+        let wide =
+            Json::parse(r#"{"v": 18446744073709551615, "n": -9223372036854775808}"#).unwrap();
+        assert!(wide.i64_field("v").is_err());
+        assert_eq!(wide.i64_field("n").unwrap(), i64::MIN);
+        assert!(wide.u64_field("n").is_err());
+        let bad = Json::parse(r#"{"v": -1, "w": 1.5, "x": "9", "y": 1e19}"#).unwrap();
+        for key in ["v", "w", "x", "y"] {
+            assert!(bad.u64_field(key).is_err(), "{key}");
+        }
     }
 }

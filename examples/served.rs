@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Binds a [`dqc::Served`] daemon on a loopback port, then connects a
-//! [`dqc::ServedClient`] and submits the same circuit twice — once as a
-//! structured JSON payload, once as OpenQASM 2.0 text — showing that
-//! both travel formats land on one warm compile-cache entry. A second,
+//! [`dqc::ServedClient`] and submits the same circuit twice — once as an
+//! in-memory circuit, once as OpenQASM 2.0 text, both sent as QASM —
+//! showing that both land on one warm compile-cache entry. A second,
 //! quota-capped scenario shows a greedy client throttled with a typed
 //! `QuotaExceeded` while the daemon's counters keep the ledger.
 //!
@@ -39,9 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         welcome.server, welcome.protocol, welcome.points
     );
 
-    // The same circuit in both travel formats. The QASM text parses to
-    // a fingerprint-identical circuit, so the second submission is a
-    // cache hit on the entry the first one warmed.
+    // The same circuit in memory and as QASM text. The client renders
+    // the first as QASM too, and the daemon parses both to one
+    // fingerprint, so the second submission is a cache hit on the entry
+    // the first one warmed.
     let circuit = Arc::new(qft(16));
     let structured =
         Submission::structured("qft-16", Arc::clone(&circuit), "paper", Design::AdaptBuf)

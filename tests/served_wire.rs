@@ -1,15 +1,16 @@
 //! Wire-level contracts of the `dqc-served` daemon: crossing the TCP
 //! frame protocol never changes results (byte-identical per-seed reports
-//! versus direct in-process evaluation, from concurrent connections, via
-//! both circuit travel formats), per-client quotas throttle a greedy
-//! client without touching a polite one, malformed QASM is refused with
-//! its 1-based source line intact, a full shard queue surfaces as a
-//! typed retryable `Overloaded`, a client speaking another protocol
-//! version is turned away at the handshake, and a configuration that
-//! could serve nobody never binds — all on loopback sockets the tests
-//! own.
+//! versus direct in-process evaluation, from concurrent connections, for
+//! in-memory circuits and QASM text alike, both sent as QASM), tags and
+//! seeds keep every bit of their `u64` range, per-client quotas throttle
+//! a greedy client without touching a polite one, malformed QASM is
+//! refused with its 1-based source line intact, a full shard queue
+//! surfaces as a typed retryable `Overloaded`, a client speaking another
+//! protocol version is turned away at the handshake, and a configuration
+//! that could serve nobody never binds — all on loopback sockets the
+//! tests own.
 
-use dqc::served::protocol::{parse_server_frame, ServerFrame};
+use dqc::served::protocol::{hello_frame, parse_server_frame, ServerFrame};
 use dqc::served::{
     read_frame, write_frame, FrameError, QuotaScope, ServedBuilder, ServedError, Submission,
     WireError, WireOutput, PROTOCOL_VERSION,
@@ -54,8 +55,8 @@ fn direct_report_json(requests: &[EvalRequest]) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Pipelines every request over one connection (structured JSON or QASM
-/// text) and returns the outputs in request order.
+/// Pipelines every request over one connection (as the in-memory
+/// circuit or as QASM text) and returns the outputs in request order.
 fn drive(addr: &str, client_id: &str, requests: &[EvalRequest], as_qasm: bool) -> Vec<WireOutput> {
     let mut client = ServedClient::connect(addr, client_id).expect("client connects");
     let mut tags = Vec::new();
@@ -90,9 +91,9 @@ fn drive(addr: &str, client_id: &str, requests: &[EvalRequest], as_qasm: bool) -
         .collect()
 }
 
-/// The headline contract: two concurrent connections — one speaking
-/// structured JSON, one speaking OpenQASM text — both receive per-seed
-/// reports byte-identical to direct in-process evaluation.
+/// The headline contract: two concurrent connections — one submitting
+/// in-memory circuits, one submitting OpenQASM text — both receive
+/// per-seed reports byte-identical to direct in-process evaluation.
 #[test]
 fn wire_results_are_byte_identical_from_concurrent_connections() {
     let daemon = ServedBuilder::new()
@@ -104,16 +105,16 @@ fn wire_results_are_byte_identical_from_concurrent_connections() {
     let requests = wire_requests();
     let expected = direct_report_json(&requests);
 
-    let (json_outputs, qasm_outputs) = std::thread::scope(|scope| {
-        let json = scope.spawn(|| drive(&addr, "json-client", &requests, false));
+    let (circuit_outputs, qasm_outputs) = std::thread::scope(|scope| {
+        let circuit = scope.spawn(|| drive(&addr, "circuit-client", &requests, false));
         let qasm = scope.spawn(|| drive(&addr, "qasm-client", &requests, true));
         (
-            json.join().expect("json client"),
+            circuit.join().expect("circuit client"),
             qasm.join().expect("qasm client"),
         )
     });
 
-    for (which, outputs) in [("json", &json_outputs), ("qasm", &qasm_outputs)] {
+    for (which, outputs) in [("circuit", &circuit_outputs), ("qasm", &qasm_outputs)] {
         for ((request, output), expected) in requests.iter().zip(outputs).zip(&expected) {
             let got: Vec<String> = output
                 .reports
@@ -125,6 +126,8 @@ fn wire_results_are_byte_identical_from_concurrent_connections() {
                 "{which} path altered reports for {}",
                 request.circuit_label,
             );
+            // A kept reply holds no spare report slots.
+            assert_eq!(output.reports.capacity(), output.reports.len());
             assert_eq!(output.label, request.circuit_label);
             assert_eq!(output.point, "paper");
         }
@@ -463,11 +466,11 @@ fn full_queue_is_reported_as_overloaded() {
 }
 
 /// The handshake's version gate, driven by a raw socket: a `hello` for
-/// protocol v5 gets one fatal, untagged `protocol` error naming both
+/// protocol v6 gets one fatal, untagged `protocol` error naming both
 /// versions, then end-of-stream, and counts as one protocol error.
 #[test]
 fn hello_for_an_older_protocol_is_refused_then_closed() {
-    assert_eq!(PROTOCOL_VERSION, 6);
+    assert_eq!(PROTOCOL_VERSION, 7);
     let daemon = ServedBuilder::new()
         .hardware_point("paper", SystemConfig::paper_two_node_32())
         .workers_per_shard(1)
@@ -478,7 +481,7 @@ fn hello_for_an_older_protocol_is_refused_then_closed() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
-    let hello = Json::parse(r#"{"type":"hello","protocol":5,"client":"v5-client"}"#).unwrap();
+    let hello = Json::parse(r#"{"type":"hello","protocol":6,"client":"v6-client"}"#).unwrap();
     write_frame(&mut stream, &hello).expect("hello is sent");
 
     let frame = read_frame(&mut stream).expect("the refusal arrives");
@@ -488,8 +491,8 @@ fn hello_for_an_older_protocol_is_refused_then_closed() {
             error: WireError::Protocol { message },
             ..
         } => {
-            assert!(message.contains("client speaks 5"), "{message}");
-            assert!(message.contains("server speaks 6"), "{message}");
+            assert!(message.contains("client speaks 6"), "{message}");
+            assert!(message.contains("server speaks 7"), "{message}");
         }
         other => panic!("expected an untagged protocol error, got {other:?}"),
     }
@@ -501,6 +504,87 @@ fn hello_for_an_older_protocol_is_refused_then_closed() {
     let wire = daemon.shutdown().daemon;
     assert_eq!(wire.protocol_errors, 1);
     assert_eq!(wire.connections_accepted, 1);
+}
+
+/// Raw `submit` frames keep every bit of a `u64`, and a circuit that is
+/// not QASM text is refused per request. A structured circuit object (the
+/// pre-v7 encoding) gets a `bad_request` under its own tag; the next
+/// `submit` on the same connection — tag `u64::MAX - 5`, `base_seed`
+/// `u64::MAX - 1`, one run — is answered under that exact tag with the
+/// reports of direct evaluation at that exact seed.
+#[test]
+fn raw_submits_keep_full_range_tags_and_seeds_and_refuse_non_text_circuits() {
+    let daemon = ServedBuilder::new()
+        .hardware_point("paper", SystemConfig::paper_two_node_32())
+        .workers_per_shard(1)
+        .bind("127.0.0.1:0")
+        .expect("daemon binds");
+    let stream = TcpStream::connect(daemon.local_addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let next_frame = || {
+        let frame = read_frame(&mut &stream).expect("a frame");
+        parse_server_frame(&frame).expect("a well-formed server frame")
+    };
+    write_frame(&mut &stream, &hello_frame("raw-client")).expect("hello is sent");
+    assert!(matches!(next_frame(), ServerFrame::Welcome(_)));
+
+    let (tag, seed) = (u64::MAX - 5, u64::MAX - 1);
+    let at = |seed| wire_requests()[0].clone().runs(1).base_seed(seed);
+    let request = at(seed);
+    let expected = direct_report_json(&[at(seed), at(u64::MAX)]);
+    // The neighbouring seed answers differently, so a seed rounded on
+    // the way in could not pass.
+    assert_ne!(expected[0], expected[1]);
+    let submit = |tag: u64, circuit: Json| {
+        Json::object([
+            ("type", Json::from("submit")),
+            ("tag", Json::uint(tag)),
+            ("label", Json::from(request.circuit_label.as_str())),
+            ("point", Json::from("paper")),
+            ("design", Json::from(request.design.name())),
+            ("runs", Json::from(request.runs)),
+            ("base_seed", Json::uint(seed)),
+            ("circuit", circuit),
+        ])
+    };
+    let structured = Json::object([("num_qubits", Json::uint(2)), ("ops", Json::Array(vec![]))]);
+    write_frame(&mut &stream, &submit(tag - 2, structured)).expect("submit is sent");
+    let qasm = Json::from(dqc::circuit::to_qasm(&request.circuit));
+    write_frame(&mut &stream, &submit(tag, qasm)).expect("submit is sent");
+
+    match next_frame() {
+        ServerFrame::Error {
+            tag: Some(refused),
+            error: WireError::BadRequest { message, line },
+            ..
+        } => {
+            assert_eq!(refused, tag - 2);
+            assert_eq!(line, None);
+            assert!(message.contains("`circuit`"), "{message}");
+        }
+        other => panic!("expected a tagged bad_request, got {other:?}"),
+    }
+    match next_frame() {
+        ServerFrame::Result {
+            tag: answered,
+            output,
+        } => {
+            assert_eq!(answered, tag);
+            let got: Vec<String> = output
+                .reports
+                .iter()
+                .map(|report| report.to_json().to_compact_string())
+                .collect();
+            assert_eq!(got, expected[0]);
+        }
+        other => panic!("expected the result, got {other:?}"),
+    }
+
+    let wire = daemon.shutdown().daemon;
+    assert_eq!(wire.bad_requests, 1);
+    assert_eq!(wire.protocol_errors, 0);
 }
 
 /// A builder-made configuration that could serve nobody — a zero queue,
