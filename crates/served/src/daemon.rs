@@ -20,7 +20,15 @@
 //! `overloaded`, `bad_request`) are answered inline from the reader
 //! thread, so a refused request never consumes shard-queue space.
 //!
+//! Every accepted socket has `TCP_NODELAY` set, as [`ServedClient`]
+//! sets it on its end, so each frame leaves when the writer flushes it.
+//! With Nagle's algorithm on, a small frame written while an earlier one
+//! is still unacknowledged waits for that ACK, which the client delays
+//! until its next submit; that wait was most of a warm request's round
+//! trip.
+//!
 //! [`bind`]: ServedBuilder::bind
+//! [`ServedClient`]: crate::ServedClient
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::protocol::{
@@ -35,7 +43,7 @@ use dqc_serve::{
     EvalResponse, RateLimit, ServeBuilder, ServeConfig, ServeError, ServeStats, Server,
 };
 use dqc_types::Json;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter};
@@ -229,7 +237,7 @@ impl ServedBuilder {
             trace_ring: self.trace_ring,
             closing: AtomicBool::new(false),
             epoch: Instant::now(),
-            conns: Mutex::new(HashMap::new()),
+            conns: Mutex::new(BTreeMap::new()),
             conn_threads: Mutex::new(Vec::new()),
         });
 
@@ -296,13 +304,14 @@ impl Served {
             let _ = accept.join();
         }
         // Sever every connection; readers see EOF and exit.
-        for (_, stream) in self
-            .shared
-            .conns
-            .lock()
-            .expect("connection registry poisoned")
-            .drain()
-        {
+        let conns = std::mem::take(
+            &mut *self
+                .shared
+                .conns
+                .lock()
+                .expect("connection registry poisoned"),
+        );
+        for stream in conns.into_values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         let conn_threads: Vec<_> = self
@@ -353,7 +362,7 @@ struct Shared {
     trace_ring: Option<Arc<RingRecorder>>,
     closing: AtomicBool,
     epoch: Instant,
-    conns: Mutex<HashMap<u64, TcpStream>>,
+    conns: Mutex<BTreeMap<u64, TcpStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -459,6 +468,10 @@ fn accept_loop(listener: &TcpListener, server: &Arc<Server>, shared: &Arc<Shared
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Nagle off, so each frame leaves when the writer flushes it (see
+        // the module docs). The option is the socket's, so the clones
+        // below share it; failing to set it costs latency, never an answer.
+        let _ = stream.set_nodelay(true);
         let Ok(registered) = stream.try_clone() else {
             continue;
         };
@@ -698,5 +711,35 @@ fn handle_submit(
             &WireError::from_serve(e),
             Some(trace),
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServedClient;
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        let daemon = ServedBuilder::new()
+            .hardware_point("paper", SystemConfig::paper_two_node_32())
+            .workers_per_shard(0)
+            .bind("127.0.0.1:0")
+            .unwrap();
+        // The accept thread registers a socket before its connection
+        // thread sends `welcome`, so a finished handshake means the
+        // registry holds it.
+        let client = ServedClient::connect(daemon.local_addr(), "nodelay").unwrap();
+        let nodelay: Vec<_> = daemon
+            .shared
+            .conns
+            .lock()
+            .unwrap()
+            .values()
+            .map(|stream| stream.nodelay().ok())
+            .collect();
+        assert_eq!(nodelay, [Some(true)], "accepted socket keeps Nagle on");
+        client.bye().unwrap();
+        daemon.shutdown();
     }
 }

@@ -11,7 +11,11 @@
 //!
 //! Frames are capped at [`MAX_FRAME_BYTES`]; an oversized length prefix
 //! is rejected *before* allocating, so a garbage or hostile peer cannot
-//! balloon the daemon's memory.
+//! balloon the daemon's memory. Below the cap, the payload buffer grows
+//! with the bytes received, not with the declared length: it starts at
+//! no more than 64 KiB (one allocation for every result frame and every
+//! portfolio submit), so a peer that announces 16 MiB and sends little
+//! holds little.
 
 use dqc_types::Json;
 use std::error::Error;
@@ -19,9 +23,13 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Largest accepted frame payload (16 MiB) — comfortably above any
-/// portfolio circuit (QFT-32 serializes under 100 KiB) and far below
-/// anything that could hurt the daemon.
+/// portfolio circuit (QFT-32's submit is about 20 KB of QASM) and far
+/// below anything that could hurt the daemon.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
+
+/// The payload buffer's starting capacity, at most: a longer frame grows
+/// it as its bytes arrive.
+const INITIAL_PAYLOAD_BYTES: usize = 64 * 1024;
 
 /// Everything that can go wrong reading or writing a frame.
 #[derive(Debug)]
@@ -107,8 +115,11 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Json, FrameError> {
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge { bytes: len });
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(INITIAL_PAYLOAD_BYTES));
+    reader.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     let text = String::from_utf8(payload)
         .map_err(|e| FrameError::BadPayload(format!("not UTF-8: {e}")))?;
     Json::parse(&text).map_err(|e| FrameError::BadPayload(e.to_string()))
@@ -125,11 +136,16 @@ mod tests {
             ("protocol", Json::Int(1)),
             ("nested", Json::Array(vec![Json::float(0.25), Json::Null])),
         ]);
+        // Longer than the initial payload buffer, so the read grows it.
+        let long = Json::object([("pad", Json::from("x".repeat(3 * INITIAL_PAYLOAD_BYTES)))]);
         let mut wire = Vec::new();
         write_frame(&mut wire, &doc).unwrap();
+        write_frame(&mut wire, &long).unwrap();
         let mut cursor = wire.as_slice();
-        let back = read_frame(&mut cursor).unwrap();
-        assert_eq!(back.to_compact_string(), doc.to_compact_string());
+        for sent in [&doc, &long] {
+            let back = read_frame(&mut cursor).unwrap();
+            assert_eq!(back.to_compact_string(), sent.to_compact_string());
+        }
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
     }
 
@@ -169,6 +185,42 @@ mod tests {
         // A truncated length prefix is equally a mid-frame disconnect.
         let err = read_frame(&mut [0u8, 0u8].as_slice()).unwrap_err();
         assert!(matches!(err, FrameError::Io(_)), "{err}");
+    }
+
+    /// A peer that records the largest buffer any read offers it.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest_read: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_read = self.largest_read.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn payload_buffer_follows_the_bytes_received() {
+        // Declares the largest legal frame, then sends 100 bytes of it.
+        let mut wire = u32::try_from(MAX_FRAME_BYTES)
+            .unwrap()
+            .to_be_bytes()
+            .to_vec();
+        wire.extend_from_slice(&[b' '; 100]);
+        let mut peer = Recording {
+            bytes: &wire,
+            largest_read: 0,
+        };
+        match read_frame(&mut peer).unwrap_err() {
+            FrameError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected Io(UnexpectedEof), got {other}"),
+        }
+        assert!(
+            peer.largest_read <= INITIAL_PAYLOAD_BYTES,
+            "a read was offered {} bytes for 100 received",
+            peer.largest_read
+        );
     }
 
     #[test]
