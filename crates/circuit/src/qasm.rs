@@ -16,6 +16,9 @@ use std::fmt::Write as _;
 /// Measurements target a classical register of the same width as the
 /// qubit register.
 ///
+/// Each operation is written straight into one buffer, reserved from
+/// the operation count and trimmed to the text at the end.
+///
 /// # Examples
 ///
 /// ```
@@ -29,57 +32,76 @@ use std::fmt::Write as _;
 /// assert!(qasm.contains("measure q[0] -> c[0];"));
 /// ```
 pub fn to_qasm(circuit: &Circuit) -> String {
-    let mut out = String::new();
+    let ops = circuit.operations();
+    let angles = ops.iter().filter(|op| op.gate().param().is_some()).count();
+    let mut out = String::with_capacity(HEADER_BYTES + OP_BYTES * ops.len() + ANGLE_BYTES * angles);
     out.push_str("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n");
-    if circuit
-        .operations()
-        .iter()
-        .any(|op| matches!(op.gate(), Gate::Rzz(_)))
-    {
+    if ops.iter().any(|op| matches!(op.gate(), Gate::Rzz(_))) {
         // qelib1 has no rzz; define it (canonical decomposition) so the
         // native emission below stays standard OpenQASM 2.0.
         out.push_str("gate rzz(theta) a,b { cx a,b; rz(theta) b; cx a,b; }\n");
     }
     let n = circuit.num_qubits();
-    let _ = writeln!(out, "qreg q[{n}];");
-    let _ = writeln!(out, "creg c[{n}];");
-    for op in circuit.operations() {
-        let qs = op.qubits();
-        match op.gate() {
-            Gate::I => {
-                let _ = writeln!(out, "id q[{}];", qs[0].index());
-            }
-            Gate::Measure => {
-                let _ = writeln!(out, "measure q[{0}] -> c[{0}];", qs[0].index());
-            }
-            Gate::Phase(theta) => {
-                let _ = writeln!(out, "u1({theta}) q[{}];", qs[0].index());
-            }
-            Gate::CPhase(theta) => {
-                let _ = writeln!(
-                    out,
-                    "cu1({theta}) q[{}],q[{}];",
-                    qs[0].index(),
-                    qs[1].index()
-                );
-            }
-            g => {
-                let name = g.name();
-                match g.param() {
-                    Some(theta) => {
-                        let _ = write!(out, "{name}({theta}) ");
-                    }
-                    None => {
-                        let _ = write!(out, "{name} ");
-                    }
-                }
-                let operands: Vec<String> =
-                    qs.iter().map(|q| format!("q[{}]", q.index())).collect();
-                let _ = writeln!(out, "{};", operands.join(","));
+    push_indexed(&mut out, "qreg q", n);
+    out.push_str(";\n");
+    push_indexed(&mut out, "creg c", n);
+    out.push_str(";\n");
+    for op in ops {
+        let gate = op.gate();
+        out.push_str(match gate {
+            Gate::Phase(_) => "u1",
+            Gate::CPhase(_) => "cu1",
+            g => g.name(),
+        });
+        if let Some(theta) = gate.param() {
+            let _ = write!(out, "({theta})");
+        }
+        let qubits = op.qubits();
+        if matches!(gate, Gate::Measure) {
+            let q = qubits[0].index();
+            push_indexed(&mut out, " q", q);
+            push_indexed(&mut out, " -> c", q);
+        } else {
+            for (i, q) in qubits.iter().enumerate() {
+                push_indexed(&mut out, if i == 0 { " q" } else { ",q" }, q.index());
             }
         }
+        out.push_str(";\n");
     }
+    out.shrink_to_fit();
     out
+}
+
+/// The header, the `rzz` definition and both register declarations fit
+/// in this many bytes for registers of up to nine-digit width.
+const HEADER_BYTES: usize = 128;
+
+/// Bytes reserved per operation without its angle: the longest line,
+/// `measure q[10] -> c[10];`, with its newline.
+const OP_BYTES: usize = 24;
+
+/// Extra bytes reserved per angle: its parentheses and the 17
+/// significant digits, sign and point of a typical rotation. A longer
+/// angle grows the buffer.
+const ANGLE_BYTES: usize = 24;
+
+/// Appends `{prefix}[{index}]`, with the index in decimal.
+fn push_indexed(out: &mut String, prefix: &str, index: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    let mut rest = index;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(prefix);
+    out.push('[');
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+    out.push(']');
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! OpenQASM 2.0 import (the subset produced by [`crate::to_qasm`] plus
 //! common aliases).
 
-use crate::{Circuit, Gate};
+use crate::{Circuit, CircuitError, Gate};
 use dqc_types::QubitId;
 use std::error::Error;
 use std::fmt;
@@ -83,6 +83,11 @@ impl Error for ParseQasmError {}
 /// # }
 /// ```
 pub fn from_qasm(source: &str) -> Result<Circuit, ParseQasmError> {
+    // Every operation ends in `;`, so the statement count bounds the
+    // operation list, which is reserved once when `qreg` creates it. The
+    // shortest operation, `h [0];`, takes six bytes, so no text reserves
+    // more operations than it could hold.
+    let capacity = statement_count(source).min(source.len() / MIN_OPERATION_BYTES);
     let mut circuit: Option<Circuit> = None;
     for (idx, raw_line) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -107,16 +112,32 @@ pub fn from_qasm(source: &str) -> Result<Circuit, ParseQasmError> {
             if statement.is_empty() {
                 continue;
             }
-            parse_statement(statement, line_no, &mut circuit)?;
+            parse_statement(statement, line_no, &mut circuit, capacity)?;
         }
     }
     circuit.ok_or_else(|| ParseQasmError::new(0, "no qreg declaration found"))
+}
+
+/// Bytes in the shortest operation statement, `h [0];`.
+const MIN_OPERATION_BYTES: usize = 6;
+
+/// The number of `;` in `source`. Each chunk of at most 255 bytes is
+/// counted into a `u8`, which cannot overflow and which the compiler
+/// vectorizes; a plain `filter(..).count()` reads a byte at a time,
+/// which costs more than the reservation saves.
+fn statement_count(source: &str) -> usize {
+    source
+        .as_bytes()
+        .chunks(usize::from(u8::MAX))
+        .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b';'))))
+        .sum()
 }
 
 fn parse_statement(
     statement: &str,
     line: usize,
     circuit: &mut Option<Circuit>,
+    capacity: usize,
 ) -> Result<(), ParseQasmError> {
     let (head, rest) = match statement.find(|c: char| c.is_whitespace() || c == '(') {
         Some(pos) => statement.split_at(pos),
@@ -129,7 +150,7 @@ fn parse_statement(
             if circuit.is_some() {
                 return Err(ParseQasmError::new(line, "multiple qreg declarations"));
             }
-            *circuit = Some(Circuit::new(size));
+            *circuit = Some(Circuit::with_capacity(size, capacity));
             Ok(())
         }
         "measure" => {
@@ -150,12 +171,26 @@ fn parse_statement(
                 .as_mut()
                 .ok_or_else(|| ParseQasmError::new(line, "gate before qreg"))?;
             let (gate, operand_text) = parse_gate(name, rest.trim(), line)?;
-            let qubits: Result<Vec<QubitId>, _> = operand_text
-                .split(',')
-                .map(|t| parse_qubit(t.trim(), line))
-                .collect();
-            c.push(gate, &qubits?)
-                .map_err(|e| ParseQasmError::new(line, e.to_string()))?;
+            // Every operand is read, so the first malformed one is the
+            // one reported, but only the first two are kept: no gate
+            // takes more, and a longer list is an arity error.
+            let mut qubits = [QubitId::new(0); 2];
+            let mut count = 0;
+            for text in operand_text.split(',') {
+                let qubit = parse_qubit(text.trim(), line)?;
+                if let Some(slot) = qubits.get_mut(count) {
+                    *slot = qubit;
+                }
+                count += 1;
+            }
+            let pushed = match qubits.get(..count) {
+                Some(operands) => c.push(gate, operands),
+                None => Err(CircuitError::ArityMismatch {
+                    expected: gate.arity(),
+                    got: count,
+                }),
+            };
+            pushed.map_err(|e| ParseQasmError::new(line, e.to_string()))?;
             Ok(())
         }
     }
@@ -288,6 +323,18 @@ mod tests {
     }
 
     #[test]
+    fn statement_count_matches_a_plain_count_across_chunk_boundaries() {
+        for len in [0, 1, 254, 255, 256, 510, 511, 1000] {
+            let source: String = (0..len)
+                .map(|i| if i % 3 == 0 { ';' } else { 'h' })
+                .collect();
+            let plain = source.bytes().filter(|&b| b == b';').count();
+            assert_eq!(statement_count(&source), plain, "{len} bytes");
+        }
+        assert_eq!(statement_count(&";".repeat(600)), 600);
+    }
+
+    #[test]
     fn parses_pi_expressions() {
         let src = "qreg q[1]; rz(pi) q[0]; rz(pi/2) q[0]; rz(-pi/4) q[0]; rz(2*pi) q[0];";
         let c = from_qasm(src).unwrap();
@@ -398,6 +445,14 @@ mod tests {
         assert_eq!(err.message(), "gate h takes no parameter");
         let err = from_qasm("qreg q[2]; rz q[0];").unwrap_err();
         assert_eq!(err.message(), "gate rz needs an angle parameter");
+        // Operand counts: too many, too few, and a bad operand past the
+        // second, which is still the one reported.
+        let err = from_qasm("qreg q[3]; cx q[0],q[1],q[2];").unwrap_err();
+        assert_eq!(err.message(), "gate expects 2 operand(s), got 3");
+        let err = from_qasm("qreg q[3]; h q[0],q[1];").unwrap_err();
+        assert_eq!(err.message(), "gate expects 1 operand(s), got 2");
+        let err = from_qasm("qreg q[3]; cx q[0],q[1],zz;").unwrap_err();
+        assert_eq!(err.message(), "malformed operand zz");
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! the connection's writer. Everything is plain `std` threads and
 //! channels — no async runtime — matching the serving layer underneath.
 //!
+//! A submit's QASM text is parsed on its reader thread, after quota
+//! admission. Most submits resend a text the daemon has parsed before,
+//! so the daemon keeps a bounded parse cache beside its shards' compile
+//! caches (see `parse_cache`): a text equal byte for byte to a cached
+//! one reuses that circuit, parse-free. It holds at most
+//! `cache_capacity × points` texts of up to 64 KiB each, and never a
+//! failed parse.
+//!
 //! Ordering: replies to one connection arrive in *completion* order;
 //! clients correlate by tag. Admission errors (`quota_exceeded`,
 //! `overloaded`, `bad_request`) are answered inline from the reader
@@ -31,12 +39,14 @@
 //! [`ServedClient`]: crate::ServedClient
 
 use crate::frame::{read_frame, write_frame, FrameError};
+use crate::parse_cache::ParseCache;
 use crate::protocol::{
-    bye_frame, error_frame, metrics_reply_frame, parse_client_frame, result_frame,
+    bye_frame, error_frame, metrics_reply_frame, parse_client_frame, parse_qasm, result_frame,
     trace_reply_frame, ClientFrame, Submission, Welcome, WireError, WireOutput, PROTOCOL_VERSION,
     SERVER_NAME,
 };
 use crate::quota::AdmissionLedger;
+use dqc_circuit::Circuit;
 use dqc_core::{Design, SystemConfig};
 use dqc_obs::{Capture, Counter, Registry, RingRecorder, TraceId};
 use dqc_serve::{
@@ -231,8 +241,14 @@ impl ServedBuilder {
         // The daemon's counters live in the serving layer's registry, so
         // the `metrics` wire frame is one snapshot covering both layers.
         let counters = Counters::register(&server.registry());
+        // As many parsed texts as the shards hold compilations.
+        let parses = server
+            .config()
+            .cache_capacity
+            .saturating_mul(server.points().count());
         let shared = Arc::new(Shared {
             ledger: AdmissionLedger::new(quota),
+            parses: Mutex::new(ParseCache::new(parses)),
             counters,
             trace_ring: self.trace_ring,
             closing: AtomicBool::new(false),
@@ -350,6 +366,9 @@ pub struct ShutdownReport {
 /// accepted submissions (the writer threads deliberately hold none of
 /// it, so they can outlive shutdown briefly without pinning the daemon).
 ///
+/// The parse cache (`parses`) is the daemon's, not a connection's, so a
+/// text parsed for one client is reused for every other.
+///
 /// The connection registry (`conns`) exists so shutdown can sever live
 /// sockets; each entry is a dup'd descriptor, so a connection *must*
 /// remove its entry when it ends — otherwise the kernel keeps the
@@ -358,6 +377,7 @@ pub struct ShutdownReport {
 #[derive(Debug)]
 struct Shared {
     ledger: AdmissionLedger,
+    parses: Mutex<ParseCache>,
     counters: Counters,
     trace_ring: Option<Arc<RingRecorder>>,
     closing: AtomicBool,
@@ -369,6 +389,22 @@ struct Shared {
 impl Shared {
     fn now_micros(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+
+    /// The circuit a submitted QASM text describes: the cached parse of
+    /// an identical text, or a fresh parse, cached when it succeeds. The
+    /// lock is not held while parsing.
+    fn parse(&self, text: String) -> Result<Arc<Circuit>, WireError> {
+        let cached = self.parses.lock().expect("parse cache poisoned").get(&text);
+        if let Some(circuit) = cached {
+            return Ok(circuit);
+        }
+        let circuit = Arc::new(parse_qasm(&text)?);
+        self.parses
+            .lock()
+            .expect("parse cache poisoned")
+            .insert(text, Arc::clone(&circuit));
+        Ok(circuit)
     }
 }
 
@@ -541,7 +577,7 @@ fn connection_loop(stream: TcpStream, server: &Arc<Server>, shared: &Arc<Shared>
     let Ok(first) = read_frame(&mut reader) else {
         return;
     };
-    let client = match parse_client_frame(&first) {
+    let client = match parse_client_frame(first) {
         Ok(ClientFrame::Hello { protocol, client }) => {
             if protocol == PROTOCOL_VERSION {
                 client
@@ -593,9 +629,9 @@ fn connection_loop(stream: TcpStream, server: &Arc<Server>, shared: &Arc<Shared>
         // Recover the tag even from frames that fail to parse, so the
         // error reply still lands on the right request.
         let tag_hint = frame.get("tag").and_then(Json::as_u64);
-        match parse_client_frame(&frame) {
+        match parse_client_frame(frame) {
             Ok(ClientFrame::Submit { tag, submission }) => {
-                handle_submit(tag, &submission, &client, &reply_tx, server, shared);
+                handle_submit(tag, submission, &client, &reply_tx, server, shared);
             }
             Ok(ClientFrame::Metrics { tag }) => {
                 let frame = metrics_reply_frame(tag, &server.metrics());
@@ -651,12 +687,13 @@ fn connection_loop(stream: TcpStream, server: &Arc<Server>, shared: &Arc<Shared>
     }
 }
 
-/// Admission pipeline for one submission: quota, then decode/parse, then
-/// the shard queue. Refusals are answered inline; an accepted submission
-/// carries its [`reply`] into the queue.
+/// Admission pipeline for one submission: quota, then decode/parse
+/// (through the parse cache), then the shard queue. Refusals are
+/// answered inline; an accepted submission carries its [`reply`] into
+/// the queue.
 fn handle_submit(
     tag: u64,
-    submission: &Submission,
+    submission: Submission,
     client: &str,
     reply_tx: &Sender<Json>,
     server: &Arc<Server>,
@@ -673,7 +710,7 @@ fn handle_submit(
     // installed. Every exit below either hands the slot to the reply
     // (released when the request is served) or releases it itself.
     let trace = TraceId::mint();
-    let request = match submission.to_eval_request() {
+    let request = match submission.into_eval_request(|text| shared.parse(text)) {
         Ok(request) => request.trace(trace),
         Err(error) => {
             shared.ledger.release(client);
@@ -740,6 +777,137 @@ mod tests {
             .collect();
         assert_eq!(nodelay, [Some(true)], "accepted socket keeps Nagle on");
         client.bye().unwrap();
+        daemon.shutdown();
+    }
+
+    /// A daemon serving `points` (each the paper's two-node machine).
+    fn daemon(points: &[&str], cache_capacity: usize, workers: usize) -> Served {
+        points
+            .iter()
+            .fold(ServedBuilder::new(), |builder, point| {
+                builder.hardware_point(*point, SystemConfig::paper_two_node_32())
+            })
+            .cache_capacity(cache_capacity)
+            .workers_per_shard(workers)
+            .bind("127.0.0.1:0")
+            .unwrap()
+    }
+
+    /// A one-qubit program whose `rz` angle is `angle`, written verbatim.
+    fn rz_program(angle: &str) -> String {
+        format!("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrz({angle}) q[0];\nmeasure q[0] -> c[0];\n")
+    }
+
+    fn cached(daemon: &Served) -> usize {
+        daemon.shared.parses.lock().unwrap().len()
+    }
+
+    #[test]
+    fn a_resubmitted_text_reuses_its_circuit_and_reply() {
+        let daemon = daemon(&["paper"], 4, 1);
+        let text = dqc_circuit::to_qasm(&dqc_workloads::qft(6));
+        let first = daemon.shared.parse(text.clone()).unwrap();
+        let again = daemon.shared.parse(text.clone()).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a cached text is parsed again");
+
+        let mut client = ServedClient::connect(daemon.local_addr(), "resubmit").unwrap();
+        let submission = Submission::qasm("qft6", text, "paper", Design::AdaptBuf)
+            .runs(2)
+            .base_seed(7);
+        let mut outputs = Vec::new();
+        for _ in 0..3 {
+            client.submit(&submission).unwrap();
+            outputs.push(client.recv_reply().unwrap().outcome.unwrap());
+        }
+        // The first submit compiled the circuit; the next two are warm
+        // and answer alike, down to every report.
+        let warm = |o: &WireOutput| (o.label.clone(), o.cache_hit, o.reports.clone());
+        assert_eq!(warm(&outputs[1]), warm(&outputs[2]));
+        assert!(outputs[2].cache_hit);
+        assert_eq!(outputs[0].reports, outputs[2].reports);
+        assert_eq!(cached(&daemon), 1);
+        client.bye().unwrap();
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn texts_differing_in_one_angle_digit_are_two_circuits() {
+        let daemon = daemon(&["paper"], 4, 0);
+        let (low, high) = (rz_program("0.25"), rz_program("0.35"));
+        assert_eq!(low.len(), high.len());
+        let a = daemon.shared.parse(low.clone()).unwrap();
+        let b = daemon.shared.parse(high).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_ne!(a.operations(), b.operations());
+        assert_eq!(cached(&daemon), 2);
+        assert!(Arc::ptr_eq(&a, &daemon.shared.parse(low).unwrap()));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_failed_parse_is_answered_with_its_line_every_time_and_never_cached() {
+        let daemon = daemon(&["paper"], 4, 1);
+        let mut client = ServedClient::connect(daemon.local_addr(), "broken").unwrap();
+        let broken = Submission::qasm(
+            "broken",
+            "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n",
+            "paper",
+            Design::Original,
+        );
+        for _ in 0..2 {
+            client.submit(&broken).unwrap();
+            match client.recv_reply().unwrap().outcome {
+                Err(WireError::BadRequest { message, line }) => {
+                    assert_eq!(message, "unsupported gate frobnicate");
+                    assert_eq!(line, Some(3));
+                }
+                other => panic!("expected a bad_request, got {other:?}"),
+            }
+        }
+        assert_eq!(cached(&daemon), 0);
+        client.bye().unwrap();
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn the_cache_holds_at_most_cache_capacity_times_points() {
+        let daemon = daemon(&["paper", "twin"], 2, 0);
+        let texts: Vec<String> = (0..10).map(|i| rz_program(&format!("0.{i}"))).collect();
+        for text in &texts {
+            daemon.shared.parse(text.clone()).unwrap();
+            assert!(cached(&daemon) <= 4);
+        }
+        // The least recently used went first: the last four stay.
+        let mut parses = daemon.shared.parses.lock().unwrap();
+        let kept: Vec<bool> = texts.iter().map(|t| parses.get(t).is_some()).collect();
+        assert_eq!(kept, [[false; 6].as_slice(), &[true; 4]].concat());
+        drop(parses);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn texts_over_64_kib_are_not_cached() {
+        let daemon = daemon(&["paper"], 4, 0);
+        let mut text = String::from("OPENQASM 2.0;\nqreg q[1];\n");
+        while text.len() <= crate::parse_cache::MAX_CACHED_TEXT_BYTES {
+            text.push_str("h q[0];\n");
+        }
+        let first = daemon.shared.parse(text.clone()).unwrap();
+        let again = daemon.shared.parse(text).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(first, again);
+        assert_eq!(cached(&daemon), 0);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn zero_cache_capacity_caches_nothing() {
+        let daemon = daemon(&["paper"], 0, 0);
+        let text = rz_program("0.5");
+        let first = daemon.shared.parse(text.clone()).unwrap();
+        let again = daemon.shared.parse(text).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(cached(&daemon), 0);
         daemon.shutdown();
     }
 }

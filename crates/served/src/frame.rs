@@ -9,6 +9,10 @@
 //! daemon and client serialize through exactly the code the results
 //! pipeline already pins.
 //!
+//! A frame is written as one buffer, prefix and payload together, so it
+//! leaves in one write however large it is: with `TCP_NODELAY` on, a
+//! prefix written on its own would go out as a 4-byte segment of its own.
+//!
 //! Frames are capped at [`MAX_FRAME_BYTES`]; an oversized length prefix
 //! is rejected *before* allocating, so a garbage or hostile peer cannot
 //! balloon the daemon's memory. Below the cap, the payload buffer grows
@@ -77,21 +81,26 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (compact JSON) and flushes the stream.
+/// Writes one frame (compact JSON) and flushes the stream. The prefix
+/// and the payload are handed to `writer` as one buffer: the payload is
+/// serialized behind four placeholder bytes, which then become the
+/// length.
 ///
 /// # Errors
 ///
 /// [`FrameError::TooLarge`] if the serialized payload exceeds
 /// [`MAX_FRAME_BYTES`], otherwise any underlying [`FrameError::Io`].
 pub fn write_frame(writer: &mut impl Write, payload: &Json) -> Result<(), FrameError> {
-    let text = payload.to_compact_string();
-    let bytes = text.as_bytes();
-    if bytes.len() > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge { bytes: bytes.len() });
+    let mut frame = String::from("\0\0\0\0");
+    payload.write_compact(&mut frame);
+    let mut frame = frame.into_bytes();
+    let bytes = frame.len() - 4;
+    if bytes > MAX_FRAME_BYTES {
+        return Err(FrameError::TooLarge { bytes });
     }
-    let len = u32::try_from(bytes.len()).expect("MAX_FRAME_BYTES fits u32");
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(bytes)?;
+    let len = u32::try_from(bytes).expect("MAX_FRAME_BYTES fits u32");
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -221,6 +230,41 @@ mod tests {
             "a read was offered {} bytes for 100 received",
             peer.largest_read
         );
+    }
+
+    /// A socket stand-in that records the length of every write.
+    #[derive(Default)]
+    struct Counting {
+        writes: Vec<usize>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        // Below, just above and well above the 8 KiB `BufWriter` buffer
+        // the daemon and the client write through.
+        for bytes in [1_000, 9_000, 20_000] {
+            // `{"pad":""}` is 10 bytes.
+            let payload = Json::object([("pad", Json::from("x".repeat(bytes - 10)))]);
+            assert_eq!(payload.to_compact_string().len(), bytes);
+            let mut writer = std::io::BufWriter::new(Counting::default());
+            write_frame(&mut writer, &payload).unwrap();
+            assert_eq!(
+                writer.get_ref().writes,
+                [4 + bytes],
+                "a {bytes}-byte payload took more than one write"
+            );
+        }
     }
 
     #[test]

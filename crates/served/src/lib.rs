@@ -7,8 +7,9 @@
 //!
 //! * **Transport** ([`frame`]) — TCP, 4-byte big-endian length prefix,
 //!   UTF-8 JSON payloads over the workspace's dependency-free
-//!   `dqc-types::json`. No async runtime, no wire-format crates: plain
-//!   `std` sockets and threads, like the layer underneath.
+//!   `dqc-types::json`, each frame handed to the socket in one write.
+//!   No async runtime, no wire-format crates: plain `std` sockets and
+//!   threads, like the layer underneath.
 //! * **Vocabulary** ([`protocol`]) — a versioned handshake
 //!   (`hello`/`welcome`), tagged pipelined submissions, typed errors,
 //!   and live `metrics` and `trace` commands. A submission holds an
@@ -23,7 +24,11 @@
 //! * **Daemon** ([`daemon`]) — [`ServedBuilder`] → [`Served`]: accept
 //!   thread, reader/writer pair per connection, each accepted submission
 //!   carrying its reply to the connection's writer, orderly
-//!   [`shutdown`](Served::shutdown).
+//!   [`shutdown`](Served::shutdown). One bounded parse cache serves
+//!   every connection: a submit whose QASM text equals, byte for byte,
+//!   a text the daemon has parsed reuses that circuit instead of
+//!   parsing again (at most `cache_capacity × points` texts of up to
+//!   64 KiB, never a failed parse, no knob of its own).
 //! * **Client** ([`client`]) — [`ServedClient`], the blocking client the
 //!   `serve_wire` benchmark and the daemon tests drive.
 //!
@@ -76,6 +81,7 @@
 pub mod client;
 pub mod daemon;
 pub mod frame;
+mod parse_cache;
 pub mod protocol;
 pub mod quota;
 

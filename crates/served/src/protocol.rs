@@ -363,25 +363,13 @@ pub enum CircuitPayload {
     Qasm(String),
 }
 
-impl CircuitPayload {
-    /// Produces the executable circuit, parsing QASM if necessary.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::BadRequest`] carrying the 1-based QASM source line
-    /// for parse failures.
-    pub fn realize(&self) -> Result<Arc<Circuit>, WireError> {
-        match self {
-            CircuitPayload::Circuit(circuit) => Ok(Arc::clone(circuit)),
-            CircuitPayload::Qasm(source) => match from_qasm(source) {
-                Ok(circuit) => Ok(Arc::new(circuit)),
-                Err(e) => Err(WireError::BadRequest {
-                    message: e.message().to_string(),
-                    line: Some(e.line()),
-                }),
-            },
-        }
-    }
+/// Parses submitted QASM text, mapping a parse failure onto the
+/// `bad_request` that carries its message and 1-based line.
+pub(crate) fn parse_qasm(source: &str) -> Result<Circuit, WireError> {
+    from_qasm(source).map_err(|e| WireError::BadRequest {
+        message: e.message().to_string(),
+        line: Some(e.line()),
+    })
 }
 
 fn bad_request(e: impl fmt::Display) -> WireError {
@@ -480,15 +468,29 @@ impl Submission {
     /// [`WireError::BadRequest`] if `runs` is zero or the QASM text does
     /// not parse (its line attached).
     pub fn to_eval_request(&self) -> Result<EvalRequest, WireError> {
+        self.clone()
+            .into_eval_request(|source| parse_qasm(&source).map(Arc::new))
+    }
+
+    /// [`Submission::to_eval_request`] by value, with QASM text turned
+    /// into a circuit by `parse`: the daemon passes its parse cache, which
+    /// keeps the text it is handed.
+    pub(crate) fn into_eval_request(
+        self,
+        parse: impl FnOnce(String) -> Result<Arc<Circuit>, WireError>,
+    ) -> Result<EvalRequest, WireError> {
         if self.runs == 0 {
             return Err(WireError::BadRequest {
                 message: "runs must be at least 1".to_string(),
                 line: None,
             });
         }
-        let circuit = self.circuit.realize()?;
+        let circuit = match self.circuit {
+            CircuitPayload::Circuit(circuit) => circuit,
+            CircuitPayload::Qasm(source) => parse(source)?,
+        };
         Ok(
-            EvalRequest::new(self.label.clone(), circuit, self.point.clone(), self.design)
+            EvalRequest::new(self.label, circuit, self.point, self.design)
                 .runs(self.runs)
                 .base_seed(self.base_seed),
         )
@@ -588,15 +590,16 @@ pub enum ClientFrame {
     Bye,
 }
 
-/// Decodes one client → server frame.
+/// Decodes one client → server frame. The frame is taken by value so a
+/// submit's circuit text moves out of it instead of being copied.
 ///
 /// # Errors
 ///
 /// [`WireError::Protocol`] for an unknown or untagged frame shape;
 /// [`WireError::BadRequest`] for a well-shaped `submit` with bad
-/// contents. Either way the caller can still recover the frame's `tag`
-/// field (if any) to address its error reply.
-pub fn parse_client_frame(json: &Json) -> Result<ClientFrame, WireError> {
+/// contents. A caller that answers errors by tag reads the frame's `tag`
+/// field before handing the frame over.
+pub fn parse_client_frame(mut json: Json) -> Result<ClientFrame, WireError> {
     let frame_type = json.str_field("type").map_err(protocol_err)?;
     match frame_type {
         "hello" => Ok(ClientFrame::Hello {
@@ -614,7 +617,7 @@ pub fn parse_client_frame(json: &Json) -> Result<ClientFrame, WireError> {
                 runs: json.usize_field("runs").map_err(bad_request)?,
                 base_seed: json.u64_field("base_seed").map_err(bad_request)?,
                 circuit: CircuitPayload::Qasm(
-                    json.str_field("circuit").map_err(bad_request)?.to_string(),
+                    take_str_field(&mut json, "circuit").map_err(bad_request)?,
                 ),
             };
             Ok(ClientFrame::Submit { tag, submission })
@@ -636,6 +639,17 @@ fn protocol_err(e: impl fmt::Display) -> WireError {
     WireError::Protocol {
         message: e.to_string(),
     }
+}
+
+/// Moves the string member `key` out of `json`: the member
+/// [`Json::str_field`] reads, and its error when there is none.
+fn take_str_field(json: &mut Json, key: &str) -> Result<String, JsonError> {
+    if let Json::Object(members) = json {
+        if let Some((_, Json::Str(text))) = members.iter_mut().find(|(name, _)| name == key) {
+            return Ok(std::mem::take(text));
+        }
+    }
+    json.str_field(key).map(str::to_string)
 }
 
 // ------------------------------------------------- server-side frames
@@ -932,7 +946,7 @@ mod tests {
             Some(qasm.as_str())
         );
         let reparsed = Json::parse(&frame.to_compact_string()).unwrap();
-        match parse_client_frame(&reparsed).unwrap() {
+        match parse_client_frame(reparsed).unwrap() {
             ClientFrame::Submit { tag, submission } => {
                 assert_eq!(tag, 7);
                 assert_eq!(submission.label, "probe");
@@ -940,7 +954,7 @@ mod tests {
                 assert_eq!(submission.design, Design::AdaptBuf);
                 assert_eq!(submission.runs, 4);
                 assert_eq!(submission.base_seed, 99);
-                let realized = submission.circuit.realize().unwrap();
+                let realized = submission.to_eval_request().unwrap().circuit;
                 assert_eq!(realized.fingerprint(), circuit.fingerprint());
             }
             other => panic!("expected Submit, got {other:?}"),
@@ -957,9 +971,9 @@ mod tests {
             Design::Original,
         );
         let frame = submit_frame(1, &submission);
-        match parse_client_frame(&frame).unwrap() {
+        match parse_client_frame(frame).unwrap() {
             ClientFrame::Submit { submission, .. } => {
-                let realized = submission.circuit.realize().unwrap();
+                let realized = submission.to_eval_request().unwrap().circuit;
                 assert_eq!(realized.fingerprint(), circuit.fingerprint());
             }
             other => panic!("expected Submit, got {other:?}"),
@@ -1052,7 +1066,7 @@ mod tests {
     #[test]
     fn hello_and_welcome_round_trip() {
         let hello = hello_frame("bench-0");
-        match parse_client_frame(&hello).unwrap() {
+        match parse_client_frame(hello).unwrap() {
             ClientFrame::Hello { protocol, client } => {
                 assert_eq!(protocol, PROTOCOL_VERSION);
                 assert_eq!(client, "bench-0");
@@ -1092,19 +1106,19 @@ mod tests {
         // `stats` was a command until v6; the `metrics` frame replaced it.
         let stats = Json::parse(r#"{"type":"stats","tag":1}"#).unwrap();
         for frame in [teleport, stats] {
-            let err = parse_client_frame(&frame).unwrap_err();
-            assert!(matches!(err, WireError::Protocol { .. }), "{err}");
             assert!(parse_server_frame(&frame).is_err());
+            let err = parse_client_frame(frame).unwrap_err();
+            assert!(matches!(err, WireError::Protocol { .. }), "{err}");
         }
     }
 
     #[test]
     fn metrics_and_trace_requests_parse() {
-        match parse_client_frame(&metrics_frame(4)).unwrap() {
+        match parse_client_frame(metrics_frame(4)).unwrap() {
             ClientFrame::Metrics { tag } => assert_eq!(tag, 4),
             other => panic!("expected Metrics, got {other:?}"),
         }
-        match parse_client_frame(&trace_frame(9)).unwrap() {
+        match parse_client_frame(trace_frame(9)).unwrap() {
             ClientFrame::Trace { tag } => assert_eq!(tag, 9),
             other => panic!("expected Trace, got {other:?}"),
         }

@@ -24,7 +24,7 @@
 //! ```
 
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One JSON value: the document tree produced by [`Json::parse`] and
 /// consumed by the writers.
@@ -351,8 +351,15 @@ impl Json {
     /// Serializes compactly (no whitespace).
     pub fn to_compact_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact serialization to `out`, so a caller can put
+    /// the document after bytes of its own (a frame's length prefix)
+    /// without copying it.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Serializes with two-space indentation and a trailing newline — the
@@ -370,7 +377,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Float(f) => write_f64(out, *f),
             Json::Str(s) => write_string(out, s),
             Json::Array(items) => {
@@ -443,34 +452,45 @@ fn write_seq(
 }
 
 /// Writes a float with Rust's shortest round-trip formatting (`{:?}`),
-/// which always includes a decimal point or exponent so the value parses
-/// back as [`Json::Float`]. Non-finite values (unreachable through
-/// [`Json::float`]) degrade to `null` rather than producing invalid JSON.
+/// straight into `out`; it always includes a decimal point or exponent
+/// so the value parses back as [`Json::Float`]. Non-finite values
+/// (unreachable through [`Json::float`]) degrade to `null` rather than
+/// producing invalid JSON.
 fn write_f64(out: &mut String, f: f64) {
     if f.is_finite() {
-        out.push_str(&format!("{f:?}"));
+        let _ = write!(out, "{f:?}");
     } else {
         out.push_str("null");
     }
 }
 
+/// Writes a quoted string, copying each run of characters that need no
+/// escape in one append. Only ASCII bytes are escaped, so every run
+/// boundary is a character boundary.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -898,6 +918,48 @@ mod tests {
         let text = v.to_compact_string();
         assert!(!text.contains('\n'), "newline must be escaped: {text}");
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let doc = Json::object([
+            (
+                "s",
+                Json::from(
+                    "tab\t quote\" slash\\ cr\r bs\u{08} ff\u{0C} nl\n nul\u{0} us\u{1f} é€🦀 end",
+                ),
+            ),
+            (
+                "i",
+                Json::Array(vec![
+                    Json::Int(0),
+                    Json::Int(-7),
+                    Json::uint(u64::MAX),
+                    Json::from(i64::MIN),
+                ]),
+            ),
+            (
+                "f",
+                Json::Array(vec![
+                    Json::float(2.0),
+                    Json::float(-0.0),
+                    Json::float(1e-300),
+                    Json::float(0.1),
+                    Json::float(1e21),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            doc.to_compact_string(),
+            concat!(
+                r#"{"s":"tab\t quote\" slash\\ cr\r bs\b ff\f nl\n nul\u0000 us\u001f é€🦀 end","#,
+                r#""i":[0,-7,18446744073709551615,-9223372036854775808],"#,
+                r#""f":[2.0,-0.0,1e-300,0.1,1e21]}"#,
+            )
+        );
+        let mut framed = String::from("head:");
+        doc.write_compact(&mut framed);
+        assert_eq!(framed, format!("head:{}", doc.to_compact_string()));
     }
 
     #[test]

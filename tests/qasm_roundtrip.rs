@@ -4,10 +4,10 @@
 //! set, edge angles included. QASM is the one circuit encoding on the
 //! wire, so a submitted circuit hits the same warm compile-cache entry
 //! as the in-memory original. The QASM text itself is a fixed point
-//! after one round trip.
+//! after one round trip, and its exact bytes are pinned.
 
 use dqc::circuit::{from_qasm, to_qasm, Circuit, Gate};
-use dqc::types::QubitId;
+use dqc::types::{fnv64, QubitId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::f64::consts::PI;
@@ -49,6 +49,97 @@ fn qasm_emission_is_a_fixed_point() {
         let twice = to_qasm(&from_qasm(&once).expect("emitted QASM parses"));
         assert_eq!(once, twice, "{label}: QASM text is not stable");
     }
+}
+
+/// `to_qasm`'s exact bytes for the serve portfolio: each text's length
+/// and FNV-1a digest. A wire client sends this text and the daemon's
+/// parse cache matches it byte for byte, so the writer must not drift.
+#[test]
+fn qasm_text_of_the_serve_portfolio_is_pinned() {
+    let pinned: [(&str, usize, u64); 6] = [
+        ("QAOA-r4-32", 2261, 0x924c67e3491ab418),
+        ("QAOA-r8-32", 3629, 0xfc13a94abb6d5e6a),
+        ("QFT-32", 19783, 0x73ba6187747edda9),
+        ("QFT-16", 4627, 0x8f216f737410a219),
+        ("GHZ-chain-32", 545, 0x8a5f073f02bce311),
+        ("GHZ-tree-32", 530, 0x01b3198fa32de73c),
+    ];
+    let emitted: Vec<(String, usize, u64)> = dqc_bench::serve_portfolio()
+        .iter()
+        .map(|(label, circuit)| {
+            let text = to_qasm(circuit);
+            (label.clone(), text.len(), fnv64(text.as_bytes()))
+        })
+        .collect();
+    let pinned: Vec<(String, usize, u64)> = pinned
+        .iter()
+        .map(|&(label, len, digest)| (label.to_string(), len, digest))
+        .collect();
+    assert_eq!(emitted, pinned);
+}
+
+/// The verbatim text of one small circuit that uses every gate kind,
+/// with angles in each printed form (fraction, integer, π, tiny, huge,
+/// negative zero) and multi-digit qubit indices.
+#[test]
+fn qasm_text_of_every_gate_kind_is_pinned() {
+    let mut circuit = Circuit::new(12);
+    let gates = [
+        (Gate::I, [0, 0]),
+        (Gate::H, [1, 0]),
+        (Gate::X, [2, 0]),
+        (Gate::Y, [3, 0]),
+        (Gate::Z, [4, 0]),
+        (Gate::S, [5, 0]),
+        (Gate::Sdg, [6, 0]),
+        (Gate::T, [7, 0]),
+        (Gate::Tdg, [8, 0]),
+        (Gate::Rx(0.25), [9, 0]),
+        (Gate::Ry(-1.5), [10, 0]),
+        (Gate::Rz(PI), [11, 0]),
+        (Gate::Phase(1e-7), [0, 0]),
+        (Gate::Cx, [0, 11]),
+        (Gate::Cz, [10, 1]),
+        (Gate::CPhase(12.0), [2, 9]),
+        (Gate::Rzz(-0.0), [11, 10]),
+        (Gate::Rzz(1e21), [3, 4]),
+        (Gate::Swap, [5, 6]),
+        (Gate::Measure, [11, 0]),
+    ];
+    for (gate, [a, b]) in gates {
+        let qubits = [QubitId::new(a), QubitId::new(b)];
+        circuit
+            .push(gate, &qubits[..gate.arity()])
+            .expect("operands are distinct and in range");
+    }
+    let expected = concat!(
+        "OPENQASM 2.0;\n",
+        "include \"qelib1.inc\";\n",
+        "gate rzz(theta) a,b { cx a,b; rz(theta) b; cx a,b; }\n",
+        "qreg q[12];\n",
+        "creg c[12];\n",
+        "id q[0];\n",
+        "h q[1];\n",
+        "x q[2];\n",
+        "y q[3];\n",
+        "z q[4];\n",
+        "s q[5];\n",
+        "sdg q[6];\n",
+        "t q[7];\n",
+        "tdg q[8];\n",
+        "rx(0.25) q[9];\n",
+        "ry(-1.5) q[10];\n",
+        "rz(3.141592653589793) q[11];\n",
+        "u1(0.0000001) q[0];\n",
+        "cx q[0],q[11];\n",
+        "cz q[10],q[1];\n",
+        "cu1(12) q[2],q[9];\n",
+        "rzz(-0) q[11],q[10];\n",
+        "rzz(1000000000000000000000) q[3],q[4];\n",
+        "swap q[5],q[6];\n",
+        "measure q[11] -> c[11];\n",
+    );
+    assert_eq!(to_qasm(&circuit), expected);
 }
 
 /// Angles that stress the printer and the parser: signed zeros, the

@@ -3,8 +3,11 @@
 # reproducible, so wall-clock reads (`Instant::now`, `SystemTime::now`)
 # and iteration-order-unstable `HashMap`s are denied everywhere except an
 # explicit allowlist of sites whose clock reads and iteration order are
-# proven not to reach any result. The benchmark under dqcbench/ reads
-# the clock on purpose and is not scanned.
+# proven not to reach any result. Process-wide mutable state (a `static`
+# `Mutex`, `RwLock`, `OnceLock` or `LazyLock`) is denied the same way:
+# a cache or memo belongs to an owner (a daemon, a server, a shard) that
+# bounds it and drops it, not to the process. The benchmark under
+# dqcbench/ reads the clock on purpose and is not scanned.
 #
 # Run from the repository root:  sh tools/determinism_lint.sh
 # Exits non-zero, listing every offending file, when a denied pattern
@@ -38,13 +41,22 @@ tests/serve_determinism.rs
 tests/served_wire.rs
 "
 
+# Process-wide statics: the observability layer's one installed
+# recorder (and the lock that serializes installing it), which is
+# process-wide by design: every thread's spans reach the same sink.
+STATIC_ALLOW="
+crates/obs/src/recorder.rs
+"
+
 fail=0
 
+# Lists every file under the scanned trees matching the extended regular
+# expression `$1` that is not in the allowlist `$2`.
 scan() {
     pattern="$1"
     allow="$2"
     label="$3"
-    for file in $(grep -rl --include='*.rs' "$pattern" crates src tests examples 2>/dev/null); do
+    for file in $(grep -rlE --include='*.rs' "$pattern" crates src tests examples 2>/dev/null); do
         case "$allow" in
             *"$file"*) ;;
             *)
@@ -55,8 +67,10 @@ scan() {
     done
 }
 
-scan 'Instant::now\|SystemTime::now' "$CLOCK_ALLOW" "a wall clock"
+scan 'Instant::now|SystemTime::now' "$CLOCK_ALLOW" "a wall clock"
 scan 'HashMap' "$HASHMAP_ALLOW" "HashMap"
+scan '\bstatic[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:.*\b(Mutex|RwLock|OnceLock|LazyLock)\b' \
+    "$STATIC_ALLOW" "a process-wide static Mutex, RwLock, OnceLock or LazyLock"
 
 if [ "$fail" -ne 0 ]; then
     echo "determinism lint: denied patterns found (see tools/determinism_lint.sh)" >&2
