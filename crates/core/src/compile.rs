@@ -20,14 +20,16 @@ use dqc_types::Tick;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of [`CompiledCircuit::compile`] invocations since process start.
+/// Number of compilations since process start.
 ///
 /// Diagnostic counter, exposed so tests (and capacity planners) can verify
 /// the engine's compile-once guarantee: a sweep over S seeds and D designs
 /// of the same (circuit, config) cell must increment this exactly once.
 static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
 
-/// Returns the process-wide count of [`CompiledCircuit::compile`] calls.
+/// Returns the process-wide count of compilations: every
+/// [`CompiledCircuit::compile`] call and every pair a [`crate::Sweep`] or
+/// [`crate::DesignSpace::evaluate`] call compiles.
 pub fn compile_count() -> u64 {
     COMPILE_COUNT.load(Ordering::Relaxed)
 }
@@ -76,7 +78,8 @@ pub struct CompiledCircuit {
 }
 
 impl CompiledCircuit {
-    /// Prepares `circuit` for repeated execution on `config`.
+    /// Prepares `circuit` for repeated execution on `config`, building
+    /// its remote-fidelity table on the calling thread.
     ///
     /// # Errors
     ///
@@ -84,6 +87,22 @@ impl CompiledCircuit {
     /// can never compile, and [`DqcError::Partition`] when the multilevel
     /// partitioner fails.
     pub fn compile(circuit: &Circuit, config: &SystemConfig) -> Result<Self, DqcError> {
+        Self::compile_with(circuit, config, || {
+            let _table_span = dqc_obs::span("compile.fidelity_table");
+            RemoteFidelityTable::new(&config.fidelities)
+        })
+    }
+
+    /// The one compile body: [`CompiledCircuit::compile`] with the
+    /// remote-fidelity table supplied by `table`, which runs last, once
+    /// the refusals and the partition have passed. The grid engine passes
+    /// the table it built once for every pair sharing `config`'s local
+    /// fidelities; it must equal `RemoteFidelityTable::new(&config.fidelities)`.
+    pub(crate) fn compile_with(
+        circuit: &Circuit,
+        config: &SystemConfig,
+        table: impl FnOnce() -> RemoteFidelityTable,
+    ) -> Result<Self, DqcError> {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         let mut compile_span = dqc_obs::span("compile");
         if compile_span.enabled() {
@@ -102,12 +121,12 @@ impl CompiledCircuit {
         // distance exactly when a sparse topology is configured, so
         // chatty qubit groups land on adjacent nodes (the matrix is
         // derived from the routing table the executor will follow, so
-        // partitioner and router agree by construction). The explicit
-        // strategies let the co-design layer sweep the partitioner as a
-        // software axis: `Unweighted` ignores hop distances even on a
-        // sparse network, `HopWeighted` forces the weighted objective
-        // (degenerating to the unweighted one on the default all-to-all
-        // graph, where every pair is one hop apart).
+        // partitioner and router agree by construction). No caller in the
+        // workspace sets the explicit strategies; they stay because the
+        // benchmark's compile probe names them: `Unweighted` ignores hop
+        // distances even on a sparse network, `HopWeighted` forces the
+        // weighted objective (degenerating to the unweighted one on the
+        // default all-to-all graph, where every pair is one hop apart).
         let weighted_by = |matrix: Vec<Vec<u64>>| {
             partition_circuit_weighted(circuit, config.num_nodes, config.partition_seed, &matrix)
         };
@@ -148,7 +167,7 @@ impl CompiledCircuit {
             circuit: circuit.clone(),
             config: config.clone(),
             map,
-            table: RemoteFidelityTable::new(&config.fidelities),
+            table: table(),
             segments,
             variants,
             remote_gates,

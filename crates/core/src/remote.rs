@@ -11,9 +11,23 @@ use dqc_types::Fidelity;
 /// **linear in the resource state**, and a Werner state is affine in its
 /// fidelity parameter, so the teleported gate's process fidelity is an
 /// *affine* function of the link fidelity:
-/// `F_gate(F_link) = slope · F_link + intercept`.
-/// Two density-matrix evaluations (at `F_link = 1` and `F_link = 0.25`)
-/// therefore determine the exact curve — no interpolation error.
+/// `F_gate(F_link) = slope · F_link + intercept`, and likewise for one
+/// state-teleportation hop. Each law is fixed exactly by its values at
+/// the two Werner extremes `F_link = 1` and `F_link = 0.25` — no
+/// interpolation error.
+///
+/// A table therefore costs four density-matrix evaluations, in two
+/// independent *halves*: the telegate and state-teleport evaluations at
+/// `F_link = 1`, and the same two at `F_link = 0.25`. One assembly step
+/// fits both laws from the halves. [`RemoteFidelityTable::new`] runs
+/// both halves on the calling thread; that is how the serving worker,
+/// [`crate::Experiment::new`] and every direct
+/// [`crate::CompiledCircuit::compile`] build theirs. The grid engine
+/// behind [`crate::Sweep`] and [`crate::DesignSpace::evaluate`] instead
+/// builds one table per distinct local-fidelity triple of its plan,
+/// running the two halves as separate tasks on the plan's own workers,
+/// and shares it with every pair that reads those fidelities. Both
+/// routes assemble the same halves, so their tables are bit-identical.
 ///
 /// # Examples
 ///
@@ -34,28 +48,63 @@ pub struct RemoteFidelityTable {
     st_intercept: f64,
 }
 
+/// One half of a [`RemoteFidelityTable`]: the telegate and
+/// state-teleport process fidelities at one Werner extreme.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TableHalf {
+    telegate: f64,
+    state_teleport: f64,
+}
+
 impl RemoteFidelityTable {
+    /// The link fidelities of the two halves, in the order
+    /// [`RemoteFidelityTable::assemble`] takes them.
+    pub(crate) const WERNER_EXTREMES: [f64; 2] = [1.0, 0.25];
+
     /// Evaluates the teleportation circuits at the two Werner extremes and
     /// fits the exact affine laws (for both the telegate and the
-    /// state-teleportation hop).
+    /// state-teleportation hop), all on the calling thread.
     pub fn new(fidelities: &OperationFidelities) -> Self {
+        Self::assemble(Self::WERNER_EXTREMES.map(|link| Self::half(fidelities, link)))
+    }
+
+    /// The bit patterns of the inputs a table reads: two fidelity sets
+    /// with equal keys build bit-identical tables. The EPR fidelity is
+    /// not an input.
+    pub(crate) fn key(fidelities: &OperationFidelities) -> [u64; 3] {
+        [
+            fidelities.one_qubit.to_bits(),
+            fidelities.two_qubit.to_bits(),
+            fidelities.measurement.to_bits(),
+        ]
+    }
+
+    /// Evaluates one half: both teleportation circuits consuming a Werner
+    /// link of fidelity `link_fidelity` (one of
+    /// [`RemoteFidelityTable::WERNER_EXTREMES`]).
+    pub(crate) fn half(fidelities: &OperationFidelities, link_fidelity: f64) -> TableHalf {
         let noise = TeleportNoise {
-            bell_fidelity: 1.0,
+            bell_fidelity: link_fidelity,
             local_cnot_fidelity: fidelities.two_qubit,
             measurement_fidelity: fidelities.measurement,
             single_qubit_fidelity: fidelities.one_qubit,
         };
-        let at_one = teleported_cnot_fidelity(&noise).value();
-        let at_quarter = teleported_cnot_fidelity(&noise.with_bell_fidelity(0.25)).value();
-        let slope = (at_one - at_quarter) / 0.75;
-        let st_at_one = state_teleportation_fidelity(&noise).value();
-        let st_at_quarter = state_teleportation_fidelity(&noise.with_bell_fidelity(0.25)).value();
-        let st_slope = (st_at_one - st_at_quarter) / 0.75;
+        TableHalf {
+            telegate: teleported_cnot_fidelity(&noise).value(),
+            state_teleport: state_teleportation_fidelity(&noise).value(),
+        }
+    }
+
+    /// Fits both affine laws from the halves at `F_link = 1` and
+    /// `F_link = 0.25`, in that order.
+    pub(crate) fn assemble([at_one, at_quarter]: [TableHalf; 2]) -> Self {
+        let slope = (at_one.telegate - at_quarter.telegate) / 0.75;
+        let st_slope = (at_one.state_teleport - at_quarter.state_teleport) / 0.75;
         Self {
             slope,
-            intercept: at_one - slope,
+            intercept: at_one.telegate - slope,
             st_slope,
-            st_intercept: st_at_one - st_slope,
+            st_intercept: at_one.state_teleport - st_slope,
         }
     }
 

@@ -362,6 +362,24 @@ mod tests {
     }
 
     #[test]
+    fn evaluate_does_not_depend_on_threads() {
+        // Four hardware points share one remote-fidelity table: the EPR
+        // fidelity is not among its inputs.
+        let space = DesignSpace::new(base())
+            .epr_fidelities(&[0.95, 0.99])
+            .comm_and_buffer(&[5, 10])
+            .designs(&[Design::AsyncBuf, Design::AdaptBuf]);
+        let circuit = PaperBenchmark::QaoaR4_32.circuit();
+        let indices: Vec<usize> = (0..space.len()).collect();
+        let (serial, compilations) = space.evaluate(&circuit, &indices, 2, 3, 1).unwrap();
+        assert_eq!(compilations, 4);
+        for threads in [2, 8] {
+            let (parallel, _) = space.evaluate(&circuit, &indices, 2, 3, threads).unwrap();
+            assert_eq!(parallel, serial, "{threads} threads");
+        }
+    }
+
+    #[test]
     fn subset_evaluates_only_selected_points() {
         let space = DesignSpace::new(base())
             .comm_and_buffer(&[5, 10])

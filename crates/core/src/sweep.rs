@@ -349,20 +349,31 @@ mod tests {
 
     #[test]
     fn parallel_and_single_threaded_agree() {
+        // Two remote-fidelity tables: the paper's local fidelities and
+        // degraded ones, so workers fill four table halves.
+        let mut degraded = SystemConfig::paper_two_node_32();
+        degraded.fidelities.two_qubit = 0.98;
         let grid = || {
             Sweep::new()
                 .benchmarks([PaperBenchmark::Tlim32, PaperBenchmark::QaoaR4_32])
                 .config("paper", SystemConfig::paper_two_node_32())
+                .config("degraded", degraded.clone())
                 .designs(&Design::ALL)
                 .runs(3)
                 .base_seed(11)
         };
-        let parallel = grid().threads(8).run().unwrap();
         let serial = grid().threads(1).run().unwrap();
-        assert_eq!(parallel.cells.len(), serial.cells.len());
-        for (p, s) in parallel.cells.iter().zip(&serial.cells) {
-            assert_eq!(p.design, s.design);
-            assert_eq!(p.report, s.report, "{}/{}", p.circuit, p.design);
+        for threads in [2, 8] {
+            let parallel = grid().threads(threads).run().unwrap();
+            assert_eq!(parallel.cells.len(), serial.cells.len());
+            for (p, s) in parallel.cells.iter().zip(&serial.cells) {
+                assert_eq!(p.design, s.design);
+                assert_eq!(
+                    p.report, s.report,
+                    "{}/{}/{} at {threads} threads",
+                    p.circuit, p.config, p.design
+                );
+            }
         }
     }
 

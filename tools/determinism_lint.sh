@@ -5,9 +5,10 @@
 # explicit allowlist of sites whose clock reads and iteration order are
 # proven not to reach any result. Process-wide mutable state (a `static`
 # `Mutex`, `RwLock`, `OnceLock` or `LazyLock`) is denied the same way:
-# a cache or memo belongs to an owner (a daemon, a server, a shard) that
-# bounds it and drops it, not to the process. The benchmark under
-# dqcbench/ reads the clock on purpose and is not scanned.
+# a cache or memo belongs to an owner (a daemon, a server, a shard, a
+# grid plan) that bounds it and drops it, not to the process. The
+# benchmark under dqcbench/ reads the clock on purpose and is not
+# scanned.
 #
 # Run from the repository root:  sh tools/determinism_lint.sh
 # Exits non-zero, listing every offending file, when a denied pattern
