@@ -24,7 +24,8 @@
 //!   circuits with zero schedule slack (`DQC-W004`).
 //! * **Admission** — the compiler's static refusals, O(ops): width vs.
 //!   data capacity (`DQC-E001`), topology node-count mismatch
-//!   (`DQC-E004`), disconnected multi-node topology (`DQC-E005`).
+//!   (`DQC-E004`), disconnected multi-node topology (`DQC-E005`), an
+//!   operation fidelity outside `[0, 1]` (`DQC-E013`).
 //! * **Link feasibility** — on the compilation the engine itself builds:
 //!   remote gates with no communication qubits (`DQC-E006`), and per-link
 //!   EPR demand so far beyond generation capacity that entanglement
@@ -105,9 +106,9 @@ impl Analyzer {
 
     /// The cheap O(ops) admission subset: every static refusal of
     /// [`CompiledCircuit::refusals`] (`DQC-E001`, `DQC-E004`,
-    /// `DQC-E005`), without partitioning or scheduling anything. This is
-    /// what the `dqc-served` daemon runs on its wire path before spending
-    /// queue space on a submission.
+    /// `DQC-E005`, `DQC-E013`), without partitioning or scheduling
+    /// anything. This is what the `dqc-served` daemon runs on its wire
+    /// path before spending queue space on a submission.
     pub fn analyze_admission(
         &self,
         label: &str,

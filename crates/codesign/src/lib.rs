@@ -294,7 +294,7 @@ impl Codesign {
         self.space.validate()?;
         let mut indices = self.strategy.select(self.space.len());
         // Static prefilter: points the analyzer proves can never compile
-        // (width, broken topology) are dropped
+        // (width, broken topology, an out-of-range fidelity) are dropped
         // before they consume replay budget. Warnings never prune.
         let infeasible = dqc_analyze::Analyzer::new().infeasible_points(
             &self.space,
@@ -361,6 +361,9 @@ mod tests {
     use super::*;
     use dqc_core::{AxisValue, Design, SystemConfig};
     use dqc_workloads::PaperBenchmark;
+
+    /// Where a test writes one of a configuration's fidelities.
+    type FidelityField = fn(&mut SystemConfig) -> &mut f64;
 
     fn small_space() -> DesignSpace {
         DesignSpace::new(SystemConfig::paper_two_node_32())
@@ -592,6 +595,58 @@ mod tests {
                 capacity: 32
             }
         );
+    }
+
+    #[test]
+    fn every_entry_point_refuses_an_out_of_range_fidelity() {
+        use dqc_core::{CompiledCircuit, Experiment, Sweep};
+        let circuit = PaperBenchmark::Tlim32.circuit();
+        let fields: [(&str, FidelityField); 4] = [
+            ("one_qubit", |c| &mut c.fidelities.one_qubit),
+            ("two_qubit", |c| &mut c.fidelities.two_qubit),
+            ("measurement", |c| &mut c.fidelities.measurement),
+            ("epr", |c| &mut c.fidelities.epr),
+        ];
+        for (operation, field) in fields {
+            for value in [1.5, -0.1, f64::NAN] {
+                let mut config = SystemConfig::paper_two_node_32();
+                *field(&mut config) = value;
+                let space = DesignSpace::new(config.clone()).designs(&[Design::AdaptBuf]);
+                let sweep = Sweep::new()
+                    .circuit("tlim", circuit.clone())
+                    .config("bad", config.clone())
+                    .designs(&[Design::AdaptBuf]);
+                let errors = [
+                    CompiledCircuit::compile(&circuit, &config).err(),
+                    Experiment::new(&circuit, &config).err(),
+                    sweep.run().err(),
+                    space.evaluate(&circuit, &[0], 1, 0, 2).err(),
+                    Codesign::new("tlim", circuit.clone(), space).run().err(),
+                ];
+                for error in errors {
+                    assert!(
+                        matches!(
+                            error,
+                            Some(DqcError::FidelityOutOfRange { operation: o, value: v })
+                                if o == operation && v.to_bits() == value.to_bits()
+                        ),
+                        "{operation} = {value}: {error:?}"
+                    );
+                }
+            }
+        }
+        // Only one point of the search is out of range: the prefilter
+        // prunes it and the other point is evaluated.
+        let result = Codesign::new(
+            "tlim",
+            circuit,
+            DesignSpace::new(SystemConfig::paper_two_node_32())
+                .epr_fidelities(&[0.99, 1.5])
+                .designs(&[Design::AdaptBuf]),
+        )
+        .run()
+        .unwrap();
+        assert_eq!((result.pruned, result.candidates.len()), (1, 1));
     }
 
     #[test]

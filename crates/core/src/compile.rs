@@ -1,13 +1,11 @@
 //! Compile-once circuit preparation: everything about a (circuit, config)
 //! pair that is independent of the design and the random seed.
 //!
-//! The legacy `evaluate` free function re-partitioned the circuit and
-//! re-compiled every segment's ASAP/ALAP variants on *every* seeded run —
-//! a 50-run paper sweep paid the compiler 50 times per design. A
-//! [`CompiledCircuit`] hoists all of that out of the per-seed loop:
-//! partition map, segmentation, pre-compiled [`SegmentVariants`], the
-//! ideal-device schedule, and the remote-gate fidelity table are computed
-//! once and shared immutably across every design and every seed.
+//! A [`CompiledCircuit`] holds the partition map, segmentation,
+//! pre-compiled [`SegmentVariants`], the ideal-device schedule, and the
+//! remote-gate fidelity table, computed once and shared immutably across
+//! every design and every seed, so a 50-run paper sweep pays the compiler
+//! once per (circuit, config) pair.
 
 use crate::{
     segment_sequence, Design, DqcError, ExecutionReport, PartitionStrategy, RemoteFidelityTable,
@@ -41,8 +39,8 @@ pub fn compile_count() -> u64 {
 /// §III-D segmentation, ASAP/ALAP variant pre-compilation for every
 /// segment, the ideal monolithic schedule, and the remote-gate fidelity
 /// table. [`CompiledCircuit::run`] then replays any design with any seed
-/// against this immutable data — bit-for-bit identical to the legacy
-/// per-seed path, at a fraction of the cost.
+/// against this immutable data; the goldens under `tests/golden/` pin its
+/// results.
 ///
 /// # Examples
 ///
@@ -181,7 +179,10 @@ impl CompiledCircuit {
     ///
     /// 1. [`DqcError::CircuitTooWide`] — more qubits than data capacity;
     /// 2. [`DqcError::TopologyMismatch`] — the network spans a different
-    ///    node count — or else [`DqcError::DisconnectedTopology`].
+    ///    node count — or else [`DqcError::DisconnectedTopology`];
+    /// 3. [`DqcError::FidelityOutOfRange`] — for each of the `one_qubit`,
+    ///    `two_qubit`, `measurement` and `epr` fidelities that is not a
+    ///    number in `[0, 1]`.
     ///
     /// O(ops): nothing is partitioned, routed or scheduled, so admission
     /// paths can ask per request.
@@ -202,6 +203,17 @@ impl CompiledCircuit {
                 });
             } else if config.num_nodes > 1 && !topology.is_connected() {
                 refusals.push(DqcError::DisconnectedTopology);
+            }
+        }
+        let f = &config.fidelities;
+        for (operation, value) in [
+            ("one_qubit", f.one_qubit),
+            ("two_qubit", f.two_qubit),
+            ("measurement", f.measurement),
+            ("epr", f.epr),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                refusals.push(DqcError::FidelityOutOfRange { operation, value });
             }
         }
         refusals
@@ -284,6 +296,9 @@ mod tests {
         SystemConfig::paper_two_node_32()
     }
 
+    /// Where a test writes one of a configuration's fidelities.
+    type FidelityField = fn(&mut SystemConfig) -> &mut f64;
+
     #[test]
     fn compile_precomputes_segments_and_variants() {
         let c = PaperBenchmark::QaoaR8_32.circuit();
@@ -320,6 +335,40 @@ mod tests {
         let err = CompiledCircuit::compile(&circuit, &cfg).unwrap_err();
         assert_eq!(err, refusals[0]);
         assert!(CompiledCircuit::refusals(&qft(32), &config()).is_empty());
+
+        // Each fidelity must be a number in [0, 1]: out-of-range values
+        // are refused, one refusal per field, and the bounds compile.
+        let fields: [(&str, FidelityField); 4] = [
+            ("one_qubit", |c| &mut c.fidelities.one_qubit),
+            ("two_qubit", |c| &mut c.fidelities.two_qubit),
+            ("measurement", |c| &mut c.fidelities.measurement),
+            ("epr", |c| &mut c.fidelities.epr),
+        ];
+        let circuit = qft(8);
+        for (operation, field) in fields {
+            for value in [1.5, -0.1, f64::NAN] {
+                let mut cfg = config();
+                *field(&mut cfg) = value;
+                let refusals = CompiledCircuit::refusals(&circuit, &cfg);
+                assert!(
+                    matches!(
+                        refusals[..],
+                        [DqcError::FidelityOutOfRange { operation: o, value: v }]
+                            if o == operation && v.to_bits() == value.to_bits()
+                    ),
+                    "{operation} = {value}: {refusals:?}"
+                );
+                let err = CompiledCircuit::compile(&circuit, &cfg).unwrap_err();
+                assert_eq!(err.code(), Some("DQC-E013"), "{err}");
+            }
+            for value in [0.0, 1.0] {
+                let mut cfg = config();
+                *field(&mut cfg) = value;
+                assert!(CompiledCircuit::refusals(&circuit, &cfg).is_empty());
+                CompiledCircuit::compile(&circuit, &cfg)
+                    .unwrap_or_else(|e| panic!("{operation} = {value}: {e}"));
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::fmt;
 
 /// Unified error for the evaluation engine: everything that can go wrong
 /// between accepting a circuit and producing an [`crate::ExecutionReport`],
-/// consolidating the former `EvaluateError` and the partitioner's
-/// [`PartitionError`] behind one workspace-facade type.
+/// the partitioner's [`PartitionError`] included, behind one
+/// workspace-facade type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DqcError {
     /// The circuit uses more qubits than the system hosts.
@@ -24,9 +24,9 @@ pub enum DqcError {
     NoEntanglementPossible,
     /// An experiment or sweep was asked for zero runs.
     ///
-    /// The legacy `evaluate_many` silently clamped `runs == 0` to one run;
-    /// the engine rejects it instead, because a silently invented run is
-    /// indistinguishable from a real measurement in downstream averages.
+    /// The engine rejects `runs == 0` rather than running once, because a
+    /// silently invented run is indistinguishable from a real measurement
+    /// in downstream averages.
     ZeroRuns,
     /// A sweep grid axis is empty, so the grid contains no cells.
     EmptySweep {
@@ -58,6 +58,15 @@ pub enum DqcError {
     /// The configured network topology is not connected, so some node
     /// pairs could never establish end-to-end entanglement.
     DisconnectedTopology,
+    /// An operation fidelity of the configuration is not a number in
+    /// `[0, 1]` (NaN included).
+    FidelityOutOfRange {
+        /// The [`crate::OperationFidelities`] field: `"one_qubit"`,
+        /// `"two_qubit"`, `"measurement"` or `"epr"`.
+        operation: &'static str,
+        /// The configured value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for DqcError {
@@ -111,13 +120,16 @@ impl fmt::Display for DqcError {
                      share entanglement"
                 )
             }
+            DqcError::FidelityOutOfRange { operation, value } => {
+                write!(f, "the {operation} fidelity {value} is not in [0, 1]")
+            }
         }
     }
 }
 
 impl DqcError {
     /// The registered diagnostic code (`dqc_types::diag::REGISTRY`) of an
-    /// engine refusal: `DQC-E001` or `DQC-E004`…`DQC-E006`.
+    /// engine refusal: `DQC-E001`, `DQC-E004`…`DQC-E006` or `DQC-E013`.
     /// `None` for failures no static analysis can prove (partitioning,
     /// sweep declarations).
     pub fn code(&self) -> Option<&'static str> {
@@ -133,6 +145,9 @@ impl DqcError {
         let site = match self {
             DqcError::TopologyMismatch { .. } | DqcError::DisconnectedTopology => {
                 Site::Field("topology".to_string())
+            }
+            DqcError::FidelityOutOfRange { operation, .. } => {
+                Site::Field(format!("fidelities.{operation}"))
             }
             _ => Site::Circuit(label.to_string()),
         };
@@ -154,6 +169,10 @@ impl DqcError {
             DqcError::NoEntanglementPossible => (
                 "DQC-E006",
                 "provision communication qubits or repartition onto one node",
+            ),
+            DqcError::FidelityOutOfRange { .. } => (
+                "DQC-E013",
+                "set every operation fidelity to a number in [0, 1]",
             ),
             _ => return None,
         })
@@ -204,6 +223,11 @@ mod tests {
             .contains("topology"));
         let e = DqcError::PointOutOfRange { index: 9, len: 4 };
         assert!(e.to_string().contains('9') && e.to_string().contains('4'));
+        let e = DqcError::FidelityOutOfRange {
+            operation: "measurement",
+            value: 1.5,
+        };
+        assert!(e.to_string().contains("measurement") && e.to_string().contains("1.5"));
     }
 
     #[test]
@@ -219,8 +243,12 @@ mod tests {
             },
             DqcError::DisconnectedTopology,
             DqcError::NoEntanglementPossible,
+            DqcError::FidelityOutOfRange {
+                operation: "epr",
+                value: -0.1,
+            },
         ];
-        let codes = ["DQC-E001", "DQC-E004", "DQC-E005", "DQC-E006"];
+        let codes = ["DQC-E001", "DQC-E004", "DQC-E005", "DQC-E006", "DQC-E013"];
         for (refusal, code) in refusals.iter().zip(codes) {
             // `Diagnostic::new` panics on an unregistered code.
             let diagnostic = refusal.diagnostic("qft-32").unwrap();
@@ -232,6 +260,10 @@ mod tests {
         assert_eq!(
             refusals[2].diagnostic("qft-32").unwrap().site,
             Site::Field("topology".to_string())
+        );
+        assert_eq!(
+            refusals[4].diagnostic("qft-32").unwrap().site,
+            Site::Field("fidelities.epr".to_string())
         );
         assert_eq!(DqcError::ZeroRuns.code(), None);
         assert!(DqcError::Partition(PartitionError::EmptyGraph)

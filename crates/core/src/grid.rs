@@ -4,9 +4,9 @@
 //! Both front ends reduce their grids to the same plan: a list of
 //! *compile pairs* (circuit × configuration — each compiled into one
 //! shared [`CompiledCircuit`]) and a list of *cells* (pair × design —
-//! each an averaged seed range). The engine executes the plan with four
-//! guarantees, the first three inherited verbatim from the original
-//! sweep runner:
+//! each an averaged seed range). The engine executes the plan in three
+//! barriered phases, each one ordered parallel map over the plan's
+//! workers (`GridPlan::par_map`), with four guarantees:
 //!
 //! 1. **Compile-once** — every pair is compiled exactly once and shared
 //!    (via [`Arc`]) by all of its cells.
@@ -16,25 +16,20 @@
 //!    which worker finished first; the first error in plan order wins.
 //! 4. **One table per distinct local-fidelity triple** — pairs whose
 //!    configurations carry bit-identical `(one_qubit, two_qubit,
-//!    measurement)` fidelities compile against one [`RemoteFidelityTable`],
-//!    built before their compiles as two half tasks on the plan's own
-//!    workers. A pair refused statically reads no table, so a plan of
-//!    refused pairs builds none. Every shared table equals
+//!    measurement)` fidelities compile against one [`RemoteFidelityTable`].
+//!    The plan's first phase evaluates the two halves of every such table;
+//!    the second compiles every pair against its assembled table; the
+//!    third runs the cells. A pair refused statically reads no table, so
+//!    a plan of refused pairs builds none. Every shared table equals
 //!    [`RemoteFidelityTable::new`]'s output bit for bit.
 
-use crate::remote::TableHalf;
 use crate::{
     AveragedReport, CompiledCircuit, Design, DqcError, Experiment, OperationFidelities,
     RemoteFidelityTable, SystemConfig,
 };
 use dqc_circuit::Circuit;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// A worker-pool result slot: `None` until the owning worker fills it.
-type Slot<T> = Mutex<Option<Result<T, DqcError>>>;
-
-const HALF_PANICKED: &str = "a fidelity-table half panicked";
+use std::sync::Arc;
 
 /// An executable grid: what to compile and what to run, in final order.
 pub(crate) struct GridPlan<'a> {
@@ -54,175 +49,110 @@ pub(crate) struct GridPlan<'a> {
     pub threads: usize,
 }
 
-/// One remote-fidelity table of a plan, shared by every pair whose
-/// configuration has its local fidelities. Whichever workers claim its
-/// two halves fill them; the pairs wait until both are in.
-struct SharedTable<'a> {
-    fidelities: &'a OperationFidelities,
-    /// Pairs that compile against this table.
-    pairs: usize,
-    /// The halves at [`RemoteFidelityTable::WERNER_EXTREMES`], in order.
-    halves: Mutex<[Option<TableHalf>; 2]>,
-    filled: Condvar,
-}
-
-impl SharedTable<'_> {
-    /// Evaluates half `half` on the calling worker.
-    fn fill(&self, half: usize) {
-        let link = RemoteFidelityTable::WERNER_EXTREMES[half];
-        let evaluated = std::panic::catch_unwind(|| {
-            let mut table_span = dqc_obs::span("compile.fidelity_table");
-            if table_span.enabled() {
-                table_span.attr("bell_fidelity", link);
-                table_span.attr("pairs", self.pairs);
-            }
-            RemoteFidelityTable::half(self.fidelities, link)
-        });
-        let mut halves = self.halves.lock().expect(HALF_PANICKED);
-        self.filled.notify_all();
-        // A panicked evaluation resumes unwinding with the lock held,
-        // poisoning it: the pairs waiting on this table then panic too,
-        // instead of waiting for a half that never comes.
-        halves[half] = Some(evaluated.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-    }
-
-    /// Blocks until both halves are in, then assembles the table.
-    fn wait(&self) -> RemoteFidelityTable {
-        let halves = self
-            .filled
-            .wait_while(self.halves.lock().expect(HALF_PANICKED), |halves| {
-                halves.contains(&None)
-            })
-            .expect(HALF_PANICKED);
-        RemoteFidelityTable::assemble(halves.map(|half| half.expect("both halves are in")))
-    }
-}
-
 impl GridPlan<'_> {
-    /// Executes the plan: compile every pair (in parallel), then run every
-    /// cell (in parallel), collecting reports in cell order. The number of
-    /// compilations performed is always exactly `pairs.len()`; callers
-    /// read it off the plan.
+    /// Executes the plan: compile every pair, then run every cell,
+    /// collecting reports in cell order. The number of compilations
+    /// performed is always exactly `pairs.len()`; callers read it off the
+    /// plan.
     pub(crate) fn execute(&self) -> Result<Vec<AveragedReport>, DqcError> {
         let compiled = self.compile_pairs()?;
-
-        // Run phase: workers fill `slots` by index, so collection order
-        // never depends on scheduling.
-        let slots: Vec<Slot<AveragedReport>> =
-            self.cells.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.worker_count(self.cells.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(pair_idx, design)) = self.cells.get(i) else {
-                        break;
-                    };
-                    let outcome = Experiment::with_compiled(compiled[pair_idx].clone())
-                        .design(design)
-                        .runs(self.runs)
-                        .base_seed(self.base_seed)
-                        .run();
-                    *slots[i]
-                        .lock()
-                        .expect("no worker panics while holding the slot") = Some(outcome);
-                });
-            }
-        });
-
-        let mut out = Vec::with_capacity(self.cells.len());
-        for slot in slots {
-            out.push(
-                slot.into_inner()
-                    .expect("slot lock cannot be poisoned after scope join")
-                    .expect("every cell was claimed by a worker")?,
-            );
-        }
-        Ok(out)
+        self.par_map(&self.cells, |&(pair, design)| {
+            Experiment::with_compiled(compiled[pair].clone())
+                .design(design)
+                .runs(self.runs)
+                .base_seed(self.base_seed)
+                .run()
+        })
+        .into_iter()
+        .collect()
     }
 
-    /// The compile phase: exactly once per (circuit, config) pair, each
-    /// against its plan-wide table. The compilations are independent and
-    /// dominate wall-clock for small run counts, so they go through the
-    /// same worker-pool pattern as the cells; errors still surface in
-    /// plan order.
-    ///
-    /// One counter hands out every task: first the two halves of each
-    /// table, then the pairs. A worker that claims a pair has seen every
-    /// half claimed, so it waits only on halves already running.
+    /// The table and compile phases: both halves of every distinct table
+    /// among the unrefused pairs, then every pair exactly once against
+    /// its table. Errors surface in plan order.
     pub(crate) fn compile_pairs(&self) -> Result<Vec<Arc<CompiledCircuit>>, DqcError> {
-        let mut tables: Vec<SharedTable> = Vec::new();
-        let table_of: Vec<Option<usize>> = self
+        // `(fidelities, pairs sharing it)` per table; `table` per pair.
+        let mut tables: Vec<(&OperationFidelities, usize)> = Vec::new();
+        let units: Vec<(&Circuit, &SystemConfig, Option<usize>)> = self
             .pairs
             .iter()
             .map(|&(ci, ki)| {
-                let config = self.configs[ki];
-                if !CompiledCircuit::refusals(self.circuits[ci], config).is_empty() {
-                    return None;
+                let (circuit, config) = (self.circuits[ci], self.configs[ki]);
+                if !CompiledCircuit::refusals(circuit, config).is_empty() {
+                    return (circuit, config, None);
                 }
                 let key = RemoteFidelityTable::key(&config.fidelities);
                 let shared = tables
                     .iter()
-                    .position(|t| RemoteFidelityTable::key(t.fidelities) == key);
+                    .position(|&(fidelities, _)| RemoteFidelityTable::key(fidelities) == key);
                 let t = shared.unwrap_or_else(|| {
-                    tables.push(SharedTable {
-                        fidelities: &config.fidelities,
-                        pairs: 0,
-                        halves: Mutex::new([None; 2]),
-                        filled: Condvar::new(),
-                    });
+                    tables.push((&config.fidelities, 0));
                     tables.len() - 1
                 });
-                tables[t].pairs += 1;
-                Some(t)
+                tables[t].1 += 1;
+                (circuit, config, Some(t))
             })
             .collect();
 
-        let halves = 2 * tables.len();
-        let slots: Vec<Slot<Arc<CompiledCircuit>>> =
-            self.pairs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.worker_count(halves.max(self.pairs.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let task = next.fetch_add(1, Ordering::Relaxed);
-                    if task < halves {
-                        tables[task / 2].fill(task % 2);
-                        continue;
-                    }
-                    let i = task - halves;
-                    let Some(&(ci, ki)) = self.pairs.get(i) else {
-                        break;
-                    };
-                    let table = table_of[i].map(|t| tables[t].wait());
-                    let outcome =
-                        CompiledCircuit::compile_with(self.circuits[ci], self.configs[ki], || {
-                            table.expect("compile refuses a pair without a table before reading it")
-                        })
-                        .map(Arc::new);
-                    *slots[i]
-                        .lock()
-                        .expect("no worker panics while holding the slot") = Some(outcome);
-                });
+        let halves: Vec<(&OperationFidelities, usize, f64)> = tables
+            .iter()
+            .flat_map(|&(fidelities, pairs)| {
+                RemoteFidelityTable::WERNER_EXTREMES.map(|link| (fidelities, pairs, link))
+            })
+            .collect();
+        let halves = self.par_map(&halves, |&(fidelities, pairs, link)| {
+            let mut table_span = dqc_obs::span("compile.fidelity_table");
+            if table_span.enabled() {
+                table_span.attr("bell_fidelity", link);
+                table_span.attr("pairs", pairs);
             }
+            RemoteFidelityTable::half(fidelities, link)
         });
-        let mut compiled = Vec::with_capacity(self.pairs.len());
-        for slot in slots {
-            compiled.push(
-                slot.into_inner()
-                    .expect("slot lock cannot be poisoned after scope join")
-                    .expect("every pair was claimed by a worker")?,
-            );
-        }
-        Ok(compiled)
+        let tables: Vec<RemoteFidelityTable> = halves
+            .chunks_exact(2)
+            .map(|halves| RemoteFidelityTable::assemble([halves[0], halves[1]]))
+            .collect();
+
+        self.par_map(&units, |&(circuit, config, table)| {
+            CompiledCircuit::compile_with(circuit, config, || {
+                let t = table.expect("compile refuses a pair without a table before reading it");
+                tables[t].clone()
+            })
+            .map(Arc::new)
+        })
+        .into_iter()
+        .collect()
     }
 
-    fn worker_count(&self, tasks: usize) -> usize {
-        let hw = std::thread::available_parallelism().map_or(4, |n| n.get());
-        let cap = if self.threads == 0 { hw } else { self.threads };
-        cap.clamp(1, tasks.max(1))
+    /// The plan's one worker loop: maps `f` over `tasks` on at most
+    /// `threads` scoped workers (0 = available parallelism), which claim
+    /// tasks from one counter, and returns the results in task order. A
+    /// task that panics panics the call once the other workers finish.
+    fn par_map<T: Sync, R: Send>(&self, tasks: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let cap = match self.threads {
+            0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads => threads,
+        };
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..cap.min(tasks.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        std::iter::from_fn(|| {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            tasks.get(i).map(|task| (i, f(task)))
+                        })
+                        .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|worker| worker.join().expect("a grid task panicked"))
+                .collect()
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -230,6 +160,20 @@ impl GridPlan<'_> {
 mod tests {
     use super::*;
     use dqc_workloads::{qft, PaperBenchmark};
+    use std::sync::atomic::AtomicBool;
+
+    /// A plan with nothing to compile or run, for calling `par_map`.
+    fn workers(threads: usize) -> GridPlan<'static> {
+        GridPlan {
+            circuits: Vec::new(),
+            configs: Vec::new(),
+            pairs: Vec::new(),
+            cells: Vec::new(),
+            runs: 1,
+            base_seed: 0,
+            threads,
+        }
+    }
 
     /// A plan compiling `circuit` on every config; it runs no cells.
     fn plan<'a>(circuit: &'a Circuit, configs: &'a [SystemConfig], threads: usize) -> GridPlan<'a> {
@@ -242,6 +186,48 @@ mod tests {
             base_seed: 0,
             threads,
         }
+    }
+
+    #[test]
+    fn par_map_returns_results_in_task_order() {
+        let tasks: Vec<usize> = (0..16).collect();
+        let squares: Vec<usize> = tasks.iter().map(|t| t * t).collect();
+        for threads in [1, 2, 8] {
+            // With two or more workers every even task waits until the
+            // odd task after it has finished, so tasks finish out of order.
+            let finished: Vec<AtomicBool> = tasks.iter().map(|_| AtomicBool::new(false)).collect();
+            let out = workers(threads).par_map(&tasks, |&t| {
+                if threads > 1 && t % 2 == 0 {
+                    while !finished[t + 1].load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+                finished[t].store(true, Ordering::Release);
+                t * t
+            });
+            assert_eq!(out, squares, "{threads} threads");
+        }
+        let none: Vec<usize> = workers(2).par_map(&[], |&t: &usize| t);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a grid task panicked")]
+    fn a_panicking_task_panics_par_map_once_the_other_workers_finish() {
+        // The tasks beside task 1 are still running when it panics: they
+        // wait for it to start panicking. The call must wait for them and
+        // then panic, neither hanging nor returning.
+        let panicking = AtomicBool::new(false);
+        let tasks: Vec<usize> = (0..8).collect();
+        workers(4).par_map(&tasks, |&t| {
+            if t == 1 {
+                panicking.store(true, Ordering::Release);
+                panic!("task 1 panics");
+            }
+            while !panicking.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        });
     }
 
     #[test]
@@ -266,17 +252,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn a_panicking_half_fails_the_plan_instead_of_hanging_it() {
-        // A measurement fidelity above 1 is an out-of-range bit-flip
-        // probability, so both halves of the one table panic. Six workers
-        // run: two claim the halves and four claim pairs of that table,
-        // which must panic too, whether they wait before or after the
-        // halves fail.
+    fn an_out_of_range_fidelity_fails_the_plan_with_pair_0s_refusal() {
+        // A measurement fidelity above 1 would be an out-of-range
+        // bit-flip probability in the table's halves. Every pair is
+        // refused first, so no half runs and pair 0's refusal wins.
         let mut bad = SystemConfig::paper_two_node_32();
         bad.fidelities.measurement = 1.5;
         let configs: Vec<SystemConfig> = (1..=6).map(|n| bad.with_comm_and_buffer(n)).collect();
         let circuit = qft(8);
-        let _ = plan(&circuit, &configs, 8).compile_pairs();
+        assert_eq!(
+            plan(&circuit, &configs, 8).compile_pairs().unwrap_err(),
+            DqcError::FidelityOutOfRange {
+                operation: "measurement",
+                value: 1.5
+            }
+        );
     }
 }

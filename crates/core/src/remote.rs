@@ -24,10 +24,11 @@ use dqc_types::Fidelity;
 /// [`crate::Experiment::new`] and every direct
 /// [`crate::CompiledCircuit::compile`] build theirs. The grid engine
 /// behind [`crate::Sweep`] and [`crate::DesignSpace::evaluate`] instead
-/// builds one table per distinct local-fidelity triple of its plan,
-/// running the two halves as separate tasks on the plan's own workers,
-/// and shares it with every pair that reads those fidelities. Both
-/// routes assemble the same halves, so their tables are bit-identical.
+/// builds one table per distinct local-fidelity triple of its plan: its
+/// first phase evaluates every table's two halves in parallel on the
+/// plan's own workers, and its compile phase then shares each assembled
+/// table with every pair that reads those fidelities. Both routes
+/// assemble the same halves, so their tables are bit-identical.
 ///
 /// # Examples
 ///
@@ -50,7 +51,7 @@ pub struct RemoteFidelityTable {
 
 /// One half of a [`RemoteFidelityTable`]: the telegate and
 /// state-teleport process fidelities at one Werner extreme.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct TableHalf {
     telegate: f64,
     state_teleport: f64,
@@ -64,6 +65,14 @@ impl RemoteFidelityTable {
     /// Evaluates the teleportation circuits at the two Werner extremes and
     /// fits the exact affine laws (for both the telegate and the
     /// state-teleportation hop), all on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `measurement` is outside `[0, 1]` or any of the three
+    /// local fidelities is NaN: each makes an out-of-range noise-channel
+    /// probability. [`crate::CompiledCircuit::refusals`] refuses such a
+    /// configuration with [`crate::DqcError::FidelityOutOfRange`], so no
+    /// compile builds a table from it.
     pub fn new(fidelities: &OperationFidelities) -> Self {
         Self::assemble(Self::WERNER_EXTREMES.map(|link| Self::half(fidelities, link)))
     }

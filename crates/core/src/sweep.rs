@@ -7,9 +7,8 @@
 //!    [`crate::CompiledCircuit`] exactly once and shared by every design
 //!    and seed that uses it.
 //! 2. **Deterministic seeding** — every cell runs seeds
-//!    `base_seed .. base_seed + runs`, exactly the seeds the sequential
-//!    legacy loop used, so parallel results are identical to sequential
-//!    ones.
+//!    `base_seed .. base_seed + runs` whatever the thread count, so
+//!    parallel results are identical to sequential ones.
 //! 3. **Ordered collection** — results come back in grid order (circuit ×
 //!    config × design, row-major) no matter which worker finished first.
 //!
@@ -257,9 +256,8 @@ impl Sweep {
 
         // Reduce the string-labeled grid to a plan for the shared engine:
         // every (circuit, config) pair is one compile unit (row-major),
-        // every (pair, design) one cell — the exact order, seeding, and
-        // compile-sharing of the original in-place runner, so results are
-        // bit-for-bit identical.
+        // every (pair, design) one cell; the goldens under `tests/golden/`
+        // pin the results.
         let pairs: Vec<(usize, usize)> = (0..self.circuits.len())
             .flat_map(|ci| (0..self.configs.len()).map(move |ki| (ci, ki)))
             .collect();

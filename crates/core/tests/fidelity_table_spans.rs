@@ -101,15 +101,20 @@ fn a_plan_mixing_default_and_degraded_fidelities_builds_two_tables() {
 #[test]
 fn a_plan_of_refused_pairs_builds_no_table_and_returns_the_first_refusal() {
     // QFT-40 is too wide for 2 × 16 data qubits; on 3 × 16 it fits, but
-    // the 2-node chain does not span that network.
+    // the 2-node chain does not span that network, and a readout fidelity
+    // of 1.5 is out of range.
     let narrow = SystemConfig::paper_two_node_32();
-    let mut mismatched = SystemConfig::paper_two_node_32();
-    mismatched.num_nodes = 3;
+    let mut wide = SystemConfig::paper_two_node_32();
+    wide.num_nodes = 3;
+    let mut mismatched = wide.clone();
     mismatched.topology = Some(NetworkTopology::chain(2));
+    let mut out_of_range = wide;
+    out_of_range.fidelities.measurement = 1.5;
     let sweep = Sweep::new()
         .circuit("qft40", qft(40))
         .config("narrow", narrow)
         .config("mismatched", mismatched)
+        .config("out-of-range", out_of_range)
         .designs(&[Design::AdaptBuf])
         .threads(8);
     let (result, spans) = table_spans(|| sweep.run());

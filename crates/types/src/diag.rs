@@ -310,6 +310,11 @@ pub const REGISTRY: &[CodeInfo] = &[
         summary: "in-flight quota of zero blocks every submission",
     },
     CodeInfo {
+        code: "DQC-E013",
+        severity: Severity::Error,
+        summary: "an operation fidelity is not a number in [0, 1]",
+    },
+    CodeInfo {
         code: "DQC-W001",
         severity: Severity::Warning,
         summary: "declared qubit is never operated on",

@@ -84,6 +84,12 @@ fn circuit_fixture(code: &str) -> Option<(&'static str, Circuit, SystemConfig)> 
             config.comm_qubits_per_node = 0;
             ("ghz-32", ghz_tree(32), config)
         }
+        // A readout fidelity above 1 is no probability.
+        "DQC-E013" => {
+            let mut config = paper();
+            config.fidelities.measurement = 1.5;
+            ("ghz-32", ghz_tree(32), config)
+        }
         // One comm qubit at 40% success against QFT-32's ~256 remote
         // gates: generation dwarfs the critical path ~100-fold.
         "DQC-W003" => {

@@ -373,8 +373,11 @@ fn malformed_qasm_is_refused_with_its_source_line() {
 /// per-request: the connection stays usable.
 #[test]
 fn statically_infeasible_submission_is_rejected_with_diagnostics() {
+    let mut unreadable = SystemConfig::paper_two_node_32();
+    unreadable.fidelities.measurement = f64::NAN;
     let daemon = ServedBuilder::new()
         .hardware_point("paper", SystemConfig::paper_two_node_32())
+        .hardware_point("unreadable", unreadable)
         .workers_per_shard(1)
         .bind("127.0.0.1:0")
         .expect("daemon binds");
@@ -417,6 +420,21 @@ fn statically_infeasible_submission_is_rejected_with_diagnostics() {
         other => panic!("expected Rejected, got {other:?}"),
     }
 
+    // A point whose readout fidelity is NaN refuses every circuit with
+    // DQC-E013, before a worker would build its remote-fidelity table.
+    let narrow = dqc::circuit::to_qasm(&dqc::workloads::ghz_tree(8));
+    let submission = Submission::qasm("ghz-8", narrow, "unreadable", Design::AdaptBuf);
+    client.submit(&submission).expect("submit");
+    let reply = client.recv_reply().expect("refusal arrives");
+    match reply.outcome.expect_err("the point is refused") {
+        WireError::Rejected { point, diagnostics } => {
+            assert_eq!(point, "unreadable");
+            let codes: Vec<&str> = diagnostics.iter().map(|d| d.code).collect();
+            assert_eq!(codes, ["DQC-E013"]);
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+
     // The same circuit against nothing wrong still serves fine.
     let good = &wire_requests()[0];
     client
@@ -427,7 +445,7 @@ fn statically_infeasible_submission_is_rejected_with_diagnostics() {
     client.bye().expect("clean goodbye");
 
     let wire = daemon.shutdown().daemon;
-    assert_eq!(wire.bad_requests, 1, "rejections count as bad requests");
+    assert_eq!(wire.bad_requests, 2, "rejections count as bad requests");
     assert_eq!(wire.protocol_errors, 0);
 }
 
