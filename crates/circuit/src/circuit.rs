@@ -310,14 +310,12 @@ impl Circuit {
     /// toolchain, and any change to the register width, gate sequence,
     /// gate parameters, or operand wiring changes it.
     ///
-    /// The fingerprint is the identity the `dqc-serve` compile cache keys
-    /// warm [`CompiledCircuit`]s by (together with the configuration
-    /// fingerprint), so two structurally equal circuits — even separately
-    /// constructed ones — share one compilation. It is non-cryptographic
-    /// (FNV-1a); collision-sensitive consumers should verify candidate
-    /// matches with `==` before trusting them.
-    ///
-    /// [`CompiledCircuit`]: https://docs.rs/dqc-core
+    /// It is a compact identity for digests and benchmark records, and
+    /// the QASM round trip preserves it. Angles fold in by bit pattern,
+    /// so unlike `==` it tells `0.0` from `-0.0` and matches a NaN angle
+    /// to itself. It is non-cryptographic (FNV-1a), so a consumer whose
+    /// correctness depends on identity compares circuits with `==`, as
+    /// the `dqc-serve` compile cache does.
     ///
     /// # Examples
     ///

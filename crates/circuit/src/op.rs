@@ -6,9 +6,11 @@ use std::fmt;
 
 /// A gate bound to its operand qubits.
 ///
-/// For two-qubit controlled gates the operand order is `(control, target)`;
-/// for symmetric gates ([`Gate::is_symmetric`]) the order is irrelevant and
-/// equality is defined up to operand exchange.
+/// For two-qubit controlled gates the operand order is `(control, target)`.
+/// Equality (`==`) is structural: the same gate on the same operands in
+/// the same order, so `cz(0, 1) != cz(1, 0)` even though a symmetric gate
+/// ([`Gate::is_symmetric`]) acts the same either way;
+/// [`same_unitary`](Operation::same_unitary) is the exchange-aware check.
 ///
 /// # Examples
 ///
@@ -180,6 +182,9 @@ mod tests {
         let ab = Operation::two(Gate::Cz, q(0), q(1));
         let ba = Operation::two(Gate::Cz, q(1), q(0));
         assert!(ab.same_unitary(&ba));
+        // `==` keeps operand order, symmetric gate or not.
+        assert_ne!(ab, ba);
+        assert_eq!(ab, Operation::two(Gate::Cz, q(0), q(1)));
 
         let cx = Operation::two(Gate::Cx, q(0), q(1));
         let xc = Operation::two(Gate::Cx, q(1), q(0));

@@ -7,11 +7,12 @@ use std::fmt::Write as _;
 ///
 /// Every gate round-trips through [`from_qasm`](crate::from_qasm) as
 /// itself, so `from_qasm(to_qasm(c))` reproduces `c` — including its
-/// [`fingerprint`](Circuit::fingerprint) — exactly. `rzz`, which qelib1
-/// does not define, is emitted natively after an inline `gate`
-/// definition carrying its canonical `cx; rz; cx` decomposition, which
-/// keeps the program valid for standard OpenQASM 2.0 consumers without
-/// destroying the gate's identity on re-import. Angles print in Rust's
+/// [`fingerprint`](Circuit::fingerprint) — exactly, for every circuit
+/// whose angles are finite (`from_qasm` refuses a `NaN` or `inf`).
+/// `rzz`, which qelib1 does not define, is emitted natively after an
+/// inline `gate` definition carrying its canonical `cx; rz; cx`
+/// decomposition, which keeps the program valid for standard OpenQASM
+/// 2.0 consumers without destroying the gate's identity on re-import. Angles print in Rust's
 /// shortest round-trip form, so re-parsing recovers the exact bits.
 /// Measurements target a classical register of the same width as the
 /// qubit register.

@@ -57,11 +57,12 @@ impl Error for ParseQasmError {}
 /// `cu1`→`cp`, `id`), `measure q[i] -> c[j];`, and `barrier` (ignored).
 /// Comments (`//`) are stripped.
 ///
-/// The parser is the exact inverse of [`to_qasm`](crate::to_qasm):
-/// re-importing an exported program reproduces the original circuit —
-/// including its [`fingerprint`](Circuit::fingerprint) — bit for bit.
-/// This identity is what lets the `dqc-served` wire front door accept
-/// QASM text and still hit the fingerprint-keyed compile caches.
+/// The parser is the exact inverse of [`to_qasm`](crate::to_qasm) on
+/// every circuit whose angles are finite: re-importing an exported
+/// program reproduces the original circuit — `==`, and its
+/// [`fingerprint`](Circuit::fingerprint) with it — bit for bit. This
+/// identity is what lets the `dqc-served` wire front door accept QASM
+/// text and still hit the compile caches, which match circuits by `==`.
 ///
 /// # Errors
 ///
@@ -265,10 +266,25 @@ fn parse_gate<'a>(
 }
 
 /// Parses angles like `0.5`, `-1.2e-3`, `pi`, `pi/2`, `-pi/4`, `2*pi`.
+/// OpenQASM 2.0 has no literal for a non-finite real, so `nan`, `inf`,
+/// an overflowing `1e400` and a `pi/0` are refused like any other
+/// unparsable angle.
 fn parse_angle(text: &str, line: usize) -> Result<f64, ParseQasmError> {
     let text = text.trim();
+    match angle_value(text) {
+        Some(v) if v.is_finite() => Ok(v),
+        _ => Err(ParseQasmError::new(
+            line,
+            format!("cannot parse angle {text}"),
+        )),
+    }
+}
+
+/// The value of an angle expression, finite or not; `None` when the text
+/// is no angle expression at all.
+fn angle_value(text: &str) -> Option<f64> {
     if let Ok(v) = text.parse::<f64>() {
-        return Ok(v);
+        return Some(v);
     }
     let pi = std::f64::consts::PI;
     let normalized = text.replace(' ', "");
@@ -277,22 +293,15 @@ fn parse_angle(text: &str, line: usize) -> Result<f64, ParseQasmError> {
         None => (1.0, normalized),
     };
     if body == "pi" {
-        return Ok(sign * pi);
+        return Some(sign * pi);
     }
     if let Some(denominator) = body.strip_prefix("pi/") {
         if let Ok(d) = denominator.parse::<f64>() {
-            return Ok(sign * pi / d);
+            return Some(sign * pi / d);
         }
     }
-    if let Some(factor) = body.strip_suffix("*pi") {
-        if let Ok(k) = factor.parse::<f64>() {
-            return Ok(sign * k * pi);
-        }
-    }
-    Err(ParseQasmError::new(
-        line,
-        format!("cannot parse angle {text}"),
-    ))
+    let factor = body.strip_suffix("*pi")?.parse::<f64>().ok()?;
+    Some(sign * factor * pi)
 }
 
 #[cfg(test)]
@@ -345,6 +354,22 @@ mod tests {
             .collect();
         let pi = std::f64::consts::PI;
         assert_eq!(angles, vec![pi, pi / 2.0, -pi / 4.0, 2.0 * pi]);
+    }
+
+    #[test]
+    fn non_finite_angles_are_refused_with_their_line() {
+        for angle in ["nan", "inf", "-Infinity", "1e400", "pi/0", "nan*pi"] {
+            let src = format!("qreg q[1];\nh q[0];\nrz({angle}) q[0];");
+            let err = from_qasm(&src).unwrap_err();
+            assert_eq!(err.line(), 3, "{angle}");
+            assert_eq!(err.message(), format!("cannot parse angle {angle}"));
+        }
+        let c = from_qasm("qreg q[1]; rz(1e300) q[0];").unwrap();
+        assert_eq!(
+            c.operations()[0].gate(),
+            Gate::Rz(1e300),
+            "large but finite"
+        );
     }
 
     #[test]

@@ -105,7 +105,6 @@ impl CompiledCircuit {
         let mut compile_span = dqc_obs::span("compile");
         if compile_span.enabled() {
             compile_span.attr("qubits", u64::from(circuit.num_qubits()));
-            compile_span.attr("cache_key", Self::cache_key(circuit, config));
         }
         if let Some(refusal) = Self::refusals(circuit, config).into_iter().next() {
             return Err(refusal);
@@ -217,28 +216,6 @@ impl CompiledCircuit {
             }
         }
         refusals
-    }
-
-    /// The stable cache key of a (circuit, config) compile pair: the
-    /// circuit fingerprint folded with the hardware-point fingerprint.
-    ///
-    /// Two pairs share a key exactly when both the circuit and the
-    /// configuration are structurally equal (modulo 64-bit fingerprint
-    /// collisions — verify candidate hits with `==` where correctness
-    /// depends on it). This is the compile-cache-friendly entry point the
-    /// `dqc-serve` layer keys warm compilations by, without having to
-    /// compile first.
-    pub fn cache_key(circuit: &Circuit, config: &SystemConfig) -> u64 {
-        let mut h = dqc_types::Fnv64::new();
-        h.write_u64(circuit.fingerprint());
-        h.write_u64(config.fingerprint());
-        h.finish()
-    }
-
-    /// The cache key of this compilation (see
-    /// [`CompiledCircuit::cache_key`]).
-    pub fn key(&self) -> u64 {
-        Self::cache_key(&self.circuit, &self.config)
     }
 
     /// The circuit this compilation prepared.
@@ -386,20 +363,6 @@ mod tests {
                 let _ = compiled.run(design, seed).unwrap();
             }
         }
-    }
-
-    #[test]
-    fn cache_key_tracks_both_halves_of_the_pair() {
-        let qaoa = PaperBenchmark::QaoaR8_32.circuit();
-        let tlim = PaperBenchmark::Tlim32.circuit();
-        let paper = config();
-        let bigger = paper.with_comm_and_buffer(20);
-        let base = CompiledCircuit::cache_key(&qaoa, &paper);
-        assert_eq!(base, CompiledCircuit::cache_key(&qaoa, &paper));
-        assert_ne!(base, CompiledCircuit::cache_key(&tlim, &paper));
-        assert_ne!(base, CompiledCircuit::cache_key(&qaoa, &bigger));
-        let compiled = CompiledCircuit::compile(&qaoa, &paper).unwrap();
-        assert_eq!(compiled.key(), base);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! System configuration (the paper's §IV-A and Table II).
 
 use dqc_entanglement::{CutoffPolicy, GenerationPattern, NetworkTopology, ServiceConfig};
-use dqc_types::{Fnv64, Tick};
+use dqc_types::Tick;
 use std::fmt;
 
 /// How a remote two-qubit gate is implemented (paper §II-C). The paper's
@@ -59,17 +59,6 @@ pub enum PartitionStrategy {
     /// network every pair is one hop apart, so this degenerates to the
     /// unweighted objective.
     HopWeighted,
-}
-
-impl PartitionStrategy {
-    /// The snake_case name [`SystemConfig::fingerprint`] folds in.
-    pub const fn name(self) -> &'static str {
-        match self {
-            PartitionStrategy::Auto => "auto",
-            PartitionStrategy::Unweighted => "unweighted",
-            PartitionStrategy::HopWeighted => "hop_weighted",
-        }
-    }
 }
 
 /// The name dqcbench's layer probe passes to [`SystemConfig::with_backend`].
@@ -288,67 +277,6 @@ impl SystemConfig {
         self.num_nodes * self.data_qubits_per_node
     }
 
-    /// A stable 64-bit fingerprint of the full configuration — the
-    /// *hardware point* identity the serving layer shards by.
-    ///
-    /// Every field that influences compilation or execution is folded in
-    /// (qubit counts, Table II latencies and fidelities, `psucc`, κ, the
-    /// cutoff policy, protocol, partitioner, partition seed, and the
-    /// complete topology), so two configurations share a fingerprint
-    /// exactly when they are `==`, modulo the astronomically unlikely
-    /// FNV-1a collision. Unlike `Hash`-derived values, the fingerprint
-    /// never changes across runs, platforms, or toolchains.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dqc_core::SystemConfig;
-    ///
-    /// let paper = SystemConfig::paper_two_node_32();
-    /// assert_eq!(paper.fingerprint(), paper.clone().fingerprint());
-    /// assert_ne!(
-    ///     paper.fingerprint(),
-    ///     paper.with_comm_and_buffer(20).fingerprint()
-    /// );
-    /// ```
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_usize(self.num_nodes);
-        h.write_usize(self.data_qubits_per_node);
-        h.write_usize(self.comm_qubits_per_node);
-        h.write_usize(self.buffer_qubits_per_node);
-        h.write_i64(self.latencies.one_qubit.ticks());
-        h.write_i64(self.latencies.two_qubit.ticks());
-        h.write_i64(self.latencies.measurement.ticks());
-        h.write_i64(self.latencies.epr_cycle.ticks());
-        h.write_f64(self.fidelities.one_qubit);
-        h.write_f64(self.fidelities.two_qubit);
-        h.write_f64(self.fidelities.measurement);
-        h.write_f64(self.fidelities.epr);
-        h.write_f64(self.success_probability);
-        h.write_f64(self.kappa_per_tick);
-        h.write_usize(self.async_groups);
-        match self.cutoff {
-            CutoffPolicy::Keep => h.write_u8(0),
-            CutoffPolicy::MaxAge(age) => {
-                h.write_u8(1);
-                h.write_i64(age.ticks());
-            }
-        }
-        h.write_str(self.remote_protocol.name());
-        h.write_bool(self.purify_links);
-        h.write_u64(self.partition_seed);
-        h.write_str(self.partitioner.name());
-        match &self.topology {
-            Some(topology) => {
-                h.write_u8(1);
-                topology.fold_fingerprint(&mut h);
-            }
-            None => h.write_u8(0),
-        }
-        h.finish()
-    }
-
     /// End-to-end latency of a remote gate once its Bell pair is in hand:
     /// one local CNOT layer, one measurement round, and the classically
     /// conditioned Pauli correction (the two halves of the telegate
@@ -495,10 +423,6 @@ mod tests {
         );
         // The engine name chooses nothing: the copy is the same point.
         assert_eq!(base.with_backend(Backend::Auto), base);
-        assert_eq!(
-            base.with_backend(Backend::Auto).fingerprint(),
-            base.fingerprint()
-        );
         // Everything else is untouched.
         assert_eq!(base.with_epr_fidelity(0.95).latencies, base.latencies);
         assert_eq!(

@@ -52,7 +52,6 @@ impl CompiledCircuit {
             // dqcbench's `core.exec.analytic_us_p50` selects replays by
             // this attribute; it goes with the benchmark's next change.
             replay_span.attr("backend", "analytic");
-            replay_span.attr("cache_key", self.key());
             replay_span.attr("design", design.to_string());
             replay_span.attr("seed", seed);
         }

@@ -1,7 +1,7 @@
 //! The device network: which node pairs share a physical entanglement
 //! link.
 
-use dqc_types::{Fnv64, NodeId, UnknownName};
+use dqc_types::{NodeId, UnknownName};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -193,23 +193,6 @@ impl NetworkTopology {
         }
         let (x, y) = (a.index().min(b.index()), a.index().max(b.index()));
         self.edges.contains(&(x, y))
-    }
-
-    /// Folds the topology's full identity — node count and edge set —
-    /// into `hasher`.
-    ///
-    /// Edges are stored in a sorted set, so the encoding (and therefore
-    /// the resulting fingerprint) is deterministic: two equal topologies
-    /// always fold identically, regardless of construction order. This is
-    /// the topology's contribution to `SystemConfig`'s stable fingerprint
-    /// in `dqc-core`, which the serving layer shards hardware points by.
-    pub fn fold_fingerprint(&self, hasher: &mut Fnv64) {
-        hasher.write_usize(self.num_nodes);
-        hasher.write_usize(self.edges.len());
-        for &(a, b) in &self.edges {
-            hasher.write_u32(u32::from(a));
-            hasher.write_u32(u32::from(b));
-        }
     }
 
     /// The neighbors of `node`, ascending.

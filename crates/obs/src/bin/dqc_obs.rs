@@ -9,10 +9,13 @@
 //! frame), prints every trace's span tree and the top-N table, and
 //! exits non-zero when the capture fails to parse or holds fewer than
 //! `--min-spans` spans — which is exactly the gate CI's `bench-smoke`
-//! job runs on every capture it records.
+//! job runs on every capture it records. A reader that closes the pipe
+//! early (`dqc-obs report X | head`) just ends the report; the exit
+//! status is still the parse's and the gate's.
 
 use dqc_obs::Capture;
 use dqc_types::Json;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -66,20 +69,12 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
-        "capture: producer={} clock={} spans={} events={} traces={} metrics={}",
-        capture.producer,
-        capture.clock,
-        capture.spans.len(),
-        capture.events.len(),
-        capture.traces().len(),
-        capture.metrics.entries.len(),
-    );
-    println!();
-    print!("{}", capture.render_tree());
-    println!();
-    print!("{}", capture.render_top(top));
-
+    if let Err(e) = print_report(&capture, top) {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write the report: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     if capture.spans.len() < min_spans {
         eprintln!(
             "error: capture holds {} spans, below the --min-spans gate of {min_spans}",
@@ -88,4 +83,24 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Writes the report through one locked stdout.
+fn print_report(capture: &Capture, top: usize) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
+        "capture: producer={} clock={} spans={} events={} traces={} metrics={}",
+        capture.producer,
+        capture.clock,
+        capture.spans.len(),
+        capture.events.len(),
+        capture.traces().len(),
+        capture.metrics.entries.len(),
+    )?;
+    writeln!(out)?;
+    out.write_all(capture.render_tree().as_bytes())?;
+    writeln!(out)?;
+    out.write_all(capture.render_top(top).as_bytes())?;
+    out.flush()
 }

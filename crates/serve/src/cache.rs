@@ -1,13 +1,12 @@
 //! The per-shard warm-compilation cache.
 //!
 //! Each shard serves exactly one hardware point, so within a shard a
-//! compilation is identified by the circuit alone; the cache keys entries
-//! by [`CompiledCircuit::cache_key`] (circuit fingerprint × configuration
-//! fingerprint) so entries remain globally unambiguous if a cache ever
-//! outlives its shard. Fingerprints are 64-bit and non-cryptographic, so
-//! every hit is verified by structural circuit equality before being
-//! trusted — a colliding lookup falls through to a miss instead of
-//! silently serving the wrong compilation.
+//! compilation is identified by its circuit alone: a lookup finds the
+//! entry whose circuit is structurally equal (`==`) to the request's.
+//! There is no hash key to collide, so a hit is always the right
+//! compilation. A circuit that is not `==` to itself (a NaN angle) never
+//! hits; it compiles afresh each time and its entries stay bounded by the
+//! capacity like any other.
 //!
 //! Eviction is least-recently-used over a bounded entry count. The store
 //! is a plain vector with O(n) scans: shard caches are tens of entries
@@ -19,7 +18,6 @@ use dqc_core::CompiledCircuit;
 use std::sync::Arc;
 
 struct Entry {
-    key: u64,
     compiled: Arc<CompiledCircuit>,
     last_used: u64,
 }
@@ -49,27 +47,31 @@ impl CompileCache {
         self.entries.len()
     }
 
-    /// Looks up the compilation for `key`, verifying the candidate
-    /// against `circuit` so a fingerprint collision degrades to a miss.
-    pub(crate) fn get(&mut self, key: u64, circuit: &Circuit) -> Option<Arc<CompiledCircuit>> {
+    /// Looks up the compilation of a circuit `==` to `circuit`.
+    pub(crate) fn get(&mut self, circuit: &Circuit) -> Option<Arc<CompiledCircuit>> {
         self.clock += 1;
-        let entry = self.entries.iter_mut().find(|e| e.key == key)?;
-        if entry.compiled.circuit() != circuit {
-            return None;
-        }
+        let entry = self
+            .entries
+            .iter_mut()
+            .find(|e| e.compiled.circuit() == circuit)?;
         entry.last_used = self.clock;
         Some(Arc::clone(&entry.compiled))
     }
 
-    /// Stores a compilation under `key`, evicting the least-recently-used
-    /// entry when at capacity. Racing inserts for the same key (two
-    /// workers missing concurrently) collapse to the latest value.
-    pub(crate) fn insert(&mut self, key: u64, compiled: Arc<CompiledCircuit>) {
+    /// Stores a compilation, replacing the entry for an equal circuit or
+    /// else evicting the least-recently-used entry when at capacity.
+    /// Racing inserts for equal circuits (two workers missing
+    /// concurrently) collapse to the latest value.
+    pub(crate) fn insert(&mut self, compiled: Arc<CompiledCircuit>) {
         if self.capacity == 0 {
             return;
         }
         self.clock += 1;
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.key == key) {
+        if let Some(entry) = self
+            .entries
+            .iter_mut()
+            .find(|e| e.compiled.circuit() == compiled.circuit())
+        {
             entry.compiled = compiled;
             entry.last_used = self.clock;
             return;
@@ -85,7 +87,6 @@ impl CompileCache {
             self.entries.swap_remove(lru);
         }
         self.entries.push(Entry {
-            key,
             compiled,
             last_used: self.clock,
         });
@@ -113,47 +114,62 @@ mod tests {
     #[test]
     fn hit_requires_matching_circuit() {
         let mut cache = CompileCache::new(4);
-        let a = circuit(3);
-        let b = circuit(5);
-        cache.insert(1, compiled(&a));
-        assert!(cache.get(1, &a).is_some(), "genuine hit");
-        assert!(
-            cache.get(1, &b).is_none(),
-            "a colliding key must degrade to a miss"
-        );
-        assert!(cache.get(2, &a).is_none(), "unknown key misses");
+        cache.insert(compiled(&circuit(3)));
+        // Built separately, so no pointer is shared with the entry.
+        let equal = circuit(3);
+        let hit = cache.get(&equal).expect("an equal circuit hits");
+        assert_eq!(hit.circuit(), &equal);
+        assert!(cache.get(&circuit(5)).is_none(), "a longer circuit misses");
+        let mut reversed = Circuit::new(4);
+        reversed.cx(1, 0).cx(2, 1).cx(3, 2);
+        assert!(cache.get(&reversed).is_none(), "swapped operands miss");
     }
 
     #[test]
     fn evicts_least_recently_used() {
         let mut cache = CompileCache::new(2);
         let (a, b, c) = (circuit(1), circuit(2), circuit(3));
-        cache.insert(1, compiled(&a));
-        cache.insert(2, compiled(&b));
-        // Touch entry 1 so entry 2 becomes the LRU victim.
-        assert!(cache.get(1, &a).is_some());
-        cache.insert(3, compiled(&c));
+        cache.insert(compiled(&a));
+        cache.insert(compiled(&b));
+        // Touch `a` so `b` becomes the LRU victim.
+        assert!(cache.get(&a).is_some());
+        cache.insert(compiled(&c));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(1, &a).is_some(), "recently used survives");
-        assert!(cache.get(2, &b).is_none(), "LRU entry evicted");
-        assert!(cache.get(3, &c).is_some());
+        assert!(cache.get(&a).is_some(), "recently used survives");
+        assert!(cache.get(&b).is_none(), "LRU entry evicted");
+        assert!(cache.get(&c).is_some());
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
         let mut cache = CompileCache::new(0);
         let a = circuit(2);
-        cache.insert(1, compiled(&a));
+        cache.insert(compiled(&a));
         assert_eq!(cache.len(), 0);
-        assert!(cache.get(1, &a).is_none());
+        assert!(cache.get(&a).is_none());
     }
 
     #[test]
-    fn same_key_reinsert_replaces_without_growth() {
+    fn equal_reinsert_replaces_without_growth() {
         let mut cache = CompileCache::new(2);
-        let a = circuit(2);
-        cache.insert(1, compiled(&a));
-        cache.insert(1, compiled(&a));
+        let second = compiled(&circuit(2));
+        cache.insert(compiled(&circuit(2)));
+        cache.insert(Arc::clone(&second));
         assert_eq!(cache.len(), 1);
+        let hit = cache.get(&circuit(2)).expect("the entry survives");
+        assert!(Arc::ptr_eq(&hit, &second), "the latest insert wins");
+    }
+
+    #[test]
+    fn a_circuit_unequal_to_itself_misses_and_stays_bounded() {
+        let mut cache = CompileCache::new(2);
+        let mut nan = Circuit::new(4);
+        nan.rz(0, f64::NAN).cx(0, 1);
+        assert_ne!(nan, nan, "a NaN angle is not equal to itself");
+        for _ in 0..3 {
+            assert!(cache.get(&nan).is_none());
+            cache.insert(compiled(&nan));
+        }
+        assert_eq!(cache.len(), 2, "capacity still bounds the entries");
     }
 }

@@ -15,10 +15,10 @@
 //!   with its reply, and the worker that serves it calls the reply once
 //!   with the response, in completion order.
 //! * **Warm compile caches** — each shard holds an LRU-bounded cache of
-//!   [`CompiledCircuit`](dqc_core::CompiledCircuit)s keyed by stable
-//!   circuit × configuration fingerprints, so a circuit seen twice never
-//!   compiles twice (hits are equality-verified, so a fingerprint
-//!   collision degrades to a miss, never to a wrong answer).
+//!   [`CompiledCircuit`](dqc_core::CompiledCircuit)s. A shard serves one
+//!   hardware point, so a lookup finds the entry whose circuit is
+//!   structurally equal (`==`) to the request's, and a circuit seen
+//!   twice never compiles twice.
 //! * **Batching and replay fusion** — workers drain their shard queue in
 //!   batches of up to eight, coalescing same-shard requests into one
 //!   dispatch; batch-mates that share a compilation and design replay

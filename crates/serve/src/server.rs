@@ -13,8 +13,8 @@
 //! and hand each [`EvalResponse`] to the reply it was submitted with.
 //!
 //! **Replay fusion** (always on) rides on the dispatch path: every
-//! dispatch is split into groups of requests sharing a compile
-//! fingerprint and design, and each group is served as one multi-seed
+//! dispatch is split into groups of requests with equal circuits and
+//! the same design, and each group is served as one multi-seed
 //! replay — each distinct seed runs once and the per-seed
 //! [`ExecutionReport`]s fan back to every requester. A group of one is
 //! simply a request served alone, so there is one dispatch path.
@@ -415,8 +415,8 @@ fn worker_loop(ctx: WorkerContext) {
             dispatch.attr("point", ctx.point.as_str());
             dispatch.attr("batch", batch.len() as u64);
         }
-        for (key, group) in fuse_batch(&ctx, batch) {
-            serve_group(&ctx, key, group);
+        for group in fuse_batch(batch) {
+            serve_group(&ctx, group);
         }
     }
 }
@@ -451,26 +451,21 @@ fn open_request_span(ctx: &WorkerContext, job: &Job) -> dqc_obs::SpanGuard {
     span
 }
 
-/// Splits one dispatch batch into fusion groups, each with its compile
-/// cache key: jobs sharing a key **and** design **and** structurally
-/// equal circuits (the equality guard demotes a fingerprint collision to
-/// separate groups, never to a shared replay). Jobs stay in submission
-/// order within and across groups.
-fn fuse_batch(ctx: &WorkerContext, batch: Vec<Job>) -> Vec<(u64, Vec<Job>)> {
-    let mut groups: Vec<(u64, Vec<Job>)> = Vec::new();
+/// Splits one dispatch batch into fusion groups: jobs with the same
+/// design and structurally equal circuits (the same `Arc`, or `==`).
+/// Jobs stay in submission order within and across groups.
+fn fuse_batch(batch: Vec<Job>) -> Vec<Vec<Job>> {
+    let mut groups: Vec<Vec<Job>> = Vec::new();
     for job in batch {
-        let key = CompiledCircuit::cache_key(&job.request.circuit, &ctx.config);
-        let home = groups.iter_mut().find(|(group_key, members)| {
-            *group_key == key && {
-                let rep = &members[0].request;
-                rep.design == job.request.design
-                    && (Arc::ptr_eq(&rep.circuit, &job.request.circuit)
-                        || rep.circuit == job.request.circuit)
-            }
+        let home = groups.iter_mut().find(|members| {
+            let rep = &members[0].request;
+            rep.design == job.request.design
+                && (Arc::ptr_eq(&rep.circuit, &job.request.circuit)
+                    || rep.circuit == job.request.circuit)
         });
         match home {
-            Some((_, members)) => members.push(job),
-            None => groups.push((key, vec![job])),
+            Some(members) => members.push(job),
+            None => groups.push(vec![job]),
         }
     }
     groups
@@ -483,7 +478,7 @@ fn fuse_batch(ctx: &WorkerContext, batch: Vec<Job>) -> Vec<(u64, Vec<Job>)> {
 /// function of `(design, seed)`. Cache accounting stays per job. A group
 /// of one is a request served alone: it memoizes nothing, counts as
 /// nothing fused and emits no `serve.fusion_group` event.
-fn serve_group(ctx: &WorkerContext, key: u64, group: Vec<Job>) {
+fn serve_group(ctx: &WorkerContext, group: Vec<Job>) {
     let members = group.len() as u64;
     let mut saved = 0u64;
     let mut memo: HashMap<u64, Result<ExecutionReport, DqcError>> = HashMap::new();
@@ -491,7 +486,7 @@ fn serve_group(ctx: &WorkerContext, key: u64, group: Vec<Job>) {
     for job in group {
         let service_started = Instant::now();
         let request_span = open_request_span(ctx, &job);
-        let (outcome, cache_hit) = match resolve_compiled(ctx, key, &job.request) {
+        let (outcome, cache_hit) = match resolve_compiled(ctx, &job.request) {
             Err(e) => (Err(e), false),
             Ok((compiled, cache_hit)) => {
                 // Replay through the group's first compilation; every
@@ -568,26 +563,25 @@ fn finish_job(
     });
 }
 
-/// The compile-once half of serving: warm-cache lookup under the
-/// request's cache `key` (equality-verified), compile-and-fill on miss,
-/// per-request hit/miss accounting.
+/// The compile-once half of serving: warm-cache lookup of the
+/// request's circuit, compile-and-fill on miss, per-request hit/miss
+/// accounting.
 fn resolve_compiled(
     ctx: &WorkerContext,
-    key: u64,
     request: &EvalRequest,
 ) -> Result<(Arc<CompiledCircuit>, bool), ServeError> {
     let cached = ctx
         .cache
         .lock()
         .expect("cache lock not poisoned")
-        .get(key, &request.circuit);
+        .get(&request.circuit);
     match cached {
         Some(compiled) => {
             ctx.counters.cache_hits.bump();
             Ok((compiled, true))
         }
         None => {
-            // Two workers can miss the same circuit concurrently and both
+            // Two workers can miss equal circuits concurrently and both
             // compile; the duplicate insert collapses in the cache. That
             // wastes one compilation in a rare race — cheaper than
             // serializing every miss behind a single-flight lock.
@@ -598,7 +592,7 @@ fn resolve_compiled(
                     ctx.cache
                         .lock()
                         .expect("cache lock not poisoned")
-                        .insert(key, Arc::clone(&compiled));
+                        .insert(Arc::clone(&compiled));
                     Ok((compiled, false))
                 }
                 Err(e) => Err(ServeError::Engine(e)),
@@ -612,6 +606,56 @@ mod tests {
     use super::*;
     use dqc_core::{Design, Experiment};
     use dqc_obs::{AttrValue, RingRecorder, TickClock};
+
+    /// The warm cache finds a compilation by the circuit itself: a
+    /// second request whose circuit is `==` to the first's but sits in
+    /// its own `Arc` reuses the first compilation, and both answer with
+    /// the reports direct evaluation gives, byte for byte.
+    #[test]
+    fn an_equal_circuit_in_another_arc_compiles_once() {
+        let system = SystemConfig::paper_two_node_32();
+        let direct: Vec<String> = Experiment::new(&dqc_workloads::qft(12), &system)
+            .unwrap()
+            .design(Design::AdaptBuf)
+            .runs(3)
+            .base_seed(7)
+            .reports()
+            .unwrap()
+            .iter()
+            .map(|r| r.to_json().to_compact_string())
+            .collect();
+        let server = ServeBuilder::new()
+            .hardware_point("paper", system)
+            .workers_per_shard(1)
+            .spawn()
+            .unwrap();
+        let mut cache_hits = Vec::new();
+        for _ in 0..2 {
+            let circuit = Arc::new(dqc_workloads::qft(12));
+            let request = EvalRequest::new("QFT", circuit, "paper", Design::AdaptBuf)
+                .runs(3)
+                .base_seed(7);
+            let (tx, rx) = std::sync::mpsc::channel();
+            server.submit(request, move |r| drop(tx.send(r))).unwrap();
+            let response = rx.recv().expect("the request is served");
+            cache_hits.push(response.cache_hit);
+            let served: Vec<String> = response
+                .outcome
+                .expect("the request succeeds")
+                .reports
+                .iter()
+                .map(|r| r.to_json().to_compact_string())
+                .collect();
+            assert_eq!(served, direct);
+        }
+        assert_eq!(cache_hits, [false, true]);
+        let stats = server.shutdown();
+        assert_eq!(
+            (stats.cache_misses, stats.cache_hits),
+            (1, 1),
+            "one compile"
+        );
+    }
 
     /// Fusion saves replays, counted exactly: `JOBS` identical requests
     /// queued before the worker starts leave in one `pop_batch`, fuse

@@ -14,9 +14,8 @@
 //!   (`hello`/`welcome`), tagged pipelined submissions, typed errors,
 //!   and live `metrics` and `trace` commands. A submission holds an
 //!   in-memory circuit or QASM text, sent as OpenQASM 2.0 text either
-//!   way; it parses to a fingerprint-identical
-//!   [`Circuit`](dqc_circuit::Circuit), so wire traffic shares the
-//!   in-process compile caches.
+//!   way; it parses to a [`Circuit`](dqc_circuit::Circuit) `==` to the
+//!   original, so wire traffic shares the in-process compile caches.
 //! * **Multi-tenancy** ([`quota`]) — per-client in-flight caps and
 //!   token-bucket rate limits keyed by the `hello` identity, layered on
 //!   the serve layer's global `overloaded` backpressure so one greedy

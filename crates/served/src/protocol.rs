@@ -14,9 +14,9 @@
 //! either one is sent as QASM: `submit.circuit` is an OpenQASM 2.0
 //! program string ([`to_qasm`] renders an in-memory circuit when the
 //! frame is built). The daemon parses it with [`from_qasm`] after quota
-//! admission. The round trip preserves the circuit's
-//! [`fingerprint`](Circuit::fingerprint), so wire submissions hit the
-//! same warm compile caches as in-process requests.
+//! admission. The round trip reproduces the circuit exactly (`==`, and
+//! its [`fingerprint`](Circuit::fingerprint) with it), so wire
+//! submissions hit the same warm compile caches as in-process requests.
 //!
 //! Errors are typed end-to-end: [`WireError`] carries the admission
 //! backpressure signals (`overloaded` straight from

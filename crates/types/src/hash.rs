@@ -5,13 +5,14 @@
 //! change between Rust releases and process runs — FNV-1a over explicit
 //! field encodings is *stable*: the same input bytes produce the same
 //! fingerprint on every platform, every run, every toolchain. That
-//! stability is what lets fingerprints key caches, shard routing tables,
-//! and serialized artifacts across process boundaries.
+//! stability is what lets fingerprints identify circuits and replies in
+//! digests and serialized artifacts across process boundaries.
 //!
 //! Fingerprints are 64-bit and non-cryptographic: collisions are
 //! astronomically unlikely for workload-scale inputs but not impossible,
-//! so correctness-critical consumers (the `dqc-serve` compile cache)
-//! verify candidate hits by structural equality before trusting them.
+//! so a consumer whose correctness depends on identity compares the
+//! values themselves (the `dqc-serve` compile cache matches circuits by
+//! structural equality and hashes nothing).
 
 /// FNV-1a offset basis (64-bit).
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -82,11 +83,6 @@ impl Fnv64 {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    /// Folds an `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
     /// Folds a `usize` widened to 64 bits, so 32- and 64-bit platforms
     /// agree.
     pub fn write_usize(&mut self, v: usize) {
@@ -96,11 +92,6 @@ impl Fnv64 {
     /// Folds an `f64` through its IEEE-754 bit pattern.
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
-    }
-
-    /// Folds a `bool` as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(u8::from(v));
     }
 
     /// Folds a string's UTF-8 bytes, length-prefixed so consecutive

@@ -16,8 +16,7 @@
 //!   the build environment is offline, so there is no `serde`.
 //! * [`Fnv64`] — a stable FNV-1a fingerprint hasher whose output never
 //!   changes across runs, platforms, or toolchains, backing the circuit
-//!   and configuration fingerprints that key the serving layer's compile
-//!   cache and shard routing.
+//!   fingerprint and the benchmark's reply digests.
 //! * [`diag`] — the coded diagnostic taxonomy ([`Diagnostic`],
 //!   [`Severity`], [`Site`], the [`diag::REGISTRY`] of every code) shared
 //!   by the `dqc-analyze` static analyzer and every layer that refuses

@@ -40,9 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The same circuit in memory and as QASM text. The client renders
-    // the first as QASM too, and the daemon parses both to one
-    // fingerprint, so the second submission is a cache hit on the entry
-    // the first one warmed.
+    // the first as QASM too, and the daemon parses both to equal
+    // circuits, so the second submission is a cache hit on the entry the
+    // first one warmed.
     let circuit = Arc::new(qft(16));
     let structured =
         Submission::structured("qft-16", Arc::clone(&circuit), "paper", Design::AdaptBuf)

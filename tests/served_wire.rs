@@ -367,6 +367,39 @@ fn malformed_qasm_is_refused_with_its_source_line() {
     assert_eq!(wire.protocol_errors, 0);
 }
 
+/// OpenQASM 2.0 has no literal for a non-finite angle, so `rz(nan)` is
+/// refused at parse time with its line: a circuit that is not `==` to
+/// itself never reaches a shard's warm cache over the wire.
+#[test]
+fn a_nan_angle_is_refused_with_its_source_line() {
+    let daemon = ServedBuilder::new()
+        .hardware_point("paper", SystemConfig::paper_two_node_32())
+        .workers_per_shard(1)
+        .bind("127.0.0.1:0")
+        .expect("daemon binds");
+    let mut client =
+        ServedClient::connect(daemon.local_addr().to_string(), "tester").expect("connects");
+
+    let nan = "OPENQASM 2.0;\nqreg q[2];\nrz(nan) q[0];\ncx q[0],q[1];\n";
+    let submission = Submission::qasm("nan", nan, "paper", Design::AdaptBuf);
+    client.submit(&submission).expect("submit");
+    let reply = client.recv_reply().expect("refusal arrives");
+    match reply.outcome.expect_err("a NaN angle is refused") {
+        WireError::BadRequest { line, message } => {
+            assert_eq!(line, Some(3), "the rz statement's line");
+            assert_eq!(message, "cannot parse angle nan");
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    let metrics = client.metrics().expect("metrics scrape");
+    assert_eq!(metrics.counter("served.bad_requests"), Some(1));
+    assert_eq!(metrics.counter("serve.submitted{point=paper}"), Some(0));
+    client.bye().expect("clean goodbye");
+
+    let wire = daemon.shutdown().daemon;
+    assert_eq!(wire.bad_requests, 1);
+}
+
 /// A submission the static analyzer can prove will never execute on its
 /// target point is refused before it costs queue space, as a typed
 /// `Rejected` carrying the structured diagnostics — and the refusal is

@@ -52,19 +52,17 @@ crates/obs/src/recorder.rs
 fail=0
 
 # Lists every file under the scanned trees matching the extended regular
-# expression `$1` that is not in the allowlist `$2`.
+# expression `$1` that is not in the allowlist `$2`. An allowlist entry
+# names one whole path: `src/wall.rs` is not `crates/obs/src/wall.rs`.
 scan() {
     pattern="$1"
     allow="$2"
     label="$3"
     for file in $(grep -rlE --include='*.rs' "$pattern" crates src tests examples 2>/dev/null); do
-        case "$allow" in
-            *"$file"*) ;;
-            *)
-                echo "determinism lint: $file uses $label outside the allowlist" >&2
-                fail=1
-                ;;
-        esac
+        if ! printf '%s\n' "$allow" | grep -qxF "$file"; then
+            echo "determinism lint: $file uses $label outside the allowlist" >&2
+            fail=1
+        fi
     done
 }
 
