@@ -1005,58 +1005,6 @@ pub fn portfolio_requests(
         .collect()
 }
 
-/// The portfolio index of the hot circuit [`skewed_requests`] duplicates:
-/// QFT-32, the portfolio's heaviest replay (256 remote gates), so the
-/// runs fusion saves are the runs that actually cost something.
-const SKEW_HOT: usize = 2;
-
-/// Builds the duplicate-heavy request list the fusion determinism test
-/// serves: most requests are the *same* evaluation (the portfolio's
-/// QFT-32, same design, same base seed — the traffic shape of many
-/// tenants asking one popular question), with every `cold_every`-th
-/// request a distinct background evaluation drawn from the rest of the
-/// portfolio. Replay fusion, always on, coalesces the duplicates that
-/// land in one worker batch into a single replay. Pure function of its
-/// arguments, like [`portfolio_requests`].
-///
-/// `cold_every = 0` makes every request the hot duplicate.
-pub fn skewed_requests(
-    count: usize,
-    runs: usize,
-    base_seed: u64,
-    point: &str,
-    cold_every: usize,
-) -> Vec<dqc_serve::EvalRequest> {
-    let portfolio = serve_portfolio();
-    (0..count)
-        .map(|i| {
-            let cold = cold_every > 0 && (i + 1) % cold_every == 0;
-            if cold {
-                let offset = (i / cold_every) % (portfolio.len() - 1);
-                let (label, circuit) = &portfolio[(SKEW_HOT + 1 + offset) % portfolio.len()];
-                dqc_serve::EvalRequest::new(
-                    label.clone(),
-                    std::sync::Arc::clone(circuit),
-                    point,
-                    Design::AsyncBuf,
-                )
-                .runs(runs)
-                .base_seed(base_seed + i as u64)
-            } else {
-                let (label, circuit) = &portfolio[SKEW_HOT];
-                dqc_serve::EvalRequest::new(
-                    label.clone(),
-                    std::sync::Arc::clone(circuit),
-                    point,
-                    Design::AdaptBuf,
-                )
-                .runs(runs)
-                .base_seed(base_seed)
-            }
-        })
-        .collect()
-}
-
 // ------------------------------------------------------- Static analysis
 
 /// The corpus the `analyze` repro target audits: every paper benchmark
@@ -1191,30 +1139,6 @@ mod tests {
         let first = &result.cells[0].report;
         for cell in &result.cells[1..] {
             assert_eq!(&cell.report, first, "{}", cell.config);
-        }
-    }
-
-    #[test]
-    fn skewed_requests_are_mostly_one_hot_duplicate() {
-        let requests = skewed_requests(16, 2, 99, "paper", 4);
-        let hot = &requests[0];
-        let duplicates = requests
-            .iter()
-            .filter(|r| {
-                r.circuit_label == hot.circuit_label
-                    && r.base_seed == hot.base_seed
-                    && r.design == hot.design
-            })
-            .count();
-        assert_eq!(duplicates, 12, "3 of every 4 requests are the hot one");
-        let cold: Vec<_> = requests
-            .iter()
-            .filter(|r| r.circuit_label != hot.circuit_label)
-            .collect();
-        assert_eq!(cold.len(), 4);
-        // Background requests never collide in seed, so they can't fuse.
-        for pair in cold.windows(2) {
-            assert_ne!(pair[0].base_seed, pair[1].base_seed);
         }
     }
 }

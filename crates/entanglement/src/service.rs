@@ -269,20 +269,16 @@ impl EntanglementService {
     /// (draining the queue in order minimizes cutoff waste).
     pub fn try_take(&mut self, t: Tick) -> Option<TakenLink> {
         self.advance_to(t);
-        // Candidates: (created_at, source) with source = buffer index or
-        // pair index.
-        let mut candidates: Vec<(Tick, bool, usize)> = Vec::new();
-        for (i, b) in self.buffer.iter().enumerate() {
-            if b.ready_at <= self.now {
-                candidates.push((b.link.created_at(), false, i));
-            }
-        }
-        for (i, p) in self.pairs.iter().enumerate() {
-            if let PairState::Holding(link) = p {
-                candidates.push((link.created_at(), true, i));
-            }
-        }
-        let (_, from_pair, idx) = candidates.into_iter().min()?;
+        // The oldest candidate as `(created_at, from_pair, index)`, where
+        // the index is into the buffer or into the pairs.
+        let ready = self.buffer.iter().enumerate().filter_map(|(i, b)| {
+            (b.ready_at <= self.now).then_some((b.link.created_at(), false, i))
+        });
+        let held = self.pairs.iter().enumerate().filter_map(|(i, p)| match p {
+            PairState::Holding(link) => Some((link.created_at(), true, i)),
+            PairState::Attempting(_) => None,
+        });
+        let (_, from_pair, idx) = ready.chain(held).min()?;
         let link = if from_pair {
             let PairState::Holding(link) = self.pairs[idx] else {
                 unreachable!("candidate source checked above")
@@ -343,10 +339,8 @@ impl EntanglementService {
             if let Some(at) = self.config.cutoff.discard_at(b.link.created_at()) {
                 consider(at, EventKind::BufferExpiry(i));
             }
-        }
-        // Buffered links still being swapped in become available later;
-        // that is an "event" for time_of_next_available.
-        for (i, b) in self.buffer.iter().enumerate() {
+            // A buffered link still being swapped in becomes available
+            // later; that is an "event" for time_of_next_available.
             if b.ready_at > self.now {
                 consider(b.ready_at, EventKind::SwapDone(i));
             }

@@ -6,8 +6,8 @@
 //!
 //! * **Tracing** — [`span`] / [`root_span`] open named intervals with
 //!   stable [`TraceId`]/[`SpanId`] identities and thread-local
-//!   parenting; [`event`] records point-in-time facts (fusion groups,
-//!   admission refusals). Records flow to a pluggable [`Recorder`].
+//!   parenting; [`event`] records point-in-time facts (admission
+//!   refusals). Records flow to a pluggable [`Recorder`].
 //!   **Nothing is installed by default**: the disabled path is one
 //!   relaxed atomic load, no allocation — instrumented code stays
 //!   byte-identical to uninstrumented code, which the serving layer's

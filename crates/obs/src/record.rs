@@ -167,15 +167,15 @@ impl SpanRecord {
     }
 }
 
-/// One point-in-time event (a fusion group forming, a request refused
-/// at admission), optionally attached to an enclosing span.
+/// One point-in-time event (a request refused at admission), optionally
+/// attached to an enclosing span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// The trace the event belongs to, if it happened inside one.
     pub trace: Option<TraceId>,
     /// The enclosing span, if any.
     pub parent: Option<SpanId>,
-    /// The event's name (e.g. `serve.fusion_group`, `serve.rejected`).
+    /// The event's name (e.g. `serve.rejected`).
     pub name: String,
     /// When it happened, in clock microseconds.
     pub at_us: u64,
@@ -285,7 +285,7 @@ mod tests {
         let event = EventRecord {
             trace: None,
             parent: None,
-            name: "serve.fusion_group".to_string(),
+            name: "serve.rejected".to_string(),
             at_us: 99,
             attrs: vec![("point".to_string(), AttrValue::Str("a".to_string()))],
         };

@@ -10,9 +10,9 @@
 //! straight into it.
 //!
 //! It holds only knobs that change what a server admits or how much
-//! work it keeps warm. Settings that could only change speed, never an
-//! answer, are constants: the batch bound ([`BATCH_MAX`]), the histogram
-//! ladder ([`BUCKET_BOUNDS_US`]), and replay fusion, which is always on.
+//! work it keeps warm. The histogram ladder ([`BUCKET_BOUNDS_US`]), which
+//! could only change what the metrics show, never an answer, is a
+//! constant, and a worker always serves one request per dispatch.
 //!
 //! JSON semantics are deliberately **lenient on absence, strict on type
 //! and on names**: a hand-written config file may name only the knobs it
@@ -23,9 +23,6 @@
 
 use crate::ServeError;
 use dqc_types::{Diagnostic, Json, JsonError, Site};
-
-/// The largest number of queued requests one worker wake-up drains.
-pub(crate) const BATCH_MAX: usize = 8;
 
 /// Inclusive upper bounds, in whole microseconds, of the queue-wait and
 /// service-time histogram buckets (an overflow bucket is always

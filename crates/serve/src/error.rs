@@ -22,7 +22,7 @@ pub enum ServeError {
     Overloaded {
         /// The hardware point whose shard refused the request.
         point: String,
-        /// The shard's queue capacity (requests, not batches).
+        /// The shard's queue capacity (requests).
         capacity: usize,
     },
     /// The request names a hardware point the server was not built with.

@@ -19,10 +19,9 @@
 //!   hardware point, so a lookup finds the entry whose circuit is
 //!   structurally equal (`==`) to the request's, and a circuit seen
 //!   twice never compiles twice.
-//! * **Batching and replay fusion** — workers drain their shard queue in
-//!   batches of up to eight, coalescing same-shard requests into one
-//!   dispatch; batch-mates that share a compilation and design replay
-//!   each distinct seed once.
+//! * **One-job dispatch** — a worker pops one request at a time and
+//!   replays its seeds in order, so no request waits behind another's
+//!   cold compile while a sibling worker is free.
 //! * **Admission control** — shard queues are bounded
 //!   ([`ServeBuilder::queue_capacity`]); a full queue refuses the
 //!   request with the typed [`ServeError::Overloaded`] backpressure
@@ -31,15 +30,14 @@
 //!   sends its response is up to the caller.
 //! * **Metrics** — one registry per server holds every counter and the
 //!   queue-wait and service-time histograms, per shard
-//!   ([`Server::metrics`]). [`ServeStats`] sums the nine counters over
+//!   ([`Server::metrics`]). [`ServeStats`] sums the seven counters over
 //!   the shards; each request's latency rides on its [`EvalResponse`].
 //!
 //! Determinism survives concurrency: each request carries its own seed
 //! range and replays through the same [`Experiment`](dqc_core::Experiment)
 //! engine as a direct evaluation, so the response for a given request is
-//! byte-identical no matter the worker count, batch boundaries, fusion
-//! grouping, or submission order (`tests/serve_determinism.rs` pins
-//! this).
+//! byte-identical no matter the worker count or submission order
+//! (`tests/serve_determinism.rs` pins this).
 //!
 //! # Examples
 //!
@@ -86,9 +84,8 @@
 //! Every knob — worker count, queue and cache sizes, per-client quotas —
 //! lives in one typed, JSON-round-tripping [`ServeConfig`] shared with
 //! the network daemon; the builder setters above are shims over its
-//! fields. Settings that could only change speed, never an answer (the
-//! batch bound, the histogram ladder), are constants, and fusion is
-//! always on.
+//! fields. The histogram ladder, which could never change an answer, is
+//! a constant.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -317,7 +314,7 @@ mod tests {
         assert_eq!(stats.served, 5);
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.cache_hits + stats.cache_misses, 5);
-        assert!(stats.dispatches >= 1);
+        assert_eq!(stats.dispatches, stats.served, "one request per dispatch");
         assert_eq!(metrics.counter("serve.served{point=paper}"), Some(5));
         assert_eq!(
             metrics.counter("serve.dispatches{point=paper}"),

@@ -1,24 +1,23 @@
-//! A bounded multi-producer, multi-consumer job queue with batch pops.
+//! A bounded multi-producer, multi-consumer job queue.
 //!
 //! `std::sync::mpsc` channels are single-consumer and cannot report their
 //! depth, so the shard queue is a hand-rolled `Mutex<VecDeque>` +
-//! `Condvar` — ~100 lines buying exactly the three behaviors admission
-//! control and batching need:
+//! `Condvar` buying exactly the three behaviors admission control and
+//! one-job dispatch need:
 //!
 //! 1. **Non-blocking bounded push** — [`BoundedQueue::try_push`] refuses
 //!    at capacity instead of blocking, the mechanical half of the typed
 //!    [`ServeError::Overloaded`](crate::ServeError::Overloaded) path.
-//! 2. **Batched pops** — [`BoundedQueue::pop_batch`] hands a worker
-//!    everything queued (up to a cap) in one wake-up, so same-shard
-//!    requests coalesce into one dispatch instead of one lock round-trip
-//!    each.
+//! 2. **One-item pops** — [`BoundedQueue::pop`] hands a worker the
+//!    oldest job, so a worker that is free takes the next request while
+//!    its siblings are still busy with theirs.
 //! 3. **Graceful close** — after [`BoundedQueue::close`], producers are
-//!    refused but consumers keep draining; `pop_batch` returns `None`
-//!    only once the queue is both closed and empty.
+//!    refused but consumers keep draining; `pop` returns `None` only
+//!    once the queue is both closed and empty.
 //!
 //! Every waiter on the `Condvar` is a consumer that can take any item,
-//! so a push (or a batch that leaves items behind) wakes exactly one of
-//! them; only [`BoundedQueue::close`] wakes them all.
+//! so a push wakes exactly one of them; only [`BoundedQueue::close`]
+//! wakes them all.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -77,21 +76,14 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocks until at least one item is available, then drains up to
-    /// `max` items in FIFO order. Returns `None` once the queue is closed
-    /// *and* empty — the consumer's shutdown signal.
-    pub(crate) fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
-        let max = max.max(1);
+    /// Blocks until an item is available, then takes the oldest one.
+    /// Returns `None` once the queue is closed *and* empty — the
+    /// consumer's shutdown signal.
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("queue lock not poisoned");
         loop {
-            if !state.items.is_empty() {
-                let take = state.items.len().min(max);
-                let batch = state.items.drain(..take).collect();
-                // More items may remain for a sibling worker.
-                if !state.items.is_empty() {
-                    self.not_empty.notify_one();
-                }
-                return Some(batch);
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
             }
             if state.closed {
                 return None;
@@ -135,13 +127,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_coalesces_up_to_max() {
+    fn pop_takes_one_item_in_fifo_order() {
         let q = BoundedQueue::new(8);
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(3), Some(vec![0, 1, 2]));
-        assert_eq!(q.pop_batch(3), Some(vec![3, 4]));
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.depth(), 4, "one pop takes one item");
+        q.try_push(5).unwrap();
+        let rest: Vec<i32> = (0..5).map(|_| q.pop().unwrap()).collect();
+        assert_eq!(rest, vec![1, 2, 3, 4, 5]);
         assert_eq!(q.depth(), 0);
     }
 
@@ -149,10 +144,13 @@ mod tests {
     fn close_refuses_producers_but_drains_consumers() {
         let q = BoundedQueue::new(8);
         q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
         q.close();
-        assert_eq!(q.try_push(2), Err(PushRefused::Closed));
-        assert_eq!(q.pop_batch(4), Some(vec![1]));
-        assert_eq!(q.pop_batch(4), None);
+        assert_eq!(q.try_push(3), Err(PushRefused::Closed));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None, "a closed, empty queue stays drained");
     }
 
     #[test]
@@ -162,8 +160,8 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some(batch) = q.pop_batch(2) {
-                    seen.extend(batch);
+                while let Some(item) = q.pop() {
+                    seen.push(item);
                 }
                 seen
             })
@@ -174,8 +172,7 @@ mod tests {
             }
         }
         q.close();
-        let mut seen = consumer.join().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
+        // One consumer sees every item, in push order.
+        assert_eq!(consumer.join().unwrap(), vec![0, 1, 2, 3, 4, 5]);
     }
 }

@@ -1,41 +1,31 @@
 //! The long-lived evaluation service: per-hardware-point shards, worker
-//! pools, batched dispatch, bounded admission, and cross-request replay
-//! fusion.
+//! pools, one-job dispatch, and bounded admission.
 //!
 //! A [`Server`] is built from a set of named *hardware points* (full
 //! [`SystemConfig`]s) plus one [`ServeConfig`]. Each point gets one
 //! **shard**: a bounded job queue, exactly
 //! [`workers_per_shard`](ServeConfig::workers_per_shard) worker threads,
 //! and a warm [`CompiledCircuit`] cache. Submitted [`EvalRequest`]s are
-//! routed to their point's shard; workers drain the queue in batches of
-//! up to [`BATCH_MAX`] (coalescing same-shard requests into one
-//! dispatch), serve each request compile-once out of the shard cache,
-//! and hand each [`EvalResponse`] to the reply it was submitted with.
-//!
-//! **Replay fusion** (always on) rides on the dispatch path: every
-//! dispatch is split into groups of requests with equal circuits and
-//! the same design, and each group is served as one multi-seed
-//! replay — each distinct seed runs once and the per-seed
-//! [`ExecutionReport`]s fan back to every requester. A group of one is
-//! simply a request served alone, so there is one dispatch path.
-//! Byte-identical to direct evaluation by construction, because a
-//! compiled circuit's run is a pure function of `(design, seed)`.
+//! routed to their point's shard; a worker pops one request at a time,
+//! serves it compile-once out of the shard cache, replays its seeds in
+//! order, and hands its [`EvalResponse`] to the reply it was submitted
+//! with. No request waits behind another's cold compile while a sibling
+//! worker is free.
 //!
 //! Determinism: a request's outcome depends only on the request itself
 //! (circuit, point, design, runs, base seed) — never on which worker
-//! served it, how requests interleaved, batch boundaries, or fusion
-//! grouping. Workers replay seeds through the same
-//! [`CompiledCircuit::run`] the [`Experiment`] engine uses, so a served
-//! request is byte-identical to a direct in-process evaluation.
+//! served it or how requests interleaved. Workers replay seeds through
+//! the same [`CompiledCircuit::run`] the [`Experiment`] engine uses, so a
+//! served request is byte-identical to a direct in-process evaluation.
 
 use crate::cache::CompileCache;
-use crate::config::{ServeConfig, BATCH_MAX};
+use crate::config::ServeConfig;
 use crate::queue::{BoundedQueue, PushRefused};
 use crate::stats::{ServeStats, ShardCounters};
 use crate::{EvalOutput, EvalRequest, EvalResponse, ServeError};
-use dqc_core::{CompiledCircuit, DqcError, ExecutionReport, SystemConfig};
+use dqc_core::{CompiledCircuit, SystemConfig};
 use dqc_obs::{MetricsSnapshot, Registry, TraceId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -196,7 +186,7 @@ impl ServeBuilder {
         if self.points.is_empty() {
             return Err(ServeError::NoHardwarePoints);
         }
-        let mut index = HashMap::new();
+        let mut index = BTreeMap::new();
         for (i, (label, _)) in self.points.iter().enumerate() {
             if index.insert(label.clone(), i).is_some() {
                 return Err(ServeError::DuplicatePoint {
@@ -255,7 +245,7 @@ impl ServeBuilder {
 #[derive(Debug)]
 pub struct Server {
     shards: Vec<Shard>,
-    index: HashMap<String, usize>,
+    index: BTreeMap<String, usize>,
     config: ServeConfig,
     registry: Arc<Registry>,
 }
@@ -405,19 +395,16 @@ impl Drop for Server {
     }
 }
 
-/// One worker's lifetime: drain batches until the queue closes empty,
-/// serving each batch as its fusion groups.
+/// One worker's lifetime: serve one job per pop until the queue closes
+/// empty.
 fn worker_loop(ctx: WorkerContext) {
-    while let Some(batch) = ctx.queue.pop_batch(BATCH_MAX) {
+    while let Some(job) = ctx.queue.pop() {
         ctx.counters.dispatches.bump();
         let mut dispatch = dqc_obs::span("serve.dispatch");
         if dispatch.enabled() {
             dispatch.attr("point", ctx.point.as_str());
-            dispatch.attr("batch", batch.len() as u64);
         }
-        for group in fuse_batch(batch) {
-            serve_group(&ctx, group);
-        }
+        serve_job(&ctx, job);
     }
 }
 
@@ -451,87 +438,28 @@ fn open_request_span(ctx: &WorkerContext, job: &Job) -> dqc_obs::SpanGuard {
     span
 }
 
-/// Splits one dispatch batch into fusion groups: jobs with the same
-/// design and structurally equal circuits (the same `Arc`, or `==`).
-/// Jobs stay in submission order within and across groups.
-fn fuse_batch(batch: Vec<Job>) -> Vec<Vec<Job>> {
-    let mut groups: Vec<Vec<Job>> = Vec::new();
-    for job in batch {
-        let home = groups.iter_mut().find(|members| {
-            let rep = &members[0].request;
-            rep.design == job.request.design
-                && (Arc::ptr_eq(&rep.circuit, &job.request.circuit)
-                    || rep.circuit == job.request.circuit)
-        });
-        match home {
-            Some(members) => members.push(job),
-            None => groups.push(vec![job]),
+/// Serves one job: resolves its compilation through the warm cache and
+/// replays its seeds in order. The first failing seed aborts the replay
+/// with that error — the same contract as `Experiment::reports`.
+fn serve_job(ctx: &WorkerContext, job: Job) {
+    let service_started = Instant::now();
+    let request_span = open_request_span(ctx, &job);
+    let request = &job.request;
+    let (outcome, cache_hit) = match resolve_compiled(ctx, request) {
+        Err(e) => (Err(e), false),
+        Ok((compiled, cache_hit)) => {
+            let reports = (0..request.runs)
+                .map(|i| compiled.run(request.design, request.base_seed.wrapping_add(i as u64)))
+                .collect::<Result<_, _>>();
+            let outcome = reports
+                .map(|reports| EvalOutput { reports })
+                .map_err(ServeError::Engine);
+            (outcome, cache_hit)
         }
-    }
-    groups
-}
-
-/// Serves one fusion group as a single multi-seed replay: every distinct
-/// seed in the group runs once (memoized), and each job assembles its
-/// reports from the memo in its own seed order — byte-identical to
-/// serving each job alone, because a compiled circuit's run is a pure
-/// function of `(design, seed)`. Cache accounting stays per job. A group
-/// of one is a request served alone: it memoizes nothing, counts as
-/// nothing fused and emits no `serve.fusion_group` event.
-fn serve_group(ctx: &WorkerContext, group: Vec<Job>) {
-    let members = group.len() as u64;
-    let mut saved = 0u64;
-    let mut memo: HashMap<u64, Result<ExecutionReport, DqcError>> = HashMap::new();
-    let mut shared_compiled: Option<Arc<CompiledCircuit>> = None;
-    for job in group {
-        let service_started = Instant::now();
-        let request_span = open_request_span(ctx, &job);
-        let (outcome, cache_hit) = match resolve_compiled(ctx, &job.request) {
-            Err(e) => (Err(e), false),
-            Ok((compiled, cache_hit)) => {
-                // Replay through the group's first compilation; every
-                // member compiles equal (same circuit, same config), so
-                // the choice cannot change any report.
-                let compiled = shared_compiled.get_or_insert(compiled);
-                // The first failing seed aborts the job's replay with that
-                // error — the same contract as `Experiment::reports`. A
-                // group of one has no sibling to share with, so it skips
-                // the memo.
-                let reports: Result<Vec<ExecutionReport>, DqcError> = (0..job.request.runs)
-                    .map(|i| {
-                        let seed = job.request.base_seed.wrapping_add(i as u64);
-                        if let Some(result) = memo.get(&seed) {
-                            saved += 1;
-                            return result.clone();
-                        }
-                        let result = compiled.run(job.request.design, seed);
-                        if members > 1 {
-                            memo.insert(seed, result.clone());
-                        }
-                        result
-                    })
-                    .collect();
-                match reports {
-                    Ok(reports) => (Ok(EvalOutput { reports }), cache_hit),
-                    Err(e) => (Err(ServeError::Engine(e)), cache_hit),
-                }
-            }
-        };
-        // The span covers serving; the reply runs after it ends.
-        drop(request_span);
-        finish_job(ctx, job, outcome, cache_hit, service_started);
-    }
-    if members > 1 {
-        ctx.counters.fused_requests.add(members);
-        ctx.counters.fused_replays_saved.add(saved);
-        dqc_obs::event("serve.fusion_group", || {
-            vec![
-                ("point", ctx.point.as_str().into()),
-                ("members", members.into()),
-                ("replays_saved", saved.into()),
-            ]
-        });
-    }
+    };
+    // The span covers serving; the reply runs after it ends.
+    drop(request_span);
+    finish_job(ctx, job, outcome, cache_hit, service_started);
 }
 
 /// Completes one job: counters, histograms, and the reply.
@@ -605,7 +533,6 @@ fn resolve_compiled(
 mod tests {
     use super::*;
     use dqc_core::{Design, Experiment};
-    use dqc_obs::{AttrValue, RingRecorder, TickClock};
 
     /// The warm cache finds a compilation by the circuit itself: a
     /// second request whose circuit is `==` to the first's but sits in
@@ -657,89 +584,74 @@ mod tests {
         );
     }
 
-    /// Fusion saves replays, counted exactly: `JOBS` identical requests
-    /// queued before the worker starts leave in one `pop_batch`, fuse
-    /// into one group, and replay each of their `RUNS` seeds once — yet
-    /// every requester still gets the reports direct evaluation gives.
-    /// A batch of distinct jobs takes the same path as groups of one,
-    /// which count as nothing fused and emit no `serve.fusion_group`.
+    /// One pop takes one job: a closed queue of `JOBS` jobs, exact
+    /// duplicates beside distinct circuits, drains on one worker in
+    /// `JOBS` dispatches, and every reply equals direct evaluation.
     #[test]
-    fn one_batch_of_identical_jobs_replays_each_seed_once() {
-        const JOBS: usize = 5;
+    fn a_closed_queue_of_n_jobs_takes_n_dispatches() {
         const RUNS: usize = 3;
         let system = SystemConfig::paper_two_node_32();
         let qft16 = Arc::new(dqc_workloads::qft(16));
-        let identical: Vec<_> = (0..JOBS).map(|_| Arc::clone(&qft16)).collect();
-        let distinct: Vec<_> = (0..JOBS as u32)
-            .map(|i| Arc::new(dqc_workloads::qft(8 + 2 * i)))
-            .collect();
-        // Events carry their shard's point, so a label per case keeps
-        // fusion groups from concurrently running tests out of the count.
-        let ring = Arc::new(RingRecorder::new(1 << 16));
-        let _recording = dqc_obs::install(ring.clone(), Arc::new(TickClock::new()));
-        for (point, circuits, fused, saved, groups) in [
-            ("identical", identical, JOBS, (JOBS - 1) * RUNS, 1),
-            ("distinct", distinct, 0, 0, 0),
-        ] {
-            let queue = Arc::new(BoundedQueue::new(JOBS));
-            let (results, responses) = std::sync::mpsc::channel();
-            for (index, circuit) in circuits.iter().enumerate() {
-                let results = results.clone();
-                let job = Job {
-                    request: EvalRequest::new("QFT", Arc::clone(circuit), point, Design::AdaptBuf)
-                        .runs(RUNS)
-                        .base_seed(11),
-                    reply: Box::new(move |response| drop(results.send((index, response)))),
-                    submitted_at: Instant::now(),
-                    submitted_us: None,
-                };
-                assert!(queue.try_push(job).is_ok(), "queue holds every job");
-            }
-            // Closed and full: the worker drains it in one batch, then
-            // exits on this thread.
-            queue.close();
-            let registry = Registry::new();
-            let counters = Arc::new(ShardCounters::register(&registry, point));
-            drop(results);
-            worker_loop(WorkerContext {
-                queue,
-                counters: Arc::clone(&counters),
-                cache: Arc::new(Mutex::new(CompileCache::new(JOBS))),
-                config: Arc::new(system.clone()),
-                point: point.to_string(),
-            });
-
-            assert_eq!(counters.dispatches.get(), 1, "{point}: one pop");
-            assert_eq!(counters.fused_requests.get(), fused as u64, "{point}");
-            assert_eq!(
-                counters.fused_replays_saved.get(),
-                saved as u64,
-                "{point}: only the first of identical jobs replays its seeds"
-            );
-            let fusion_groups = ring
-                .events()
-                .iter()
-                .filter(|e| {
-                    e.name == "serve.fusion_group"
-                        && e.attrs
-                            .iter()
-                            .any(|(k, v)| k == "point" && *v == AttrValue::from(point))
-                })
-                .count();
-            assert_eq!(fusion_groups, groups, "{point}: fusion_group events");
-            let served: Vec<(usize, EvalResponse)> = responses.iter().collect();
-            assert_eq!(served.len(), JOBS);
-            for (index, response) in served {
-                let direct = Experiment::new(&circuits[index], &system)
-                    .unwrap()
-                    .design(Design::AdaptBuf)
+        let circuits: Vec<Arc<dqc_circuit::Circuit>> = vec![
+            Arc::clone(&qft16),
+            Arc::new(dqc_workloads::qft(8)),
+            Arc::clone(&qft16),
+            Arc::new(dqc_workloads::qft(16)),
+            Arc::new(dqc_workloads::ghz_chain(12)),
+            Arc::clone(&qft16),
+        ];
+        let jobs = circuits.len();
+        let queue = Arc::new(BoundedQueue::new(jobs));
+        let (results, responses) = std::sync::mpsc::channel();
+        for (index, circuit) in circuits.iter().enumerate() {
+            let results = results.clone();
+            let job = Job {
+                request: EvalRequest::new("job", Arc::clone(circuit), "paper", Design::AdaptBuf)
                     .runs(RUNS)
-                    .base_seed(11)
-                    .reports()
-                    .unwrap();
-                let output = response.outcome.expect("job succeeds");
-                assert_eq!(output.reports, direct, "{point}: job {index}");
-            }
+                    .base_seed(11),
+                reply: Box::new(move |response| drop(results.send((index, response)))),
+                submitted_at: Instant::now(),
+                submitted_us: None,
+            };
+            assert!(queue.try_push(job).is_ok(), "queue holds every job");
+        }
+        drop(results);
+        // Closed and full: the worker drains it, then exits on this thread.
+        queue.close();
+        let registry = Registry::new();
+        let counters = Arc::new(ShardCounters::register(&registry, "paper"));
+        worker_loop(WorkerContext {
+            queue,
+            counters: Arc::clone(&counters),
+            cache: Arc::new(Mutex::new(CompileCache::new(jobs))),
+            config: Arc::new(system.clone()),
+            point: "paper".to_string(),
+        });
+
+        assert_eq!(counters.dispatches.get(), jobs as u64, "one pop per job");
+        assert_eq!(counters.served.get(), counters.dispatches.get());
+        assert_eq!(
+            (counters.cache_misses.get(), counters.cache_hits.get()),
+            (3, 3),
+            "three distinct circuits compile once each"
+        );
+        let served: Vec<(usize, EvalResponse)> = responses.iter().collect();
+        let order: Vec<usize> = served.iter().map(|(index, _)| *index).collect();
+        assert_eq!(
+            order,
+            (0..jobs).collect::<Vec<_>>(),
+            "one worker replies in FIFO order"
+        );
+        for (index, response) in served {
+            let direct = Experiment::new(&circuits[index], &system)
+                .unwrap()
+                .design(Design::AdaptBuf)
+                .runs(RUNS)
+                .base_seed(11)
+                .reports()
+                .unwrap();
+            let output = response.outcome.expect("job succeeds");
+            assert_eq!(output.reports, direct, "job {index}");
         }
     }
 }

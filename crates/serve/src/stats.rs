@@ -25,8 +25,6 @@ pub(crate) struct ShardCounters {
     pub(crate) cache_hits: Arc<Counter>,
     pub(crate) cache_misses: Arc<Counter>,
     pub(crate) dispatches: Arc<Counter>,
-    pub(crate) fused_requests: Arc<Counter>,
-    pub(crate) fused_replays_saved: Arc<Counter>,
     /// Submission-to-dispatch wait per request, microseconds.
     pub(crate) queue_wait: Arc<Histogram>,
     /// Dispatch-to-completion service time per request, microseconds.
@@ -47,8 +45,6 @@ impl ShardCounters {
             cache_hits: counter("serve.cache_hits"),
             cache_misses: counter("serve.cache_misses"),
             dispatches: counter("serve.dispatches"),
-            fused_requests: counter("serve.fused_requests"),
-            fused_replays_saved: counter("serve.fused_replays_saved"),
             queue_wait: registry.histogram(
                 &labeled("serve.queue_wait_us", "point", point),
                 &BUCKET_BOUNDS_US,
@@ -79,15 +75,12 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Cache misses across all shards.
     pub cache_misses: u64,
-    /// Worker dispatches across all shards; `served / dispatches` is the
-    /// mean batch size.
+    /// Worker dispatches across all shards. A worker pops one request
+    /// per dispatch, so this equals `served`.
     pub dispatches: u64,
-    /// Requests served through a fused replay (groups of two or more
-    /// coalesced in one dispatch), across all shards.
+    /// Always 0: no request shares another's replay. Kept, with
+    /// `dispatches`, only while the benchmark still reads it.
     pub fused_requests: u64,
-    /// Seed replays skipped because a fused sibling already ran them,
-    /// across all shards.
-    pub fused_replays_saved: u64,
 }
 
 impl ServeStats {
@@ -102,8 +95,7 @@ impl ServeStats {
             cache_hits: total("serve.cache_hits"),
             cache_misses: total("serve.cache_misses"),
             dispatches: total("serve.dispatches"),
-            fused_requests: total("serve.fused_requests"),
-            fused_replays_saved: total("serve.fused_replays_saved"),
+            fused_requests: 0,
         }
     }
 }

@@ -19,13 +19,16 @@ pub struct KrausChannel {
 }
 
 impl KrausChannel {
-    /// Builds a channel from explicit Kraus operators.
+    /// Builds a channel from explicit Kraus operators. An operator that
+    /// is exactly zero (a Pauli term of weight 0) contributes nothing to
+    /// any state, so it is dropped here rather than multiplied on every
+    /// application.
     ///
     /// # Panics
     ///
-    /// Panics when the list is empty, the operators have mismatched
+    /// Panics when no operator is nonzero, the operators have mismatched
     /// dimensions, or the dimension is not 2 or 4.
-    pub fn from_kraus(ops: Vec<Matrix>) -> Self {
+    pub fn from_kraus(mut ops: Vec<Matrix>) -> Self {
         assert!(!ops.is_empty(), "channel needs at least one Kraus operator");
         let dim = ops[0].dim();
         assert!(
@@ -36,6 +39,9 @@ impl KrausChannel {
             ops.iter().all(|k| k.dim() == dim),
             "mismatched Kraus dimensions"
         );
+        let zero = Matrix::zeros(dim);
+        ops.retain(|k| *k != zero);
+        assert!(!ops.is_empty(), "channel needs a nonzero Kraus operator");
         Self {
             arity: dim.trailing_zeros() as usize,
             ops,
@@ -87,9 +93,7 @@ impl KrausChannel {
                 } else {
                     (p / 15.0).sqrt()
                 };
-                if weight > 0.0 {
-                    ops.push(a.kron(b).scale(C64::real(weight)));
-                }
+                ops.push(a.kron(b).scale(C64::real(weight)));
             }
         }
         Self::from_kraus(ops)
@@ -212,6 +216,20 @@ mod tests {
             KrausChannel::dephasing(0.25),
             KrausChannel::amplitude_damping(0.4),
         ] {
+            assert!(ch.is_trace_preserving(TOL));
+        }
+    }
+
+    #[test]
+    fn weight_zero_operators_are_dropped() {
+        for (ch, kept) in [
+            (KrausChannel::bit_flip(0.1), 2),
+            (KrausChannel::depolarizing1(0.0), 1),
+            (KrausChannel::amplitude_damping(0.0), 1),
+            (KrausChannel::depolarizing2(0.0), 1),
+            (KrausChannel::depolarizing1(0.1), 4),
+        ] {
+            assert_eq!(ch.kraus().len(), kept);
             assert!(ch.is_trace_preserving(TOL));
         }
     }

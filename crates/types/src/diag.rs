@@ -335,8 +335,8 @@ pub const REGISTRY: &[CodeInfo] = &[
         summary: "multi-qubit circuit is fully serialized (zero schedule slack)",
     },
     // DQC-W005 ("portfolio contains fusable duplicates but replay fusion
-    // is disabled") is retired: fusion is always on. Never reuse the
-    // code.
+    // is disabled") is retired, and so is replay fusion itself. Never
+    // reuse the code.
     CodeInfo {
         code: "DQC-W006",
         severity: Severity::Warning,

@@ -9,8 +9,8 @@
 //! two-node 32- and 64-qubit machines), submits a mixed QAOA/QFT/GHZ
 //! request stream against both, and prints the per-request results and
 //! latencies as they complete, followed by the server's counters —
-//! cache amortization and batching — and each shard's slice of them from
-//! the metrics registry. Finally it overfills a deliberately tiny queue
+//! cache amortization and admission — and each shard's slice of them
+//! from the metrics registry. Finally it overfills a deliberately tiny queue
 //! to show the typed `Overloaded` backpressure signal.
 
 use dqc::workloads::{ghz_chain, qft, PaperBenchmark};
@@ -72,13 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = server.stats();
     println!(
-        "\nserved {} requests: {} cache hits / {} misses, \
-         {} dispatches (mean batch {:.1})",
-        stats.served,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.dispatches,
-        stats.served as f64 / stats.dispatches.max(1) as f64,
+        "\nserved {} requests: {} cache hits / {} misses, {} errors",
+        stats.served, stats.cache_hits, stats.cache_misses, stats.errors,
     );
     // The same counters per shard, as the daemon's `metrics` frame
     // carries them.

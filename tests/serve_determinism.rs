@@ -2,9 +2,9 @@
 //! changes results**. The same request produces byte-identical
 //! [`ExecutionReport`]s whether it is evaluated directly in-process or
 //! served by a [`Server`] — at any worker count, under any submission
-//! order, across any batch boundaries and fusion groups, and beside an
-//! idle second shard. Also pins the collision-freedom of the stable
-//! circuit fingerprints over the full workload suite.
+//! order, among many duplicates of one evaluation, and beside an idle
+//! second shard. Also pins the collision-freedom of the stable circuit
+//! fingerprints over the full workload suite.
 
 use dqc::workloads::PaperBenchmark;
 use dqc::{Design, EvalRequest, ExecutionReport, Experiment, ServeBuilder, SystemConfig};
@@ -60,9 +60,34 @@ fn direct_reports(requests: &[EvalRequest]) -> Vec<Vec<ExecutionReport>> {
         .collect()
 }
 
+/// Duplicate-heavy traffic, the shape of many tenants asking one popular
+/// question: `count` copies of one evaluation (the portfolio's QFT-32,
+/// its heaviest replay, with one design and one base seed). Every other
+/// copy carries its own `Arc` of an equal circuit, so both ways the warm
+/// cache can match a circuit are exercised.
+fn duplicate_requests(count: usize) -> Vec<EvalRequest> {
+    let portfolio = dqc_bench::serve_portfolio();
+    let (label, circuit) = &portfolio[2];
+    assert_eq!(label, "QFT-32");
+    (0..count)
+        .map(|i| {
+            let circuit = if i % 2 == 0 {
+                Arc::clone(circuit)
+            } else {
+                Arc::new((**circuit).clone())
+            };
+            EvalRequest::new(label.clone(), circuit, "paper", Design::AdaptBuf)
+                .runs(2)
+                .base_seed(41)
+        })
+        .collect()
+}
+
 #[test]
 fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
-    let requests = request_set();
+    // The 24 distinct requests beside 18 duplicates of one evaluation.
+    let mut requests = request_set();
+    requests.extend(duplicate_requests(18));
     let expected = direct_reports(&requests);
 
     for (workers, shuffle_seed) in [(1usize, 7u64), (2, 8), (4, 9)] {
@@ -109,6 +134,7 @@ fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
         assert_eq!(spare, Some(0), "the spare shard stays idle");
         let stats = server.shutdown();
         assert_eq!(stats.served, requests.len() as u64);
+        assert_eq!(stats.dispatches, stats.served, "one request per dispatch");
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.cache_hits + stats.cache_misses, requests.len() as u64);
         // Each of the 6 distinct circuits must miss cold at least once;
@@ -122,49 +148,6 @@ fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
             stats.cache_hits > 0,
             "repeated circuits must hit the warm cache"
         );
-    }
-}
-
-#[test]
-fn fused_serving_is_byte_identical_to_direct_evaluation() {
-    // Duplicate-heavy traffic — 3 of every 4 requests are the *same*
-    // evaluation — is exactly what cross-request replay fusion coalesces.
-    // At any worker count, under shuffled submission, however the
-    // batches happen to group, the bytes must match direct evaluation.
-    let requests = dqc_bench::skewed_requests(24, 2, 41, "paper", 4);
-    let expected = direct_reports(&requests);
-
-    for (workers, shuffle_seed) in [(1usize, 21u64), (2, 22), (4, 23)] {
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
-
-        let server = ServeBuilder::new()
-            .hardware_point("paper", SystemConfig::paper_two_node_32())
-            .workers_per_shard(workers)
-            .queue_capacity(requests.len())
-            .spawn()
-            .unwrap();
-        let (tx, responses) = channel();
-        for &request_idx in &order {
-            let tx = tx.clone();
-            server
-                .submit(requests[request_idx].clone(), move |r| {
-                    drop(tx.send((request_idx, r)))
-                })
-                .unwrap();
-        }
-        for _ in 0..requests.len() {
-            let (request_idx, response) = responses.recv().expect("every request is answered");
-            let output = response
-                .outcome
-                .unwrap_or_else(|e| panic!("request {request_idx} failed: {e}"));
-            assert_eq!(
-                output.reports, expected[request_idx],
-                "request {request_idx} diverged with {workers} workers"
-            );
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.served, requests.len() as u64);
     }
 }
 

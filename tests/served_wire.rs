@@ -176,8 +176,6 @@ fn metrics_frames_are_monotone_and_match_shutdown_totals() {
         "serve.cache_hits{point=paper}",
         "serve.cache_misses{point=paper}",
         "serve.dispatches{point=paper}",
-        "serve.fused_requests{point=paper}",
-        "serve.fused_replays_saved{point=paper}",
     ] {
         assert!(
             first.counter(name).is_some(),

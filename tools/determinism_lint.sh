@@ -30,13 +30,12 @@ crates/served/src/daemon.rs
 crates/obs/src/wall.rs
 "
 
-# HashMap: bookkeeping keyed for lookup only (the server's point index
-# and fusion memo, and the quota ledger), and tests that key
-# compilations, fingerprints or replies for order-insensitive asserts.
-# The engine itself has none: the executor's entanglement supplies sit
-# in a BTreeMap, so every fold over them runs in key order.
+# HashMap: bookkeeping keyed for lookup only (the daemon's quota
+# ledger), and tests that key compilations, fingerprints or replies for
+# order-insensitive asserts. The engine and the serving layer have none:
+# the executor's entanglement supplies and the server's point index sit
+# in BTreeMaps, so every walk over them runs in key order.
 HASHMAP_ALLOW="
-crates/serve/src/server.rs
 crates/served/src/quota.rs
 tests/serve_determinism.rs
 tests/served_wire.rs
