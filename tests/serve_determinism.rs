@@ -83,71 +83,107 @@ fn duplicate_requests(count: usize) -> Vec<EvalRequest> {
         .collect()
 }
 
+/// Serves `requests` on `workers` workers, submitted in an order shuffled
+/// by `shuffle_seed`, beside a second, idle shard on the same hardware
+/// (its workers share the registry, and must neither serve nor perturb
+/// anything). Asserts every reply equals `expected`, and that the stats
+/// count one dispatch per request and a warm cache that both missed and
+/// hit `requests`' 6 distinct circuits.
+fn serve_shuffled(
+    requests: &[EvalRequest],
+    expected: &[Vec<ExecutionReport>],
+    workers: usize,
+    shuffle_seed: u64,
+) {
+    let mut order: Vec<usize> = (0..requests.len()).collect();
+    order.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
+
+    let server = ServeBuilder::new()
+        .hardware_point("paper", SystemConfig::paper_two_node_32())
+        .hardware_point("spare", SystemConfig::paper_two_node_32())
+        .workers_per_shard(workers)
+        .queue_capacity(requests.len())
+        .spawn()
+        .unwrap();
+    let (tx, responses) = channel();
+    for &request_idx in &order {
+        let tx = tx.clone();
+        server
+            .submit(requests[request_idx].clone(), move |r| {
+                drop(tx.send((request_idx, r)))
+            })
+            .unwrap();
+    }
+    for _ in 0..requests.len() {
+        let (request_idx, response) = responses.recv().expect("every request is answered");
+        let output = response
+            .outcome
+            .unwrap_or_else(|e| panic!("request {request_idx} failed with {workers} workers: {e}"));
+        assert_eq!(
+            output.reports, expected[request_idx],
+            "request {request_idx} ({}) diverged with {workers} workers",
+            requests[request_idx].circuit_label
+        );
+    }
+    assert_eq!(
+        server.points().collect::<Vec<_>>(),
+        ["paper", "spare"],
+        "registration order"
+    );
+    let spare = server.metrics().counter("serve.served{point=spare}");
+    assert_eq!(spare, Some(0), "the spare shard stays idle");
+    let stats = server.shutdown();
+    assert_eq!(stats.served, requests.len() as u64);
+    assert_eq!(stats.dispatches, stats.served, "one request per dispatch");
+    assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.cache_hits + stats.cache_misses, requests.len() as u64);
+    // Each of the 6 distinct circuits must miss cold at least once;
+    // concurrent workers may race a few extra misses, never fewer.
+    assert!(
+        stats.cache_misses >= 6,
+        "6 distinct circuits cannot miss fewer than 6 times (got {})",
+        stats.cache_misses
+    );
+    assert!(
+        stats.cache_hits > 0,
+        "repeated circuits must hit the warm cache"
+    );
+}
+
 #[test]
 fn shuffled_concurrent_serving_is_byte_identical_to_direct_evaluation() {
-    // The 24 distinct requests beside 18 duplicates of one evaluation.
-    let mut requests = request_set();
-    requests.extend(duplicate_requests(18));
+    let requests = request_set();
     let expected = direct_reports(&requests);
 
+    // A different submission order per worker count: determinism must
+    // hold across *both* axes at once.
     for (workers, shuffle_seed) in [(1usize, 7u64), (2, 8), (4, 9)] {
-        // A different submission order per worker count: determinism must
-        // hold across *both* axes at once.
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle_seed));
+        serve_shuffled(&requests, &expected, workers, shuffle_seed);
+    }
+}
 
-        // A second, idle shard on the same hardware: its workers share
-        // the registry, and must neither serve nor perturb anything.
-        let server = ServeBuilder::new()
-            .hardware_point("paper", SystemConfig::paper_two_node_32())
-            .hardware_point("spare", SystemConfig::paper_two_node_32())
-            .workers_per_shard(workers)
-            .queue_capacity(requests.len())
-            .spawn()
-            .unwrap();
-        let (tx, responses) = channel();
-        for &request_idx in &order {
-            let tx = tx.clone();
-            server
-                .submit(requests[request_idx].clone(), move |r| {
-                    drop(tx.send((request_idx, r)))
-                })
-                .unwrap();
-        }
-        for _ in 0..requests.len() {
-            let (request_idx, response) = responses.recv().expect("every request is answered");
-            let output = response.outcome.unwrap_or_else(|e| {
-                panic!("request {request_idx} failed with {workers} workers: {e}")
-            });
-            assert_eq!(
-                output.reports, expected[request_idx],
-                "request {request_idx} ({}) diverged with {workers} workers",
-                requests[request_idx].circuit_label
-            );
-        }
-        assert_eq!(
-            server.points().collect::<Vec<_>>(),
-            ["paper", "spare"],
-            "registration order"
-        );
-        let spare = server.metrics().counter("serve.served{point=spare}");
-        assert_eq!(spare, Some(0), "the spare shard stays idle");
-        let stats = server.shutdown();
-        assert_eq!(stats.served, requests.len() as u64);
-        assert_eq!(stats.dispatches, stats.served, "one request per dispatch");
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.cache_hits + stats.cache_misses, requests.len() as u64);
-        // Each of the 6 distinct circuits must miss cold at least once;
-        // concurrent workers may race a few extra misses, never fewer.
-        assert!(
-            stats.cache_misses >= 6,
-            "6 distinct circuits cannot miss fewer than 6 times (got {})",
-            stats.cache_misses
-        );
-        assert!(
-            stats.cache_hits > 0,
-            "repeated circuits must hit the warm cache"
-        );
+#[test]
+fn fused_serving_is_byte_identical_to_direct_evaluation() {
+    // Duplicate-heavy traffic, the shape shard workers once fused into
+    // one replay: 3 of every 4 requests are the *same* evaluation, and
+    // every 4th is a distinct one, each of the 6 portfolio circuits once.
+    // Served one request per dispatch, at any worker count and under
+    // shuffled submission, the bytes must match direct evaluation.
+    let distinct = request_set();
+    let mut duplicates = duplicate_requests(18).into_iter();
+    let requests: Vec<EvalRequest> = (0..24)
+        .map(|i| {
+            if (i + 1) % 4 == 0 {
+                distinct[i].clone()
+            } else {
+                duplicates.next().unwrap()
+            }
+        })
+        .collect();
+    let expected = direct_reports(&requests);
+
+    for (workers, shuffle_seed) in [(1usize, 21u64), (2, 22), (4, 23)] {
+        serve_shuffled(&requests, &expected, workers, shuffle_seed);
     }
 }
 
