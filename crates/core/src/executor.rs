@@ -496,7 +496,7 @@ struct Tracker {
 }
 
 impl Tracker {
-    fn new(num_qubits: u32, _config: &SystemConfig) -> Self {
+    fn new(num_qubits: u32) -> Self {
         Self::with_seed(num_qubits, 0)
     }
 
@@ -634,7 +634,7 @@ fn local_gate_cost(gate: Gate, config: &SystemConfig) -> (Tick, f64) {
 
 /// Schedules the circuit as if on a monolithic all-to-all device.
 fn ideal_schedule(circuit: &Circuit, config: &SystemConfig) -> Tracker {
-    let mut tracker = Tracker::new(circuit.num_qubits(), config);
+    let mut tracker = Tracker::new(circuit.num_qubits());
     for op in circuit.operations() {
         tracker.issue_local(op, config);
     }

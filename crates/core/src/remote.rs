@@ -18,9 +18,14 @@ use dqc_types::Fidelity;
 ///
 /// A table therefore costs four density-matrix evaluations, in two
 /// independent *halves*: the telegate and state-teleport evaluations at
-/// `F_link = 1`, and the same two at `F_link = 0.25`. One assembly step
-/// fits both laws from the halves. [`RemoteFidelityTable::new`] runs
-/// both halves on the calling thread; that is how the serving worker,
+/// `F_link = 1`, and the same two at `F_link = 0.25`. The two telegate
+/// evaluations, on a 6-qubit (64 × 64) operator, are nearly all of it:
+/// a state teleport is a 4-qubit evaluation about 30 times cheaper. Each
+/// evaluation allocates its operator's work buffers once
+/// ([`dqc_sim::DensityMatrix`]), not per gate or Kraus operator. One
+/// assembly step fits both laws from the halves.
+/// [`RemoteFidelityTable::new`] runs both halves on the calling thread;
+/// that is how the serving worker,
 /// [`crate::Experiment::new`] and every direct
 /// [`crate::CompiledCircuit::compile`] build theirs. The grid engine
 /// behind [`crate::Sweep`] and [`crate::DesignSpace::evaluate`] instead
@@ -203,6 +208,44 @@ mod tests {
         let t = table();
         assert_eq!(t.gate_fidelity(0.1), t.gate_fidelity(0.25));
         assert_eq!(t.gate_fidelity(1.5), t.gate_fidelity(1.0));
+    }
+
+    /// FNV-64 of the `to_bits` of both teleportation fidelities over a
+    /// 7 × 4 × 3 × 3 noise grid (504 values), and the default table's four
+    /// coefficients, both recorded at commit c6a4d62. Any change to the
+    /// density kernel that moves one bit of a fidelity fails here.
+    #[test]
+    fn teleport_fidelities_and_default_table_keep_their_bits() {
+        let mut digest = dqc_types::Fnv64::new();
+        for bell_fidelity in [0.25, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0] {
+            for local_cnot_fidelity in [0.9, 0.98, 0.999, 1.0] {
+                for single_qubit_fidelity in [0.99, 0.9999, 1.0] {
+                    for measurement_fidelity in [0.9, 0.998, 1.0] {
+                        let noise = TeleportNoise {
+                            bell_fidelity,
+                            local_cnot_fidelity,
+                            measurement_fidelity,
+                            single_qubit_fidelity,
+                        };
+                        digest.write_f64(teleported_cnot_fidelity(&noise).value());
+                        digest.write_f64(state_teleportation_fidelity(&noise).value());
+                    }
+                }
+            }
+        }
+        assert_eq!(digest.finish(), 0x7114_3a70_16d5_f13c);
+
+        let t = table();
+        assert_eq!(
+            [t.slope, t.intercept, t.st_slope, t.st_intercept].map(f64::to_bits),
+            [
+                0.99152551735614,
+                0.0017604484165207879,
+                0.9928161673425452,
+                0.0017959581643639533
+            ]
+            .map(f64::to_bits)
+        );
     }
 
     #[test]

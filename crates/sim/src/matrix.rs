@@ -2,13 +2,14 @@
 
 use crate::C64;
 use std::fmt;
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// A dense square complex matrix (row-major).
 ///
 /// Sizes stay tiny here (2×2 gate unitaries up to 64×64 Choi-state density
 /// operators), so a straightforward `Vec<C64>` representation is the right
-/// trade-off.
+/// trade-off. The default value is the empty 0×0 matrix, which owns no
+/// storage.
 ///
 /// # Examples
 ///
@@ -21,7 +22,7 @@ use std::ops::{Add, Mul, Sub};
 /// let anti = &(&x * &z) + &(&z * &x);
 /// assert!(anti.approx_eq(&Matrix::zeros(2), 1e-12));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
     dim: usize,
     data: Vec<C64>,
@@ -81,15 +82,56 @@ impl Matrix {
         self.dim
     }
 
+    /// Makes `self` the `dim × dim` zero matrix, reusing its storage.
+    pub(crate) fn set_zeros(&mut self, dim: usize) {
+        self.dim = dim;
+        self.data.clear();
+        self.data.resize(dim * dim, C64::ZERO);
+    }
+
     /// Conjugate transpose.
     pub fn dagger(&self) -> Self {
-        let mut out = Self::zeros(self.dim);
+        let mut out = Self::default();
+        self.dagger_into(&mut out);
+        out
+    }
+
+    /// Writes the conjugate transpose into `out`, reusing its storage.
+    pub(crate) fn dagger_into(&self, out: &mut Self) {
+        out.set_zeros(self.dim);
         for r in 0..self.dim {
             for c in 0..self.dim {
                 out[(c, r)] = self[(r, c)].conj();
             }
         }
-        out
+    }
+
+    /// Writes the product `self · rhs` into `out`, reusing its storage.
+    ///
+    /// Each output row starts at zero and adds `self[(r, k)] · rhs[k, ..]`
+    /// for `k` in increasing order, skipping exact zeros of `self` (never
+    /// of `rhs`). `&a * &b` runs this same loop, so both round alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the dimensions differ.
+    pub(crate) fn mul_into(&self, rhs: &Self, out: &mut Self) {
+        assert_eq!(self.dim, rhs.dim, "dimension mismatch");
+        let n = self.dim;
+        out.set_zeros(n);
+        if n == 0 {
+            return;
+        }
+        for (row, out_row) in self.data.chunks_exact(n).zip(out.data.chunks_exact_mut(n)) {
+            for (&a, rhs_row) in row.iter().zip(rhs.data.chunks_exact(n)) {
+                if a == C64::ZERO {
+                    continue;
+                }
+                for (acc, &b) in out_row.iter_mut().zip(rhs_row) {
+                    *acc += a * b;
+                }
+            }
+        }
     }
 
     /// Trace.
@@ -217,38 +259,27 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 impl Mul for &Matrix {
     type Output = Matrix;
     fn mul(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.dim, rhs.dim, "dimension mismatch");
-        let n = self.dim;
-        let mut out = Matrix::zeros(n);
-        for r in 0..n {
-            for k in 0..n {
-                let a = self[(r, k)];
-                if a == C64::ZERO {
-                    continue;
-                }
-                for c in 0..n {
-                    let add = a * rhs[(k, c)];
-                    out[(r, c)] += add;
-                }
-            }
-        }
+        let mut out = Matrix::default();
+        self.mul_into(rhs, &mut out);
         out
+    }
+}
+
+impl AddAssign<&Matrix> for Matrix {
+    fn add_assign(&mut self, rhs: &Matrix) {
+        assert_eq!(self.dim, rhs.dim, "dimension mismatch");
+        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
+            *a += *b;
+        }
     }
 }
 
 impl Add for &Matrix {
     type Output = Matrix;
     fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.dim, rhs.dim, "dimension mismatch");
-        Matrix {
-            dim: self.dim,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| *a + *b)
-                .collect(),
-        }
+        let mut out = self.clone();
+        out += rhs;
+        out
     }
 }
 

@@ -104,7 +104,7 @@ impl Default for TeleportNoise {
 /// ```
 pub fn teleported_cnot_fidelity(noise: &TeleportNoise) -> Fidelity {
     // Qubit layout: r0=0, d0=1, r1=2, d1=3, b0=4, b1=5.
-    let (r0, d0, r1, d1, b0, b1) = (0usize, 1usize, 2usize, 3usize, 4usize, 5usize);
+    let (d0, d1, b0, b1) = (1usize, 3usize, 4usize, 5usize);
 
     // Reference pairs (r0,d0) and (r1,d1) in |Φ⁺⟩; Werner Bell pair (b0,b1).
     let phi = crate::BellState::PhiPlus.density();
@@ -153,7 +153,6 @@ pub fn teleported_cnot_fidelity(noise: &TeleportNoise) -> Fidelity {
     let mut psi = Statevector::zero_state(4);
     psi.apply_circuit(&reference)
         .expect("reference circuit is unitary");
-    let _ = (r0, r1); // layout documented above
     Fidelity::new(reduced.fidelity_with_pure(&psi))
 }
 
@@ -170,7 +169,7 @@ pub fn teleported_cnot_fidelity(noise: &TeleportNoise) -> Fidelity {
 /// ```
 pub fn state_teleportation_fidelity(noise: &TeleportNoise) -> Fidelity {
     // Layout: r=0 (reference), d=1 (data at A), b0=2 (A), b1=3 (B).
-    let (r, d, b0, b1) = (0usize, 1usize, 2usize, 3usize);
+    let (d, b0, b1) = (1usize, 2usize, 3usize);
     let phi = crate::BellState::PhiPlus.density();
     let mut rho = phi.tensor(&werner(noise.bell_fidelity));
 
@@ -206,7 +205,6 @@ pub fn state_teleportation_fidelity(noise: &TeleportNoise) -> Fidelity {
     let mut psi = Statevector::zero_state(2);
     psi.apply_circuit(&reference)
         .expect("reference circuit is unitary");
-    let _ = r;
     Fidelity::new(reduced.fidelity_with_pure(&psi))
 }
 

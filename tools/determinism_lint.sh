@@ -6,9 +6,11 @@
 # proven not to reach any result. Process-wide mutable state (a `static`
 # `Mutex`, `RwLock`, `OnceLock` or `LazyLock`) is denied the same way:
 # a cache or memo belongs to an owner (a daemon, a server, a shard, a
-# grid plan) that bounds it and drops it, not to the process. The
-# benchmark under dqcbench/ reads the clock on purpose and is not
-# scanned.
+# grid plan) that bounds it and drops it, not to the process. For the
+# same reason a per-thread cache (`thread_local!`) is denied: kernel
+# scratch space and any memo stay owned by a value, so they live and die
+# with it rather than with whichever thread last ran it. The benchmark
+# under dqcbench/ reads the clock on purpose and is not scanned.
 #
 # Run from the repository root:  sh tools/determinism_lint.sh
 # Exits non-zero, listing every offending file, when a denied pattern
@@ -48,6 +50,12 @@ STATIC_ALLOW="
 crates/obs/src/recorder.rs
 "
 
+# Per-thread state: the observability layer's span stack, which records
+# the open span of the thread it runs on and holds no result.
+THREAD_LOCAL_ALLOW="
+crates/obs/src/context.rs
+"
+
 fail=0
 
 # Lists every file under the scanned trees matching the extended regular
@@ -69,6 +77,7 @@ scan 'Instant::now|SystemTime::now' "$CLOCK_ALLOW" "a wall clock"
 scan 'HashMap' "$HASHMAP_ALLOW" "HashMap"
 scan '\bstatic[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:.*\b(Mutex|RwLock|OnceLock|LazyLock)\b' \
     "$STATIC_ALLOW" "a process-wide static Mutex, RwLock, OnceLock or LazyLock"
+scan 'thread_local!' "$THREAD_LOCAL_ALLOW" "a per-thread thread_local! cache"
 
 if [ "$fail" -ne 0 ]; then
     echo "determinism lint: denied patterns found (see tools/determinism_lint.sh)" >&2
